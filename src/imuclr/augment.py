@@ -46,17 +46,13 @@ def sample_joint_rotations(num_joints, rng):
     return quat.quats_to_matrices(qs)
 
 
-def rotate_augment(x, rng=None, rotations=None):
+def rotate_augment(x, rotations):
     """Left-multiply each joint's accel and gyro triples by one fixed rotation.
 
-    Rotations are sampled per joint from `rng` unless given explicitly via
-    `rotations` (shape (V, 3, 3)). The same matrix applies to both channel
-    triples of a joint at every timestep; masked joints stay zero.
+    `rotations` has shape (V, 3, 3), one matrix per joint, for example from
+    sample_joint_rotations. The same matrix applies to both channel triples
+    of a joint at every timestep; masked joints stay zero.
     """
-    if rotations is None:
-        if rng is None:
-            raise ValueError("either rng or rotations must be provided")
-        rotations = sample_joint_rotations(x.num_joints, rng)
     rotations = np.asarray(rotations, dtype=np.float64)
     if rotations.shape != (x.num_joints, 3, 3):
         raise ShapeMismatch(

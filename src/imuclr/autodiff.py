@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadLength, NonFinite, ShapeMismatch
+from .errors import NonFinite, ShapeMismatch
 
 
 class Tensor:
@@ -462,23 +462,17 @@ def channel_affine(x, scale, shift):
     return _tracked(out_val, (x, scale, shift), backward)
 
 
-def pool_time_joints(x, valid_t=None):
-    """Mean over joints and the first valid_t timesteps: (B,C,T,V) -> (B,C)."""
+def pool_time_joints(x):
+    """Mean over joints and timesteps: (B,C,T,V) -> (B,C)."""
     x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeMismatch(f"pool expects (B,C,T,V), got {x.shape}")
-    t = x.shape[2]
-    vt = t if valid_t is None else int(valid_t)
-    if not (1 <= vt <= t):
-        raise BadLength(f"valid_t must be in [1, {t}], got {valid_t}")
-    denom = vt * x.shape[3]
-    out_val = x.value[:, :, :vt, :].sum(axis=(2, 3)) / denom
+    denom = x.shape[2] * x.shape[3]
+    out_val = x.value.sum(axis=(2, 3)) / denom
 
     def backward(g):
         if x.requires_grad:
-            dx = np.zeros(x.shape)
-            dx[:, :, :vt, :] = g[:, :, None, None] / denom
-            x._accumulate(dx)
+            x._accumulate(np.broadcast_to(g[:, :, None, None] / denom, x.shape))
 
     return _tracked(out_val, (x,), backward)
 

@@ -54,27 +54,6 @@ class Checkpoint:
     def has_classifier(self):
         return "classifier.weight" in self.params
 
-    def copy(self):
-        return Checkpoint(
-            config=self.config,
-            structure=self.structure,
-            sample_rate=self.sample_rate,
-            params={k: v.copy() for k, v in self.params.items()},
-            train_window=self.train_window,
-            label_names=self.label_names,
-            version=self.version,
-        )
-
-    def allclose(self, other, tol=0.0):
-        if set(self.params) != set(other.params):
-            return False
-        for k, v in self.params.items():
-            if v.shape != other.params[k].shape:
-                return False
-            if not np.allclose(v, other.params[k], rtol=0.0, atol=tol):
-                return False
-        return True
-
 
 def _header_dict(ckpt):
     return {

@@ -23,11 +23,11 @@ import numpy as np
 from . import formats
 from .checkpoint import load_checkpoint, save_checkpoint
 from .contrastive import TrainConfig, pretrain
-from .datasets import load_eval_dataset, load_pretrain_samples
+from .datasets import SKELETON_EXT, file_hash, load_eval_dataset, load_pretrain_samples, simulate_skeleton_dir
 from .errors import PipelineError
 from .graph_encoder import EncoderConfig
 from .inference import FinetuneConfig, LabelSet, Model, evaluate, finetune
-from .simulate import NoiseParams, simulate_sequence
+from .simulate import NoiseParams
 from .skeleton import body22
 from .text_embeddings import TrainableTextEncoder
 
@@ -46,11 +46,6 @@ class Parser(argparse.ArgumentParser):
 def _config_hash(args):
     items = sorted(f"{k}={v}" for k, v in vars(args).items() if k != "func")
     return hashlib.sha256("\n".join(items).encode("utf-8")).hexdigest()[:12]
-
-
-def _file_hash(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:12]
 
 
 def _banner(command, args, checkpoint_hash="-"):
@@ -80,24 +75,15 @@ def cmd_simulate(args):
     _require(args.fs > 0, "--fs must be positive")
     _require(args.sigma_accel >= 0 and args.sigma_gyro >= 0, "noise sigmas must be >= 0")
     _banner("simulate", args)
-    names = sorted(n for n in os.listdir(args.skeleton_dir) if n.endswith(".skel"))
-    if not names:
-        raise PipelineError(f"no .skel files in {args.skeleton_dir}")
-    os.makedirs(args.out, exist_ok=True)
+    if not any(n.endswith(SKELETON_EXT) for n in os.listdir(args.skeleton_dir)):
+        raise PipelineError(f"no {SKELETON_EXT} files in {args.skeleton_dir}")
     noise = NoiseParams(sigma_accel=args.sigma_accel, sigma_gyro=args.sigma_gyro)
-    for index, name in enumerate(names):
-        seq = formats.read_skeleton_file(os.path.join(args.skeleton_dir, name))
-        series = simulate_sequence(
-            seq,
-            noise=noise,
-            target_fs=args.fs,
-            rng=np.random.default_rng(args.seed ^ index),
-            gravity=args.gravity,
-        )
-        ext = ".tsb" if args.binary else ".ts"
-        out_path = os.path.join(args.out, name[: -len(".skel")] + ext)
-        formats.write_timeseries_file(out_path, series, binary=args.binary)
-        print(f"{name} -> {out_path} (T={series.num_frames} @ {series.sample_rate} Hz)")
+    os.makedirs(args.out, exist_ok=True)
+    ext = ".tsb" if args.binary else ".ts"
+    for s in simulate_skeleton_dir(args.skeleton_dir, args.fs, noise, args.seed, args.gravity, cache=False):
+        out_path = os.path.join(args.out, s.seq_id + ext)
+        formats.write_timeseries_file(out_path, s.series, binary=args.binary)
+        print(f"{s.seq_id}{SKELETON_EXT} -> {out_path} (T={s.series.num_frames} @ {s.series.sample_rate} Hz)")
     return 0
 
 
@@ -152,7 +138,6 @@ def cmd_pretrain(args):
         rotation_augment=not args.no_rot_aug,
         text_augment=not args.no_text_aug,
         symmetric_loss=args.symmetric_loss,
-        deterministic=args.deterministic,
     )
     _banner("pretrain", args)
     metrics_path = args.out + ".metrics.tsv"
@@ -165,7 +150,7 @@ def cmd_pretrain(args):
 
         ckpt = pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=on_epoch)
     save_checkpoint(args.out, ckpt)
-    print(f"saved {args.out} checkpoint_hash={_file_hash(args.out)} metrics={metrics_path}")
+    print(f"saved {args.out} checkpoint_hash={file_hash(args.out)} metrics={metrics_path}")
     return 0
 
 
@@ -192,13 +177,18 @@ def _print_report(report, report_path=None):
         print(f"report written to {report_path}")
 
 
-def cmd_zero_shot(args):
+def _model_and_dataset(command, args):
+    """Checkpoint, banner, model and the manifest's windows (--window or the training window)."""
     ckpt = load_checkpoint(args.model)
-    _banner("zero-shot", args, _file_hash(args.model))
-    model = Model(ckpt)
-    labels = _labels_from_embedding_file(args.labels, args.l2_normalize_text)
+    _banner(command, args, file_hash(args.model))
     window = args.window if args.window else ckpt.train_window
     dataset = load_eval_dataset(args.manifest, ckpt.structure, ckpt.sample_rate, window=window)
+    return Model(ckpt), dataset
+
+
+def cmd_zero_shot(args):
+    model, dataset = _model_and_dataset("zero-shot", args)
+    labels = _labels_from_embedding_file(args.labels, args.l2_normalize_text)
     report = evaluate(model, dataset, labels, mode="zero_shot")
     _print_report(report, args.report)
     return 0
@@ -208,28 +198,21 @@ def cmd_finetune(args):
     _require(args.epochs >= 0, "--epochs must be >= 0")
     _require(args.lr > 0, "--lr must be positive")
     _require(args.batch >= 1, "--batch must be >= 1")
-    ckpt = load_checkpoint(args.model)
-    _banner("finetune", args, _file_hash(args.model))
-    model = Model(ckpt)
-    window = args.window if args.window else ckpt.train_window
-    dataset = load_eval_dataset(args.manifest, ckpt.structure, ckpt.sample_rate, window=window)
+    model, dataset = _model_and_dataset("finetune", args)
     names = tuple(sorted({label for _, label in dataset}))
-    if model.label_names is not None:
-        names = model.label_names  # keep the existing classifier's class order
+    if model.ckpt.label_names is not None:
+        names = model.ckpt.label_names  # keep the existing classifier's class order
     labels = LabelSet(names=names)
     cfg = FinetuneConfig(epochs=args.epochs, lr=args.lr, batch_size=args.batch, seed=args.seed)
     model = finetune(model, dataset, labels, cfg)
     save_checkpoint(args.out, model.to_checkpoint())
-    print(f"saved {args.out} checkpoint_hash={_file_hash(args.out)}")
+    print(f"saved {args.out} checkpoint_hash={file_hash(args.out)}")
     return 0
 
 
 def cmd_eval(args):
-    ckpt = load_checkpoint(args.model)
-    _banner("eval", args, _file_hash(args.model))
-    model = Model(ckpt)
-    window = args.window if args.window else ckpt.train_window
-    dataset = load_eval_dataset(args.manifest, ckpt.structure, ckpt.sample_rate, window=window)
+    model, dataset = _model_and_dataset("eval", args)
+    ckpt = model.ckpt
     if ckpt.has_classifier():
         if ckpt.label_names is None:
             raise PipelineError("checkpoint has a classifier but no label names")
@@ -281,7 +264,6 @@ def build_parser():
     p.add_argument("--no-rot-aug", action="store_true")
     p.add_argument("--no-text-aug", action="store_true")
     p.add_argument("--symmetric-loss", action="store_true")
-    p.add_argument("--deterministic", action="store_true")
     p.add_argument("--fs", type=float, default=20.0)
     p.add_argument("--sigma-accel", type=float, default=0.05)
     p.add_argument("--sigma-gyro", type=float, default=0.005)

@@ -21,7 +21,7 @@ from .checkpoint import Checkpoint
 from .errors import BadRange, DimMismatch, EmptyDataset, NonFinite
 from .graph_encoder import build_adjacency, encode_batch, init_encoder_params
 from .simulate import MotionTimeSeries
-from .text_embeddings import TextEmbeddingTable, TrainableTextEncoder, sample_description
+from .text_embeddings import TrainableTextEncoder, sample_description
 
 DEFAULT_GAMMA = 0.07
 INV_GAMMA_CLAMP = 100.0
@@ -32,15 +32,14 @@ class Temperature:
     """Learnable softmax temperature, parameterized as log(1/gamma)."""
 
     log_inv_gamma: Parameter
-    clamp_max: float = INV_GAMMA_CLAMP
 
     @classmethod
-    def create(cls, gamma=DEFAULT_GAMMA, clamp_max=INV_GAMMA_CLAMP):
-        return cls(Parameter("log_inv_gamma", np.log(1.0 / gamma)), clamp_max)
+    def create(cls, gamma=DEFAULT_GAMMA):
+        return cls(Parameter("log_inv_gamma", np.log(1.0 / gamma)))
 
     def inv_gamma(self):
-        """Differentiable 1/gamma, clamped to (0, clamp_max]."""
-        return ad.minimum_const(ad.exp(self.log_inv_gamma), self.clamp_max)
+        """Differentiable 1/gamma, clamped to (0, INV_GAMMA_CLAMP]."""
+        return ad.minimum_const(ad.exp(self.log_inv_gamma), INV_GAMMA_CLAMP)
 
     def inv_gamma_value(self):
         return float(self.inv_gamma().value)
@@ -57,7 +56,6 @@ class TrainConfig:
     rotation_augment: bool = True
     text_augment: bool = True
     symmetric_loss: bool = False
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -72,15 +70,6 @@ class PretrainSample:
 
     seq_id: str
     series: MotionTimeSeries
-
-
-def similarity(u, v):
-    """Inner product of two equal-dimension vectors."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise DimMismatch(f"similarity needs equal 1-D shapes, got {u.shape} and {v.shape}")
-    return float(u @ v)
 
 
 def contrastive_loss(series_emb, text_emb, temperature, symmetric=False):
@@ -106,7 +95,12 @@ def contrastive_loss(series_emb, text_emb, temperature, symmetric=False):
 
 
 def _batch_indices(n, batch_size, rng):
-    """Shuffled batches of exactly batch_size; a short tail is dropped."""
+    """Shuffled batches of exactly batch_size; a short tail is dropped.
+
+    With 2 <= n < batch_size the whole set is one batch of n, so every epoch
+    makes one step with n - 1 negatives per sample. pretrain() rejects n = 1,
+    whose loss would be identically 0.
+    """
     order = rng.permutation(n)
     if n < batch_size:
         return [order]
@@ -158,6 +152,8 @@ def pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=
     """
     if not samples:
         raise EmptyDataset("pre-training needs at least one sample")
+    if len(samples) == 1:
+        raise BadRange("pre-training needs at least 2 samples: one alone has no negatives")
     if text.dim != encoder_cfg.embedding_dim:
         raise DimMismatch(
             f"text dimension {text.dim} != encoder embedding dimension {encoder_cfg.embedding_dim}"
@@ -195,15 +191,12 @@ def pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=
             g = encode_batch(batch, adj_norm, params, encoder_cfg)
             f = _text_rows(text, chosen, descriptions, cfg, rng_desc)
             loss = contrastive_loss(g, f, temperature, symmetric=cfg.symmetric_loss)
-            if not np.isfinite(loss.value):
-                raise NonFinite(f"loss diverged at epoch {epoch}, iteration {len(losses)}")
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
             losses.append(float(loss.value))
         if on_epoch is not None:
-            mean_loss = float(np.mean(losses)) if losses else float("nan")
-            on_epoch(epoch, mean_loss, temperature.inv_gamma_value())
+            on_epoch(epoch, float(np.mean(losses)), temperature.inv_gamma_value())
 
     all_params = {name: p.value.copy() for name, p in params.items()}
     all_params["log_inv_gamma"] = temperature.log_inv_gamma.value.copy()

@@ -2,16 +2,18 @@
 
 Pre-training data comes either from a directory of skeleton motion files
 (simulated on first use, cached under .simcache keyed by content hash,
-rate, noise levels and seed) or from a directory of already simulated
-time-series files. Evaluation data is described by a manifest referencing
-per-device recordings, which are unit-scaled, resampled to the model rate,
-assigned to skeleton joints and cut into windows.
+sorted file index, rate, noise levels, seed and gravity) or from a
+directory of already simulated time-series files. Evaluation data is
+described by a manifest referencing per-device recordings, which are
+unit-scaled, resampled to the model rate, assigned to skeleton joints and
+cut into windows; a warning reports the tail frames the windows leave out.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import warnings
 
 import numpy as np
 
@@ -19,40 +21,50 @@ from . import formats
 from .contrastive import PretrainSample
 from .errors import ParseError, ShapeMismatch
 from .inference import assign_to_joints, windows
-from .simulate import ACCEL, GYRO, MotionTimeSeries, NoiseParams, resample, simulate_sequence
+from .simulate import ACCEL, GYRO, MotionTimeSeries, NoiseParams, resample_series, simulate_sequence
 
 SKELETON_EXT = ".skel"
 TIMESERIES_EXTS = (".ts", ".tsb")
 
 
-def _file_hash(path):
-    h = hashlib.sha256()
+def file_hash(path):
+    """First 12 hex digits of the SHA-256 of a file's bytes."""
     with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()[:16]
+        return hashlib.sha256(fh.read()).hexdigest()[:12]
 
 
 def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, cache=True):
     """PretrainSamples from a directory, simulating skeleton files as needed.
 
-    Files are taken in sorted name order; the noise stream of sequence i is
-    seeded with seed xor i, so results do not depend on how work would be
-    scheduled. Cached simulations are reused only when skeleton content,
-    rate, noise levels and seed all match.
+    A directory with any skeleton file yields those (see
+    simulate_skeleton_dir); otherwise its time-series files are read as
+    they are.
     """
     if noise is None:
         noise = NoiseParams()
     names = sorted(os.listdir(data_dir))
-    skel_files = [n for n in names if n.endswith(SKELETON_EXT)]
+    if any(n.endswith(SKELETON_EXT) for n in names):
+        return list(simulate_skeleton_dir(data_dir, fs, noise, seed, gravity, cache))
     ts_files = [n for n in names if n.endswith(TIMESERIES_EXTS)]
-    samples = []
-    if ts_files and not skel_files:
-        for name in ts_files:
-            series = formats.read_timeseries_file(os.path.join(data_dir, name))
-            samples.append(PretrainSample(seq_id=name.rsplit(".", 1)[0], series=series))
-        return samples
-    if not skel_files:
+    if not ts_files:
         raise ParseError(f"no {SKELETON_EXT} or time-series files in {data_dir}", path=data_dir)
+    samples = []
+    for name in ts_files:
+        series = formats.read_timeseries_file(os.path.join(data_dir, name))
+        samples.append(PretrainSample(seq_id=name.rsplit(".", 1)[0], series=series))
+    return samples
+
+
+def simulate_skeleton_dir(data_dir, fs, noise, seed, gravity, cache):
+    """One PretrainSample per skeleton file of data_dir, yielded in sorted name order.
+
+    The noise stream of file i is seeded with seed xor i, so results do not
+    depend on how work would be scheduled. With cache set, simulations are
+    kept under data_dir/.simcache and reused only when skeleton content,
+    sorted index, rate, noise levels, seed and gravity all match, so adding
+    or removing a file never serves another index's noise.
+    """
+    skel_files = sorted(n for n in os.listdir(data_dir) if n.endswith(SKELETON_EXT))
     cache_dir = os.path.join(data_dir, ".simcache")
     if cache:
         os.makedirs(cache_dir, exist_ok=True)
@@ -60,7 +72,7 @@ def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, 
         path = os.path.join(data_dir, name)
         seq_id = name[: -len(SKELETON_EXT)]
         key = (
-            f"{_file_hash(path)}_fs{fs!r}_sa{noise.sigma_accel!r}_sg{noise.sigma_gyro!r}"
+            f"{file_hash(path)}_i{index}_fs{fs!r}_sa{noise.sigma_accel!r}_sg{noise.sigma_gyro!r}"
             f"_seed{seed}_g{int(gravity)}"
         )
         cache_path = os.path.join(cache_dir, key + ".tsb")
@@ -77,8 +89,7 @@ def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, 
             )
             if cache:
                 formats.write_timeseries_file(cache_path, series, binary=True)
-        samples.append(PretrainSample(seq_id=seq_id, series=series))
-    return samples
+        yield PretrainSample(seq_id=seq_id, series=series)
 
 
 def _device_series_to_mapping_input(series, locations):
@@ -100,12 +111,15 @@ def load_eval_dataset(manifest_path, structure, model_fs, window=None):
 
     Accelerometer channels are multiplied by the per-sample unit scale,
     everything is resampled to the model rate, devices are assigned to their
-    mapped joints and long recordings are cut into non-overlapping windows.
+    mapped joints and long recordings are cut into non-overlapping windows
+    (see inference.windows). When windows leave tail frames out, one
+    warning per call gives their total and the number of recordings cut.
     """
     manifest = formats.read_manifest_file(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
     mapping = formats.read_mapping_file(os.path.join(base, manifest.mapping_path), structure)
     dataset = []
+    dropped_frames = cut_recordings = 0
     for item in manifest.samples:
         path = os.path.join(base, item.data_path)
         series = formats.read_timeseries_file(path)
@@ -118,13 +132,19 @@ def load_eval_dataset(manifest_path, structure, model_fs, window=None):
         data[ACCEL] *= item.unit_scale
         series = MotionTimeSeries(data, series.mask, series.sample_rate)
         if series.sample_rate != model_fs:
-            c, t, v = series.data.shape
-            flat = series.data.transpose(1, 0, 2).reshape(t, c * v)
-            flat = resample(flat, series.sample_rate, model_fs)
-            data = flat.reshape(-1, c, v).transpose(1, 0, 2)
-            series = MotionTimeSeries(data, series.mask, model_fs)
+            series = resample_series(series, model_fs)
         device_data = _device_series_to_mapping_input(series, item.locations)
         assigned = assign_to_joints(device_data, mapping, structure.num_joints, model_fs)
-        for piece in windows(assigned, window):
-            dataset.append((piece, item.label))
+        pieces = windows(assigned, window)
+        dropped = assigned.num_frames - sum(p.num_frames for p in pieces)
+        if dropped:
+            dropped_frames += dropped
+            cut_recordings += 1
+        dataset += [(piece, item.label) for piece in pieces]
+    if dropped_frames:
+        warnings.warn(
+            f"{manifest_path}: dropped {dropped_frames} tail frames from {cut_recordings} of "
+            f"{len(manifest.samples)} recordings (windows of {window} frames)",
+            stacklevel=2,
+        )
     return dataset

@@ -46,10 +46,6 @@ class BadStrategy(PipelineError):
     pass
 
 
-class BadLength(PipelineError):
-    pass
-
-
 class EmptyText(PipelineError):
     pass
 

@@ -17,7 +17,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import BadStrategy, ShapeMismatch
-from .simulate import MotionTimeSeries
 
 ALPHA = 0.001  # diagonal regularizer; keeps empty adjacency rows well-defined
 
@@ -88,7 +87,7 @@ class EncoderConfig:
         )
 
 
-def build_adjacency(structure, strategy="distance", num_partitions=None):
+def build_adjacency(structure, strategy="distance"):
     """Adjacency stacks for a skeleton tree.
 
     uniform (K_s=1): single partition I + A. distance (K_s=2): partition 0
@@ -96,9 +95,6 @@ def build_adjacency(structure, strategy="distance", num_partitions=None):
     """
     if strategy not in STRATEGY_PARTITIONS:
         raise BadStrategy(f"unknown partition strategy {strategy!r}")
-    k_s = STRATEGY_PARTITIONS[strategy]
-    if num_partitions is not None and num_partitions != k_s:
-        raise BadStrategy(f"strategy {strategy!r} implies K_s={k_s}, got {num_partitions}")
     v = structure.num_joints
     neighbor = np.zeros((v, v))
     for p, c in structure.edges:
@@ -110,22 +106,6 @@ def build_adjacency(structure, strategy="distance", num_partitions=None):
         stacks = np.stack([np.eye(v), neighbor])
     lambdas = stacks.sum(axis=2) + ALPHA
     return AdjacencySet(stacks=stacks, lambdas=lambdas)
-
-
-def spatial_conv(x, adj, phi):
-    """Partitioned spatial graph convolution; see autodiff.graph_conv."""
-    norm = adj.normalized() if isinstance(adj, AdjacencySet) else np.asarray(adj)
-    return ad.graph_conv(x, phi, norm)
-
-
-def temporal_conv(x, weights):
-    """K_t x 1 convolution along time, zero-padded to preserve T."""
-    return ad.time_conv(x, weights)
-
-
-def global_pool(x, valid_t=None):
-    """Mean over joints and the first valid_t timesteps."""
-    return ad.pool_time_joints(x, valid_t)
 
 
 def init_encoder_params(cfg, rng):
@@ -163,7 +143,7 @@ def encoder_param_names(cfg):
     return names + ["proj.weight", "proj.bias"]
 
 
-def encode_batch(x, adj, params, cfg, valid_t=None):
+def encode_batch(x, adj, params, cfg):
     """Embed a (B, 6, T, V) batch; returns a (B, embedding_dim) Tensor.
 
     Differentiable end to end: pass a Tensor for x to collect input
@@ -176,18 +156,10 @@ def encode_batch(x, adj, params, cfg, valid_t=None):
         raise ShapeMismatch(f"expected {cfg.blocks[0][0]} channels, got {h.shape[1]}")
     norm = adj.normalized() if isinstance(adj, AdjacencySet) else np.asarray(adj)
     for i in range(len(cfg.blocks)):
-        h = spatial_conv(h, norm, params[f"block{i}.spatial"])
+        h = ad.graph_conv(h, params[f"block{i}.spatial"], norm)
         h = ad.relu(h)
-        h = temporal_conv(h, params[f"block{i}.temporal"])
+        h = ad.time_conv(h, params[f"block{i}.temporal"])
         h = ad.channel_affine(h, params[f"block{i}.scale"], params[f"block{i}.shift"])
         h = ad.relu(h)
-    pooled = global_pool(h, valid_t)
+    pooled = ad.pool_time_joints(h)
     return ad.linear(pooled, params["proj.weight"], params["proj.bias"])
-
-
-def encode(x, adj, params, cfg):
-    """Embed one MotionTimeSeries with frozen parameters; returns an ndarray."""
-    if not isinstance(x, MotionTimeSeries):
-        raise ShapeMismatch("encode expects a MotionTimeSeries")
-    batch = x.data[None]
-    return encode_batch(batch, adj, params, cfg).value[0]

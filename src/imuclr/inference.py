@@ -11,13 +11,12 @@ while the text side stays frozen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Parameter
-from .checkpoint import Checkpoint
 from .errors import (
     BadRange,
     DimMismatch,
@@ -134,20 +133,18 @@ def assign_to_joints(device_data, mapping, num_joints, sample_rate):
 
 
 class Model:
-    """Runtime view of a checkpoint: live parameters plus adjacency."""
+    """Runtime view of a checkpoint: live parameters plus adjacency.
+
+    `ckpt` supplies the skeleton, sample rate, training window and class
+    names; training updates the live `params`, which to_checkpoint() copies
+    back into a new Checkpoint.
+    """
 
     def __init__(self, ckpt):
+        self.ckpt = ckpt
         self.config = ckpt.config
-        self.structure = ckpt.structure
-        self.sample_rate = ckpt.sample_rate
-        self.train_window = ckpt.train_window
-        self.label_names = ckpt.label_names
         self.adj_norm = build_adjacency(ckpt.structure, ckpt.config.partition).normalized()
         self.params = {name: Parameter(name, arr) for name, arr in ckpt.params.items()}
-
-    @classmethod
-    def from_checkpoint(cls, ckpt):
-        return cls(ckpt)
 
     def encoder_params(self):
         return {n: self.params[n] for n in encoder_param_names(self.config)}
@@ -157,10 +154,9 @@ class Model:
 
     def embed(self, series):
         """Frozen embedding of one MotionTimeSeries; (embedding_dim,) ndarray."""
-        if series.num_joints != self.structure.num_joints:
-            raise ShapeMismatch(
-                f"series has {series.num_joints} joints, model expects {self.structure.num_joints}"
-            )
+        num_joints = self.ckpt.structure.num_joints
+        if series.num_joints != num_joints:
+            raise ShapeMismatch(f"series has {series.num_joints} joints, model expects {num_joints}")
         out = encode_batch(series.data[None], self.adj_norm, self.encoder_params(), self.config)
         return out.value[0]
 
@@ -175,14 +171,7 @@ class Model:
         return emb @ self.params["classifier.weight"].value + self.params["classifier.bias"].value
 
     def to_checkpoint(self):
-        return Checkpoint(
-            config=self.config,
-            structure=self.structure,
-            sample_rate=self.sample_rate,
-            params={name: p.value.copy() for name, p in self.params.items()},
-            train_window=self.train_window,
-            label_names=self.label_names,
-        )
+        return replace(self.ckpt, params={name: p.value.copy() for name, p in self.params.items()})
 
 
 def zero_shot_classify(series, model, labels):
@@ -240,7 +229,7 @@ def finetune(model, train_set, labels, cfg):
     elif model.params["classifier.weight"].shape != (e, d):
         raise DimMismatch("existing classifier does not match this label set")
     w, b = model.params["classifier.weight"], model.params["classifier.bias"]
-    model.label_names = tuple(labels.names)
+    model.ckpt = replace(model.ckpt, label_names=tuple(labels.names))
     trainable = list(model.encoder_params().values()) + [w, b]
     optimizer = Adam(trainable, lr=cfg.lr)
     y = np.array([labels.index(name) for _, name in train_set], dtype=np.intp)
@@ -260,7 +249,13 @@ def finetune(model, train_set, labels, cfg):
 
 
 def windows(series, window):
-    """Non-overlapping windows of `window` frames; short recordings pass whole."""
+    """Non-overlapping windows of `window` frames, cut from the first frame.
+
+    A recording of T > window frames gives T // window windows and leaves
+    out its last T % window frames; load_eval_dataset warns about them. A
+    recording of at most `window` frames, or any recording when window is
+    None, passes whole.
+    """
     t = series.num_frames
     if window is None or t <= window:
         return [series]

@@ -73,22 +73,6 @@ def rotate_local_to_global(q, v):
     return rotate_global_to_local(quat_conj(q), v)
 
 
-def quat_to_matrix(q):
-    """Rotation matrix R with R @ v = local-to-global rotation of v.
-
-    For a unit q this is the matrix such that rotate_global_to_local(q, v)
-    equals R.T @ v.
-    """
-    w, x, y, z = np.asarray(q, dtype=np.float64)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
 def quat_from_axis_angle(axis, angle):
     """Unit quaternion rotating by `angle` radians about `axis`."""
     axis = np.asarray(axis, dtype=np.float64)
@@ -110,7 +94,11 @@ def sample_unit_quaternions(n, rng):
 
 
 def quats_to_matrices(qs):
-    """Vectorized quat_to_matrix for an (n, 4) array of unit quaternions."""
+    """Rotation matrices (n, 3, 3) of an (n, 4) array of unit quaternions.
+
+    R @ v is the local-to-global rotation of v, so rotate_global_to_local(q, v)
+    equals R.T @ v.
+    """
     w, x, y, z = qs[:, 0], qs[:, 1], qs[:, 2], qs[:, 3]
     m = np.empty((qs.shape[0], 3, 3))
     m[:, 0, 0] = 1 - 2 * (y * y + z * z)
@@ -123,12 +111,6 @@ def quats_to_matrices(qs):
     m[:, 2, 1] = 2 * (y * z + w * x)
     m[:, 2, 2] = 1 - 2 * (x * x + y * y)
     return m
-
-
-def sample_uniform_rotation(rng):
-    """One uniform rotation as (quaternion, matrix). Deterministic per rng state."""
-    q = sample_unit_quaternions(1, rng)[0]
-    return q, quat_to_matrix(q)
 
 
 def enforce_continuity(qs):

@@ -227,6 +227,13 @@ def resample(x, fs_in, fs_out):
     return out[:, 0] if squeeze else out
 
 
+def resample_series(series, fs_out):
+    """resample() applied to every channel of every joint of a MotionTimeSeries."""
+    c, t, v = series.data.shape
+    flat = resample(series.data.transpose(1, 0, 2).reshape(t, c * v), series.sample_rate, fs_out)
+    return MotionTimeSeries(flat.reshape(-1, c, v).transpose(1, 0, 2), series.mask, fs_out)
+
+
 def simulate_sequence(seq, noise=None, target_fs=20.0, rng=None, gravity=False):
     """Full synthetic recording for every joint of a skeleton sequence.
 
@@ -238,8 +245,7 @@ def simulate_sequence(seq, noise=None, target_fs=20.0, rng=None, gravity=False):
     if noise is None:
         noise = NoiseParams()
     v = seq.num_joints
-    t = seq.num_frames
-    data = np.zeros((6, t, v))
+    data = np.zeros((6, seq.num_frames, v))
     for j in range(v):
         data[ACCEL, :, j] = linear_acceleration(seq, j, gravity=gravity).T
         data[GYRO, :, j] = angular_velocity(seq, j).T
@@ -249,10 +255,6 @@ def simulate_sequence(seq, noise=None, target_fs=20.0, rng=None, gravity=False):
             raise ValueError("rng is required when noise sigmas are positive")
         series = add_noise(series, noise.sigma_accel, noise.sigma_gyro, rng)
     if target_fs != seq.frame_rate:
-        flat = series.data.transpose(1, 0, 2).reshape(t, 6 * v)
-        flat = resample(flat, seq.frame_rate, target_fs)
-        data = flat.reshape(-1, 6, v).transpose(1, 0, 2)
-        series = MotionTimeSeries(data, series.mask, target_fs)
-    else:
-        series.sample_rate = target_fs
+        return resample_series(series, target_fs)
+    series.sample_rate = target_fs
     return series

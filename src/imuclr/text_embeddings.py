@@ -30,7 +30,6 @@ class TextEmbeddingTable:
 
     dim: int
     entries: dict  # id -> (text, np.ndarray of shape (dim,))
-    frozen: bool = True
 
     def __post_init__(self):
         for key, (_, vec) in self.entries.items():
@@ -60,7 +59,7 @@ class TextEmbeddingTable:
             if n == 0:
                 raise PipelineError(f"cannot L2-normalize zero vector for id {key!r}")
             out[key] = (text, vec / n)
-        return TextEmbeddingTable(self.dim, out, frozen=self.frozen)
+        return TextEmbeddingTable(self.dim, out)
 
     def state_snapshot(self):
         """Bit-exact copy of all vectors, for freeze-contract checks."""
@@ -83,14 +82,6 @@ class DescriptionSet:
         if include_paraphrases:
             ids += self.paraphrases.get(seq_id, [])
         return ids
-
-
-def load_embeddings(path, l2_normalize=False):
-    """Frozen embedding table from an embedding file (see FORMATS.md)."""
-    from . import formats
-
-    table = formats.read_embedding_file(path)
-    return table.l2_normalized() if l2_normalize else table
 
 
 def sample_description(descriptions, seq_id, rng, include_paraphrases=True):
@@ -118,9 +109,8 @@ class TrainableTextEncoder:
     encoder can slot in wherever a frozen TextEmbeddingTable is accepted.
     """
 
-    def __init__(self, dim, rng, frozen=False, texts=None):
+    def __init__(self, dim, rng, texts=None):
         self.dim = dim
-        self.frozen = frozen
         self.texts = dict(texts) if texts else {}
         scale = 1.0 / np.sqrt(dim)
         self.params = {
@@ -130,32 +120,22 @@ class TrainableTextEncoder:
         }
 
     @classmethod
-    def from_table(cls, table, rng, frozen=False):
+    def from_table(cls, table, rng):
         texts = {key: text for key, (text, _) in table.entries.items()}
-        return cls(table.dim, rng, frozen=frozen, texts=texts)
+        return cls(table.dim, rng, texts=texts)
 
     def embed_id(self, text_id):
         return self.embed(self.texts[text_id])
 
     def trainable_params(self):
-        return [] if self.frozen else list(self.params.values())
+        return list(self.params.values())
 
     def embed(self, text):
         """Differentiable embedding of one string; returns a (dim,) Tensor."""
         slots = [token_slot(t) for t in tokenize(text)]
         if not slots:
             raise EmptyText(f"no tokens after normalization in {text!r}")
-        table = self.params["text.table"]
-        if self.frozen:
-            table = ad.Tensor(table.value)
-        pooled = ad.embedding_mean(table, slots)
+        pooled = ad.embedding_mean(self.params["text.table"], slots)
         row = ad.reshape(pooled, (1, self.dim))
-        out = ad.linear(
-            row,
-            self.params["text.weight"] if not self.frozen else ad.Tensor(self.params["text.weight"].value),
-            self.params["text.bias"] if not self.frozen else ad.Tensor(self.params["text.bias"].value),
-        )
+        out = ad.linear(row, self.params["text.weight"], self.params["text.bias"])
         return ad.reshape(out, (self.dim,))
-
-    def embed_value(self, text):
-        return self.embed(text).value

@@ -82,50 +82,46 @@ def class_description_ids(class_idx):
     return [f"c{class_idx}d{k}" for k in range(DESCRIPTIONS_PER_CLASS)]
 
 
+def _toy_recordings(n_per_class, seed, fs, duration, noise, rotated):
+    """(class index, i, series) for i < n_per_class of every class in turn.
+
+    One rng drives the motions and, when rotated, one set of per-joint
+    rotations drawn after each sequence; the noise stream of the k-th
+    recording is seeded with seed xor k.
+    """
+    if noise is None:
+        noise = NoiseParams()
+    rng = np.random.default_rng(seed)
+    for c in range(len(CLASS_NAMES)):
+        for i in range(n_per_class):
+            seq = make_toy_sequence(c, rng, fs=fs, duration=duration)
+            noise_rng = np.random.default_rng(seed ^ (c * n_per_class + i))
+            series = simulate_sequence(seq, noise=noise, target_fs=fs, rng=noise_rng)
+            if rotated:
+                series = rotate_augment(series, rotations=sample_joint_rotations(series.num_joints, rng))
+            yield c, i, series
+
+
 def make_toy_pretrain_data(n_per_class, seed, fs=20.0, duration=2.0, noise=None):
     """Simulated training samples plus their description assignments.
 
     Returns (samples, descriptions); sample seq ids are '<class>_<i>'. The
     first description of a class is registered as the original, the rest as
-    paraphrases. Noise streams derive from seed xor the sequence index.
+    paraphrases.
     """
-    if noise is None:
-        noise = NoiseParams()
-    rng = np.random.default_rng(seed)
     samples = []
     descriptions = DescriptionSet()
-    index = 0
-    for c, name in enumerate(CLASS_NAMES):
-        for i in range(n_per_class):
-            seq = make_toy_sequence(c, rng, fs=fs, duration=duration)
-            noise_rng = np.random.default_rng(seed ^ index)
-            series = simulate_sequence(seq, noise=noise, target_fs=fs, rng=noise_rng)
-            seq_id = f"{name}_{i:03d}"
-            samples.append(PretrainSample(seq_id=seq_id, series=series))
-            ids = class_description_ids(c)
-            descriptions.add(seq_id, ids[0], paraphrase=False)
-            for extra in ids[1:]:
-                descriptions.add(seq_id, extra, paraphrase=True)
-            index += 1
+    for c, i, series in _toy_recordings(n_per_class, seed, fs, duration, noise, rotated=False):
+        seq_id = f"{CLASS_NAMES[c]}_{i:03d}"
+        samples.append(PretrainSample(seq_id=seq_id, series=series))
+        ids = class_description_ids(c)
+        descriptions.add(seq_id, ids[0], paraphrase=False)
+        for extra in ids[1:]:
+            descriptions.add(seq_id, extra, paraphrase=True)
     return samples, descriptions
 
 
 def make_toy_test_data(n_per_class, seed, fs=20.0, duration=2.0, noise=None, rotated=True):
     """Held-out (series, class_name) pairs with fresh per-joint rotations."""
-    if noise is None:
-        noise = NoiseParams()
-    rng = np.random.default_rng(seed)
-    out = []
-    index = 0
-    for c, name in enumerate(CLASS_NAMES):
-        for _ in range(n_per_class):
-            seq = make_toy_sequence(c, rng, fs=fs, duration=duration)
-            noise_rng = np.random.default_rng(seed ^ index)
-            series = simulate_sequence(seq, noise=noise, target_fs=fs, rng=noise_rng)
-            if rotated:
-                series = rotate_augment(
-                    series, rotations=sample_joint_rotations(series.num_joints, rng)
-                )
-            out.append((series, name))
-            index += 1
-    return out
+    recordings = _toy_recordings(n_per_class, seed, fs, duration, noise, rotated)
+    return [(series, CLASS_NAMES[c]) for c, _, series in recordings]

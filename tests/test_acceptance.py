@@ -321,8 +321,7 @@ def test_criterion_10_metrics():
 def test_criterion_11_determinism_and_persistence(tmp_path, toy_assets):
     samples, descriptions, table, labels, test_set = toy_assets
     subset = samples[::10]
-    cfg = TrainConfig(batch_size=4, epochs=5, lr=1e-4, mask_min=1, mask_max=5, seed=11,
-                      deterministic=True)
+    cfg = TrainConfig(batch_size=4, epochs=5, lr=1e-4, mask_min=1, mask_max=5, seed=11)
     enc_cfg = EncoderConfig(blocks=((6, 8, 5),), partition="distance", embedding_dim=64)
 
     paths = []

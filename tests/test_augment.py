@@ -12,7 +12,7 @@ def test_norms_preserved_per_timestep():
     rng = np.random.default_rng(0)
     for _ in range(50):
         x = random_series(rng)
-        y = rotate_augment(x, rng)
+        y = rotate_augment(x, sample_joint_rotations(x.num_joints, rng))
         for part in (slice(0, 3), slice(3, 6)):
             n_in = np.linalg.norm(x.data[part], axis=0)
             n_out = np.linalg.norm(y.data[part], axis=0)
@@ -40,7 +40,7 @@ def test_masked_joints_stay_zero():
     rng = np.random.default_rng(3)
     x = random_series(rng, v=5)
     x = apply_mask(x, JointMask(frozenset({0, 2}), 5))
-    y = rotate_augment(x, rng)
+    y = rotate_augment(x, sample_joint_rotations(x.num_joints, rng))
     assert np.all(y.data[:, :, [1, 3, 4]] == 0.0)
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from imuclr import autodiff as ad
 from imuclr.autodiff import Adam, Parameter, Tensor, grad_check
-from imuclr.errors import BadLength, NonFinite, ShapeMismatch
+from imuclr.errors import NonFinite, ShapeMismatch
 
 
 def test_matmul_identity():
@@ -107,12 +107,10 @@ def test_channel_affine_gradient():
     assert grad_check(lambda: ad.mean_all(ad.channel_affine(x, s, h)), [x, s, h]) < 1e-6
 
 
-def test_pool_gradient_and_valid_t():
+def test_pool_gradient():
     rng = np.random.default_rng(7)
     x = Parameter("x", rng.standard_normal((2, 3, 5, 4)))
-    assert grad_check(lambda: ad.sum_all(ad.pool_time_joints(x, 3)), [x]) < 1e-6
-    with pytest.raises(BadLength):
-        ad.pool_time_joints(x, 6)
+    assert grad_check(lambda: ad.sum_all(ad.pool_time_joints(x)), [x]) < 1e-6
 
 
 def test_graph_and_time_conv_gradients():

@@ -196,10 +196,18 @@ def test_config_file_unknown_key(workspace, capsys):
     capsys.readouterr()
 
 
+def test_config_file_setting_deterministic_is_usage_error(workspace, capsys):
+    # determinism is unconditional; the flag that claimed to switch it is gone
+    cfg = workspace["root"] / "run.cfg"
+    cfg.write_text("deterministic = true\n")
+    assert main(pretrain_args(workspace, ["--config", str(cfg)])) == 1
+    assert "deterministic" in capsys.readouterr().err
+
+
 def test_deterministic_pretrain_byte_identical(workspace, tmp_path, capsys):
     m1, m2 = tmp_path / "m1.ckpt", tmp_path / "m2.ckpt"
     for out in (m1, m2):
-        args = pretrain_args(workspace, ["--deterministic"])
+        args = pretrain_args(workspace)
         args[args.index("--out") + 1] = str(out)
         assert main(args) == 0
     assert m1.read_bytes() == m2.read_bytes()

@@ -12,22 +12,11 @@ from imuclr.contrastive import (
     TrainConfig,
     contrastive_loss,
     pretrain,
-    similarity,
 )
 from imuclr.errors import BadRange, DimMismatch, EmptyDataset
 from imuclr.graph_encoder import EncoderConfig, init_encoder_params
 from imuclr.simulate import MotionTimeSeries
 from imuclr.text_embeddings import DescriptionSet, TextEmbeddingTable
-
-
-def test_similarity_basic():
-    assert similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
-    u = np.array([1.0, 2.0, -1.0])
-    assert np.isclose(similarity(u, u), np.dot(u, u))
-    v = np.array([0.5, -0.25, 3.0])
-    assert np.isclose(similarity(u, v), similarity(v, u))
-    with pytest.raises(DimMismatch):
-        similarity([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 def test_loss_single_pair_is_zero():
@@ -92,7 +81,7 @@ def test_loss_dim_mismatch():
 
 
 def test_temperature_clamp():
-    t = Temperature.create(gamma=0.001, clamp_max=100.0)  # 1/gamma = 1000 pre-clamp
+    t = Temperature.create(gamma=0.001)  # 1/gamma = 1000 pre-clamp
     assert t.inv_gamma_value() == 100.0
 
 
@@ -190,6 +179,21 @@ def test_pretrain_validations():
     orphan = DescriptionSet()
     with pytest.raises(EmptyDataset):
         pretrain(samples, orphan, table, chain_structure(V), enc, cfg)
+
+
+def test_single_sample_rejected():
+    # one sample has no negatives: its loss would be identically zero
+    samples, ds, table, cfg, enc = tiny_setup(n=1)
+    with pytest.raises(BadRange):
+        pretrain(samples, ds, table, chain_structure(V), enc, cfg)
+
+
+def test_fewer_samples_than_batch_train_one_batch_per_epoch():
+    samples, ds, table, _, enc = tiny_setup(n=2)
+    cfg = TrainConfig(batch_size=3, epochs=2, lr=1e-3, mask_min=1, mask_max=2, seed=5)
+    losses = []
+    pretrain(samples, ds, table, chain_structure(V), enc, cfg, on_epoch=lambda e, l, g: losses.append(l))
+    assert len(losses) == 2 and all(np.isfinite(losses)) and losses[0] > 0
 
 
 def test_text_augment_flag_restricts_to_originals():

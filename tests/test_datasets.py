@@ -1,4 +1,6 @@
 import os
+import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +46,18 @@ def test_noise_stream_is_per_sequence_index(skel_dir):
     # same content hashed per file, noise seeded with seed xor index
     samples = load_pretrain_samples(skel_dir, fs=20.0, noise=NoiseParams(0.5, 0.0), seed=0, cache=False)
     assert not np.array_equal(samples[0].series.data, samples[1].series.data)
+
+
+def test_cache_key_includes_sorted_index(skel_dir):
+    # a.skel, a copy of s1.skel, sorts first and shifts every index (and noise seed) by one
+    load_pretrain_samples(skel_dir, seed=1)
+    shutil.copyfile(skel_dir / "s1.skel", skel_dir / "a.skel")
+    warm = load_pretrain_samples(skel_dir, seed=1)
+    fresh = load_pretrain_samples(skel_dir, seed=1, cache=False)
+    assert [s.seq_id for s in warm] == ["a", "s0", "s1", "s2"]
+    for w, f in zip(warm, fresh):
+        assert np.array_equal(w.series.data, f.series.data), w.seq_id
+    assert not np.array_equal(warm[0].series.data, warm[2].series.data)
 
 
 def test_load_from_timeseries_dir(tmp_path, rng):
@@ -94,8 +108,28 @@ def test_eval_dataset_scales_resamples_assigns(manifest_dir):
 
 def test_eval_dataset_windows(manifest_dir):
     d, _ = manifest_dir
-    out = load_eval_dataset(d / "manifest.tsv", chain_structure(4), model_fs=40.0, window=4)
+    with pytest.warns(UserWarning, match="dropped 1 tail frames from 1 of 1 recordings"):
+        out = load_eval_dataset(d / "manifest.tsv", chain_structure(4), model_fs=40.0, window=4)
     assert [s.num_frames for s, _ in out] == [4, 4]
+
+
+def test_eval_dataset_reports_dropped_tail(tmp_path, rng):
+    # 100 frames at window 40 give 2 windows and drop 20 frames; 80 frames drop none
+    d = tmp_path / "tail"
+    d.mkdir()
+    (d / "map.txt").write_text("wrist 2\n")
+    lines = ["mapping map.txt"]
+    for name, frames in (("long.ts", 100), ("even.ts", 80)):
+        series = MotionTimeSeries(rng.standard_normal((6, frames, 1)), np.ones(1, dtype=bool), 20.0)
+        formats.write_timeseries_file(d / name, series)
+        lines.append(f"sample\t{name}\twalk\twrist\t20\t1.0")
+    (d / "manifest.tsv").write_text("\n".join(lines) + "\n")
+    with pytest.warns(UserWarning, match="dropped 20 tail frames from 1 of 2 recordings"):
+        out = load_eval_dataset(d / "manifest.tsv", chain_structure(4), model_fs=20.0, window=40)
+    assert [s.num_frames for s, _ in out] == [40, 40, 40, 40]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(load_eval_dataset(d / "manifest.tsv", chain_structure(4), model_fs=20.0, window=20)) == 9
 
 
 def test_eval_dataset_fs_mismatch(manifest_dir):

@@ -5,17 +5,7 @@ from conftest import chain_structure
 from imuclr import autodiff as ad
 from imuclr.autodiff import Parameter, Tensor, grad_check
 from imuclr.errors import BadStrategy, ShapeMismatch
-from imuclr.graph_encoder import (
-    ALPHA,
-    EncoderConfig,
-    build_adjacency,
-    encode,
-    encode_batch,
-    global_pool,
-    init_encoder_params,
-    spatial_conv,
-    temporal_conv,
-)
+from imuclr.graph_encoder import ALPHA, EncoderConfig, build_adjacency, encode_batch, init_encoder_params
 from imuclr.simulate import MotionTimeSeries
 from imuclr.skeleton import SkeletonStructure, body22
 
@@ -47,22 +37,20 @@ def test_single_node_distance_alpha_row():
 def test_bad_strategy():
     with pytest.raises(BadStrategy):
         build_adjacency(chain_structure(3), "spiral")
-    with pytest.raises(BadStrategy):
-        build_adjacency(chain_structure(3), "uniform", num_partitions=2)
 
 
 def test_spatial_conv_single_node_uniform():
     adj = build_adjacency(chain_structure(1), "uniform")
     x = Tensor(np.full((1, 1, 1, 1), 5.0))
     phi = Tensor(np.ones((1, 1, 1)))
-    out = spatial_conv(x, adj, phi)
+    out = ad.graph_conv(x, phi, adj.normalized())
     assert np.allclose(out.value, 5.0 / 1.001)
 
 
 def test_spatial_conv_zero_weights():
     adj = build_adjacency(chain_structure(3), "distance")
     x = Tensor(np.random.default_rng(0).standard_normal((2, 4, 5, 3)))
-    out = spatial_conv(x, adj, Tensor(np.zeros((2, 3, 4))))
+    out = ad.graph_conv(x, Tensor(np.zeros((2, 3, 4))), adj.normalized())
     assert np.all(out.value == 0.0)
 
 
@@ -71,19 +59,19 @@ def test_spatial_conv_gradient():
     adj = build_adjacency(chain_structure(3), "distance")
     x = Tensor(rng.standard_normal((1, 2, 4, 3)))
     phi = Parameter("phi", rng.standard_normal((2, 3, 2)))
-    assert grad_check(lambda: ad.mean_all(spatial_conv(x, adj, phi)), [phi]) < 1e-6
+    assert grad_check(lambda: ad.mean_all(ad.graph_conv(x, phi, adj.normalized())), [phi]) < 1e-6
 
 
 def test_temporal_conv_k1_identity():
     x = Tensor(np.random.default_rng(2).standard_normal((2, 3, 5, 4)))
-    out = temporal_conv(x, Tensor(np.eye(3)[:, :, None]))
+    out = ad.time_conv(x, Tensor(np.eye(3)[:, :, None]))
     assert np.array_equal(out.value, x.value)
 
 
 def test_temporal_conv_averaging_boundary():
     c = 1.7
     x = Tensor(np.full((1, 1, 6, 2), c))
-    out = temporal_conv(x, Tensor(np.full((1, 1, 3), 1.0 / 3.0)))
+    out = ad.time_conv(x, Tensor(np.full((1, 1, 3), 1.0 / 3.0)))
     assert np.allclose(out.value[0, 0, 1:-1, :], c)
     assert np.allclose(out.value[0, 0, 0, :], 2 * c / 3)
     assert np.allclose(out.value[0, 0, -1, :], 2 * c / 3)
@@ -93,24 +81,17 @@ def test_temporal_conv_gradient():
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal((2, 3, 6, 2)))
     w = Parameter("w", rng.standard_normal((4, 3, 3)))
-    assert grad_check(lambda: ad.mean_all(temporal_conv(x, w)), [w]) < 1e-6
+    assert grad_check(lambda: ad.mean_all(ad.time_conv(x, w)), [w]) < 1e-6
 
 
 def test_global_pool_constant():
-    out = global_pool(Tensor(np.full((2, 3, 4, 5), 2.5)))
+    out = ad.pool_time_joints(Tensor(np.full((2, 3, 4, 5), 2.5)))
     assert np.allclose(out.value, 2.5)
 
 
 def test_global_pool_arithmetic_mean():
     x = Tensor(np.array([1.0, 3.0, 5.0, 7.0]).reshape(1, 1, 2, 2))
-    assert np.allclose(global_pool(x).value, 4.0)
-
-
-def test_global_pool_valid_t():
-    x = np.zeros((1, 1, 3, 2))
-    x[0, 0, 0] = [2.0, 4.0]
-    x[0, 0, 1:] = 100.0
-    assert np.allclose(global_pool(Tensor(x), 1).value, 3.0)
+    assert np.allclose(ad.pool_time_joints(x).value, 4.0)
 
 
 def small_cfg(embed=5):
@@ -123,7 +104,7 @@ def test_encode_zero_input_zero_vector():
     adj = build_adjacency(structure, cfg.partition)
     params = init_encoder_params(cfg, np.random.default_rng(0))
     series = MotionTimeSeries(np.zeros((6, 10, 22)), np.ones(22, dtype=bool), 20.0)
-    out = encode(series, adj, params, cfg)
+    out = encode_batch(series.data[None], adj, params, cfg).value[0]
     assert np.array_equal(out, np.zeros(cfg.embedding_dim))
 
 
@@ -152,8 +133,8 @@ def test_encode_ignores_values_at_masked_joints():
     tampered = data.copy()
     tampered[:, :, ~mask] = rng.standard_normal((6, 9, 19)) * 50
     tampered[:, :, ~mask] = 0.0  # the mask stage zeroes them again
-    out_a = encode(base, adj, params, cfg)
-    out_b = encode(MotionTimeSeries(tampered, mask, 20.0), adj, params, cfg)
+    out_a = encode_batch(base.data[None], adj, params, cfg).value
+    out_b = encode_batch(MotionTimeSeries(tampered, mask, 20.0).data[None], adj, params, cfg).value
     assert np.array_equal(out_a, out_b)
 
 
@@ -187,8 +168,8 @@ def test_doubling_one_partition_doubles_output():
     x = Tensor(rng.standard_normal((1, 3, 5, 4)))
     phi = np.zeros((2, 2, 3))
     phi[0] = rng.standard_normal((2, 3))
-    out1 = spatial_conv(x, adj, Tensor(phi)).value
-    out2 = spatial_conv(x, adj, Tensor(2 * phi)).value
+    out1 = ad.graph_conv(x, Tensor(phi), adj.normalized()).value
+    out2 = ad.graph_conv(x, Tensor(2 * phi), adj.normalized()).value
     assert np.array_equal(out2, 2 * out1)
 
 

@@ -100,8 +100,8 @@ def test_local_to_global_is_inverse(q, vseed):
 
 def test_quat_to_matrix_matches_rotation():
     rng = np.random.default_rng(3)
-    for q in quat.sample_unit_quaternions(10, rng):
-        m = quat.quat_to_matrix(q)
+    qs = quat.sample_unit_quaternions(10, rng)
+    for q, m in zip(qs, quat.quats_to_matrices(qs)):
         v = rng.standard_normal(3)
         assert np.allclose(m.T @ v, quat.rotate_global_to_local(q, v), atol=1e-12)
 
@@ -117,9 +117,10 @@ def test_sampled_rotations_are_orthonormal():
 
 
 def test_sampling_deterministic():
-    q1, m1 = quat.sample_uniform_rotation(np.random.default_rng(42))
-    q2, m2 = quat.sample_uniform_rotation(np.random.default_rng(42))
-    assert np.array_equal(q1, q2) and np.array_equal(m1, m2)
+    q1 = quat.sample_unit_quaternions(3, np.random.default_rng(42))
+    q2 = quat.sample_unit_quaternions(3, np.random.default_rng(42))
+    assert np.array_equal(q1, q2)
+    assert np.array_equal(quat.quats_to_matrices(q1), quat.quats_to_matrices(q2))
 
 
 def test_sampling_uniform_mean():

@@ -295,7 +295,8 @@ def test_frame_consistency_under_rigid_rotation():
     qs = np.stack([quat.enforce_continuity(quat.sample_unit_quaternions(t_n, rng)) for _ in range(v)])
     seq = SkeletonSequence(pos, qs, fs)
 
-    q_r, r = quat.sample_uniform_rotation(rng)
+    q_r = quat.sample_unit_quaternions(1, rng)[0]
+    r = quat.quats_to_matrices(q_r[None])[0]
     pos_rot = pos @ r.T
     qs_rot = np.stack([quat.quat_mul(np.tile(q_r, (t_n, 1)), qs[j]) for j in range(v)])
     seq_rot = SkeletonSequence(pos_rot, qs_rot, fs)

@@ -58,20 +58,20 @@ def test_token_slot_stable():
     assert 0 <= token_slot("anything") < 4096
 
 
-def trainable(frozen=False):
-    return TrainableTextEncoder(dim=4, rng=np.random.default_rng(0), frozen=frozen)
+def trainable():
+    return TrainableTextEncoder(dim=4, rng=np.random.default_rng(0))
 
 
 def test_identical_strings_identical_vectors():
     enc = trainable()
-    a = enc.embed_value("walking the dog")
-    b = enc.embed_value("walking the dog")
+    a = enc.embed("walking the dog").value
+    b = enc.embed("walking the dog").value
     assert np.array_equal(a, b)
 
 
 def test_case_insensitive():
     enc = trainable()
-    assert np.array_equal(enc.embed_value("Walking"), enc.embed_value("walking"))
+    assert np.array_equal(enc.embed("Walking").value, enc.embed("walking").value)
 
 
 def test_empty_text_rejected():
@@ -81,12 +81,7 @@ def test_empty_text_rejected():
 
 def test_output_dimension():
     enc = trainable()
-    assert enc.embed_value("some words here").shape == (4,)
-
-
-def test_frozen_encoder_has_no_trainable_params():
-    assert trainable(frozen=True).trainable_params() == []
-    assert len(trainable().trainable_params()) == 3
+    assert enc.embed("some words here").value.shape == (4,)
 
 
 def test_gradient_through_trainable_and_loss():
@@ -101,6 +96,7 @@ def test_gradient_through_trainable_and_loss():
         rows = ad.stack_rows([enc.embed("slow walk"), enc.embed("fast run")])
         return contrastive_loss(g, rows, temp, symmetric=True)
 
+    assert len(enc.trainable_params()) == 3
     err = grad_check(fn, enc.trainable_params() + [temp.log_inv_gamma])
     assert err < 1e-5
 
@@ -163,11 +159,11 @@ def test_sample_description_empty():
 
 
 def test_load_embeddings_wrapper(tmp_path):
-    from imuclr.text_embeddings import load_embeddings
+    from imuclr.formats import read_embedding_file
 
     p = tmp_path / "e.txt"
     p.write_text("1 2\na\talpha\t3 4\n")
-    table = load_embeddings(p)
-    assert table.frozen and np.array_equal(table.vector("a"), [3.0, 4.0])
-    unit = load_embeddings(p, l2_normalize=True)
+    table = read_embedding_file(p)
+    assert np.array_equal(table.vector("a"), [3.0, 4.0])
+    unit = table.l2_normalized()
     assert np.isclose(np.linalg.norm(unit.vector("a")), 1.0)
