@@ -1,9 +1,15 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Just enough machinery for the graph encoder and the contrastive/cross-entropy
-objectives: a taped Tensor, a handful of primitives with hand-written
-backward rules, a finite-difference gradient checker, and Adam. Everything
-runs in float64 by default so the gradient checker can use tight tolerances.
+objectives: a taped Tensor, the primitives the model runs, each with a
+hand-written backward rule, a finite-difference gradient checker, and Adam.
+Everything runs in float64 by default so the gradient checker can use tight
+tolerances.
+
+The primitives: add, mul (both broadcasting), matmul, transpose, reshape,
+relu, exp, minimum_const and linear; stack_rows and embedding_mean for the
+text side; softmax_cross_entropy for both training objectives; graph_conv,
+time_conv, channel_affine and pool_time_joints on (B, C, T, V) tensors.
 
 No operation mutates its inputs; gradients accumulate additively when a
 tensor feeds several downstream ops.
@@ -39,13 +45,6 @@ class Tensor:
     def ndim(self):
         return self.value.ndim
 
-    @property
-    def T(self):
-        return transpose(self)
-
-    def item(self):
-        return float(self.value)
-
     def backward(self):
         """Reverse-accumulate d(self)/d(leaf) into every reachable .grad."""
         if self.value.size != 1:
@@ -76,31 +75,6 @@ class Tensor:
             self.grad = np.array(g)
         else:
             self.grad += g
-
-    # operator sugar; constants are lifted automatically
-    def __add__(self, other):
-        return add(self, as_tensor(other))
-
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, as_tensor(-1.0))
-
-    def __sub__(self, other):
-        return add(self, -as_tensor(other))
-
-    def __rsub__(self, other):
-        return add(as_tensor(other), -self)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
 
     def __repr__(self):
         tag = " param" if isinstance(self, Parameter) else ""
@@ -243,75 +217,30 @@ def minimum_const(a, cap):
     return _tracked(np.minimum(a.value, cap), (a,), backward)
 
 
-def mean_all(a):
-    a = as_tensor(a)
-    n = a.value.size
+def softmax_cross_entropy(logits, targets):
+    """Mean over rows of -log softmax(logits[i])[targets[i]].
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.full(a.shape, float(g) / n))
-
-    return _tracked(np.asarray(a.value.mean()), (a,), backward)
-
-
-def sum_all(a):
-    a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.full(a.shape, float(g)))
-
-    return _tracked(np.asarray(a.value.sum()), (a,), backward)
-
-
-def log_softmax_rows(a):
-    """Row-wise log-softmax of an (N, D) tensor, log-sum-exp stabilized."""
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeMismatch(f"log_softmax_rows expects (N, D), got {a.shape}")
-    if not np.all(np.isfinite(a.value)):
-        raise NonFinite("log_softmax input contains NaN or Inf")
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out_val = shifted - lse
-    softmax = np.exp(out_val)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g - softmax * g.sum(axis=1, keepdims=True))
-
-    return _tracked(out_val, (a,), backward)
-
-
-def take_diag(a):
-    a = as_tensor(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"take_diag expects a square matrix, got {a.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros(a.shape)
-            np.fill_diagonal(full, g)
-            a._accumulate(full)
-
-    return _tracked(np.diagonal(a.value).copy(), (a,), backward)
-
-
-def pick_rows(a, indices):
-    """out[i] = a[i, indices[i]] for an (N, D) tensor; used by cross-entropy."""
-    a = as_tensor(a)
-    idx = np.asarray(indices, dtype=np.intp)
+    logits: (N, D) tensor; targets: N integer class indices, repeats
+    allowed. The log-sum-exp is stabilized by the row maximum.
+    """
+    a = as_tensor(logits)
+    idx = np.asarray(targets, dtype=np.intp)
     if a.ndim != 2 or idx.shape != (a.shape[0],):
-        raise ShapeMismatch("pick_rows expects (N, D) values and N indices")
-    rows = np.arange(a.shape[0])
+        raise ShapeMismatch(f"softmax_cross_entropy expects (N, D) logits and N targets, got {a.shape}")
+    if not np.all(np.isfinite(a.value)):
+        raise NonFinite("softmax_cross_entropy input contains NaN or Inf")
+    n = a.shape[0]
+    rows = np.arange(n)
+    shifted = a.value - a.value.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
     def backward(g):
         if a.requires_grad:
             full = np.zeros(a.shape)
-            full[rows, idx] = g
-            a._accumulate(full)
+            full[rows, idx] = -float(g) / n
+            a._accumulate(full - np.exp(log_probs) * full.sum(axis=1, keepdims=True))
 
-    return _tracked(a.value[rows, idx].copy(), (a,), backward)
+    return _tracked(-np.asarray(log_probs[rows, idx].mean()), (a,), backward)
 
 
 def stack_rows(tensors):

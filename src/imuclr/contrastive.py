@@ -80,14 +80,14 @@ def contrastive_loss(series_emb, text_emb, temperature, symmetric=False):
     tracked tensor, and into the temperature always. symmetric=True averages
     in the text->time-series direction as well.
     """
-    g = series_emb if isinstance(series_emb, Tensor) else Tensor(series_emb)
-    f = text_emb if isinstance(text_emb, Tensor) else Tensor(text_emb)
+    g, f = ad.as_tensor(series_emb), ad.as_tensor(text_emb)
     if g.ndim != 2 or f.ndim != 2 or g.shape != f.shape:
         raise DimMismatch(f"paired embeddings must share (B, dim), got {g.shape} and {f.shape}")
     logits = ad.mul(ad.matmul(g, ad.transpose(f)), temperature.inv_gamma())
-    loss = -ad.mean_all(ad.take_diag(ad.log_softmax_rows(logits)))
+    pairs = np.arange(g.shape[0])
+    loss = ad.softmax_cross_entropy(logits, pairs)
     if symmetric:
-        rev = -ad.mean_all(ad.take_diag(ad.log_softmax_rows(ad.transpose(logits))))
+        rev = ad.softmax_cross_entropy(ad.transpose(logits), pairs)
         loss = ad.mul(ad.add(loss, rev), ad.as_tensor(0.5))
     if not np.isfinite(loss.value):
         raise NonFinite("contrastive loss is not finite")

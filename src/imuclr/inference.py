@@ -203,12 +203,6 @@ class FinetuneConfig:
             raise BadRange("invalid fine-tuning configuration")
 
 
-def cross_entropy(logits, label_idx):
-    """Mean negative log-softmax at the true class; logits (B, D) Tensor."""
-    picked = ad.pick_rows(ad.log_softmax_rows(logits), label_idx)
-    return -ad.mean_all(picked)
-
-
 def finetune(model, train_set, labels, cfg):
     """Train encoder + linear head with cross-entropy; returns a new Model.
 
@@ -241,7 +235,7 @@ def finetune(model, train_set, labels, cfg):
             batch = np.stack([train_set[i][0].data[:, :t_min, :] for i in idx])
             emb = model.embed_batch_tensor(batch)
             logits = ad.linear(emb, w, b)
-            loss = cross_entropy(logits, y[idx])
+            loss = ad.softmax_cross_entropy(logits, y[idx])
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()

@@ -206,14 +206,14 @@ def test_criterion_5_gradient_verification():
 
 def test_criterion_6_loss_closed_forms():
     g1 = np.random.default_rng(0).standard_normal((1, 4))
-    single = contrastive_loss(Tensor(g1), Tensor(g1.copy()), Temperature.create()).item()
+    single = float(contrastive_loss(Tensor(g1), Tensor(g1.copy()), Temperature.create()).value)
 
     row = np.random.default_rng(1).standard_normal(4)
     same = np.tile(row, (2, 1))
-    twin = contrastive_loss(Tensor(same), Tensor(same.copy()), Temperature.create(gamma=0.3)).item()
+    twin = float(contrastive_loss(Tensor(same), Tensor(same.copy()), Temperature.create(gamma=0.3)).value)
 
     f = np.eye(2, 6)
-    ortho = contrastive_loss(Tensor(f.copy()), Tensor(f.copy()), Temperature.create(gamma=1.0)).item()
+    ortho = float(contrastive_loss(Tensor(f.copy()), Tensor(f.copy()), Temperature.create(gamma=1.0)).value)
 
     ok = (
         single == 0.0

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import contract, cotangent
 from imuclr import autodiff as ad
 from imuclr.autodiff import Adam, Parameter, Tensor, grad_check
 from imuclr.errors import NonFinite, ShapeMismatch
@@ -15,39 +16,47 @@ def test_matmul_identity():
 
 
 def test_log_softmax_symmetry():
-    out = ad.log_softmax_rows(Tensor(np.zeros((1, 2))))
-    assert np.allclose(out.value, -np.log(2.0))
+    # permuting the classes together with the targets leaves the loss unchanged
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((4, 5))
+    targets = np.array([1, 4, 4, 0])
+    perm = rng.permutation(5)
+    inverse = np.argsort(perm)
+    a = ad.softmax_cross_entropy(Tensor(x), targets).value
+    b = ad.softmax_cross_entropy(Tensor(x[:, perm]), inverse[targets]).value
+    assert abs(a - b) < 1e-12
 
 
 @given(st.integers(0, 2**31), st.integers(1, 5), st.integers(2, 6))
 @settings(max_examples=40, deadline=None)
 def test_log_softmax_rows_normalize(seed, n, d):
+    # one row at a time the loss is -log softmax(x_i)[k]: the k terms sum to 1
     x = np.random.default_rng(seed).standard_normal((n, d)) * 10
-    out = ad.log_softmax_rows(Tensor(x))
-    sums = np.exp(out.value).sum(axis=1)
-    assert np.abs(sums - 1.0).max() < 1e-9
+    for row in x:
+        probs = [np.exp(-float(ad.softmax_cross_entropy(Tensor(row[None]), [k]).value)) for k in range(d)]
+        assert abs(sum(probs) - 1.0) < 1e-9
 
 
 def test_relu_backward_gating():
     x = Parameter("x", np.array([-1.0, 1.0]))
-    out = ad.sum_all(ad.relu(x))
+    out = contract(ad.relu(x))
     out.backward()
-    assert np.array_equal(x.grad, [0.0, 1.0])
+    assert np.array_equal(x.grad, [0.0, cotangent(2)[1]])
 
 
 def test_relu_subgradient_zero_at_kink():
     x = Parameter("x", np.array([0.0]))
-    ad.sum_all(ad.relu(x)).backward()
+    contract(ad.relu(x)).backward()
     assert x.grad[0] == 0.0
 
 
 def test_quadratic_gradient_analytic():
     theta = Parameter("theta", np.random.default_rng(1).standard_normal(5))
-    err = grad_check(lambda: ad.sum_all(ad.mul(theta, theta)), [theta])
+    err = grad_check(lambda: contract(ad.mul(theta, theta)), [theta])
     assert err < 1e-8
     theta.zero_grad()
-    ad.sum_all(ad.mul(theta, theta)).backward()
-    assert np.allclose(theta.grad, 2 * theta.value, atol=1e-12)
+    contract(ad.mul(theta, theta)).backward()
+    assert np.allclose(theta.grad, 2 * theta.value * cotangent(5), atol=1e-12)
 
 
 def test_constant_function_zero_gradient():
@@ -59,16 +68,17 @@ def test_constant_function_zero_gradient():
 @pytest.mark.parametrize(
     "name,builder",
     [
-        ("add_broadcast", lambda p, q, x: ad.sum_all(ad.add(ad.matmul(Tensor(x), p), q))),
-        ("mul_broadcast", lambda p, q, x: ad.sum_all(ad.mul(ad.matmul(Tensor(x), p), q))),
-        ("transpose", lambda p, q, x: ad.sum_all(ad.matmul(ad.transpose(p), Tensor(x.T)))),
-        ("reshape", lambda p, q, x: ad.sum_all(ad.reshape(p, (p.value.size,)))),
-        ("exp", lambda p, q, x: ad.sum_all(ad.exp(ad.mul(p, ad.as_tensor(0.3))))),
-        ("minimum_const", lambda p, q, x: ad.sum_all(ad.minimum_const(p, 0.5))),
-        ("mean_all", lambda p, q, x: ad.mean_all(ad.mul(p, p))),
-        ("relu_shifted", lambda p, q, x: ad.sum_all(ad.relu(ad.add(p, ad.as_tensor(3.0))))),
-        ("log_softmax", lambda p, q, x: ad.mean_all(ad.log_softmax_rows(ad.matmul(Tensor(x), p)))),
-        ("take_diag", lambda p, q, x: ad.mean_all(ad.take_diag(ad.matmul(p, ad.transpose(p))))),
+        ("add_broadcast", lambda p, q, x: contract(ad.add(ad.matmul(Tensor(x), p), q))),
+        ("mul_broadcast", lambda p, q, x: contract(ad.mul(ad.matmul(Tensor(x), p), q))),
+        ("transpose", lambda p, q, x: contract(ad.matmul(ad.transpose(p), Tensor(x.T)))),
+        ("reshape", lambda p, q, x: contract(ad.reshape(p, (p.value.size,)))),
+        ("exp", lambda p, q, x: contract(ad.exp(ad.mul(p, ad.as_tensor(0.3))))),
+        ("minimum_const", lambda p, q, x: contract(ad.minimum_const(p, 0.5))),
+        ("relu_shifted", lambda p, q, x: contract(ad.relu(ad.add(p, ad.as_tensor(3.0))))),
+        ("softmax_cross_entropy",
+         lambda p, q, x: ad.softmax_cross_entropy(ad.add(ad.matmul(Tensor(x), p), q), [2, 0, 3, 1, 2])),
+        ("softmax_cross_entropy_transposed",
+         lambda p, q, x: ad.softmax_cross_entropy(ad.transpose(ad.matmul(Tensor(x), p)), [4, 0, 2, 1])),
     ],
 )
 def test_primitive_gradients(name, builder):
@@ -79,24 +89,24 @@ def test_primitive_gradients(name, builder):
     assert grad_check(lambda: builder(p, q, x), [p, q]) < 1e-6
 
 
-def test_pick_rows_gradient():
+def test_softmax_cross_entropy_repeated_targets_gradient():
     rng = np.random.default_rng(3)
     p = Parameter("p", rng.standard_normal((4, 3)))
     idx = np.array([0, 2, 1, 2])
-    assert grad_check(lambda: ad.mean_all(ad.pick_rows(ad.log_softmax_rows(p), idx)), [p]) < 1e-6
+    assert grad_check(lambda: ad.softmax_cross_entropy(p, idx), [p]) < 1e-6
 
 
 def test_stack_rows_gradient():
     rng = np.random.default_rng(4)
     ps = [Parameter(f"p{i}", rng.standard_normal(3)) for i in range(3)]
-    assert grad_check(lambda: ad.mean_all(ad.mul(ad.stack_rows(ps), ad.stack_rows(ps))), ps) < 1e-6
+    assert grad_check(lambda: contract(ad.mul(ad.stack_rows(ps), ad.stack_rows(ps))), ps) < 1e-6
 
 
 def test_embedding_mean_gradient_with_repeats():
     rng = np.random.default_rng(5)
     table = Parameter("table", rng.standard_normal((6, 4)))
     idx = [1, 1, 4]
-    assert grad_check(lambda: ad.sum_all(ad.mul(ad.embedding_mean(table, idx), ad.as_tensor(2.0))), [table]) < 1e-6
+    assert grad_check(lambda: contract(ad.mul(ad.embedding_mean(table, idx), ad.as_tensor(2.0))), [table]) < 1e-6
 
 
 def test_channel_affine_gradient():
@@ -104,13 +114,13 @@ def test_channel_affine_gradient():
     x = Parameter("x", rng.standard_normal((2, 3, 4, 5)))
     s = Parameter("s", rng.standard_normal(3))
     h = Parameter("h", rng.standard_normal(3))
-    assert grad_check(lambda: ad.mean_all(ad.channel_affine(x, s, h)), [x, s, h]) < 1e-6
+    assert grad_check(lambda: contract(ad.channel_affine(x, s, h)), [x, s, h]) < 1e-6
 
 
 def test_pool_gradient():
     rng = np.random.default_rng(7)
     x = Parameter("x", rng.standard_normal((2, 3, 5, 4)))
-    assert grad_check(lambda: ad.sum_all(ad.pool_time_joints(x)), [x]) < 1e-6
+    assert grad_check(lambda: contract(ad.pool_time_joints(x)), [x]) < 1e-6
 
 
 def test_graph_and_time_conv_gradients():
@@ -118,9 +128,9 @@ def test_graph_and_time_conv_gradients():
     x = Parameter("x", rng.standard_normal((2, 3, 6, 4)))
     wg = Parameter("wg", rng.standard_normal((2, 5, 3)))
     adj = np.abs(rng.standard_normal((2, 4, 4)))
-    assert grad_check(lambda: ad.mean_all(ad.graph_conv(x, wg, adj)), [x, wg]) < 1e-6
+    assert grad_check(lambda: contract(ad.graph_conv(x, wg, adj)), [x, wg]) < 1e-6
     wt = Parameter("wt", rng.standard_normal((5, 3, 3)))
-    assert grad_check(lambda: ad.mean_all(ad.time_conv(x, wt)), [x, wt]) < 1e-6
+    assert grad_check(lambda: contract(ad.time_conv(x, wt)), [x, wt]) < 1e-6
 
 
 def test_no_input_mutation():
@@ -129,23 +139,23 @@ def test_no_input_mutation():
     b = Tensor(rng.standard_normal((3, 3)))
     a0, b0 = a.value.copy(), b.value.copy()
     out = ad.relu(ad.add(ad.matmul(a, b), b))
-    ad.sum_all(out).backward()
+    contract(out).backward()
     assert np.array_equal(a.value, a0) and np.array_equal(b.value, b0)
 
 
 def test_gradient_accumulates_across_uses():
     p = Parameter("p", np.array([2.0]))
-    # f = p*p + 3p -> df/dp = 2p + 3 = 7
-    loss = ad.sum_all(ad.add(ad.mul(p, p), ad.mul(p, ad.as_tensor(3.0))))
+    # f = w (p*p + 3p) -> df/dp = w (2p + 3) = 7w
+    loss = contract(ad.add(ad.mul(p, p), ad.mul(p, ad.as_tensor(3.0))))
     loss.backward()
-    assert np.allclose(p.grad, [7.0])
+    assert np.allclose(p.grad, 7.0 * cotangent(1))
 
 
 def test_gradient_accumulates_across_backward_calls():
     p = Parameter("p", np.array([1.0, 2.0]))
-    ad.sum_all(p).backward()
-    ad.sum_all(p).backward()
-    assert np.allclose(p.grad, [2.0, 2.0])
+    contract(p).backward()
+    contract(p).backward()
+    assert np.allclose(p.grad, 2.0 * cotangent(2))
     p.zero_grad()
     assert p.grad is None
 
@@ -158,6 +168,8 @@ def test_backward_requires_scalar():
 def test_exp_overflow_raises():
     with pytest.raises(NonFinite):
         ad.exp(Tensor(np.array([1000.0])))
+    with pytest.raises(NonFinite):
+        ad.softmax_cross_entropy(Tensor(np.array([[0.0, np.inf]])), [0])
 
 
 def test_shape_mismatches():
@@ -167,6 +179,8 @@ def test_shape_mismatches():
         ad.time_conv(Tensor(np.zeros((1, 2, 4, 3))), Tensor(np.zeros((2, 2, 2))))  # even K
     with pytest.raises(ShapeMismatch):
         ad.graph_conv(Tensor(np.zeros((1, 2, 4, 3))), Tensor(np.zeros((1, 5, 2))), np.zeros((2, 3, 3)))
+    with pytest.raises(ShapeMismatch):
+        ad.softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0])
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +211,6 @@ def test_adam_zero_gradient_no_change():
     assert np.array_equal(p.value, before)
 
 
-def test_operator_sugar():
-    a = Tensor(np.array([[1.0, 2.0]]))
-    b = Tensor(np.array([[3.0], [4.0]]))
-    assert np.allclose((a @ b).value, [[11.0]])
-    assert np.allclose((a + 1.0).value, [[2.0, 3.0]])
-    assert np.allclose((2.0 * a - a).value, a.value)
-    assert np.allclose((-a).value, -a.value)
-    assert np.allclose((1.0 - a).value, 1.0 - a.value)
-    assert np.allclose(a.T.value, a.value.T)
-
-
 def test_adam_deterministic():
     def run():
         rng = np.random.default_rng(11)
@@ -215,7 +218,7 @@ def test_adam_deterministic():
         opt = Adam([p], lr=1e-2)
         for _ in range(10):
             opt.zero_grad()
-            ad.sum_all(ad.mul(p, p)).backward()
+            contract(ad.mul(p, p)).backward()
             opt.step()
         return p.value
 

@@ -22,7 +22,7 @@ from imuclr.text_embeddings import DescriptionSet, TextEmbeddingTable
 def test_loss_single_pair_is_zero():
     g = np.random.default_rng(0).standard_normal((1, 4))
     loss = contrastive_loss(Tensor(g), Tensor(g.copy()), Temperature.create())
-    assert loss.item() == 0.0
+    assert float(loss.value) == 0.0
 
 
 @pytest.mark.parametrize("gamma", [0.07, 0.5, 1.0, 3.0])
@@ -30,13 +30,13 @@ def test_loss_identical_embeddings_ln2(gamma):
     row = np.random.default_rng(1).standard_normal(4)
     same = np.tile(row, (2, 1))
     loss = contrastive_loss(Tensor(same), Tensor(same.copy()), Temperature.create(gamma=gamma))
-    assert abs(loss.item() - np.log(2.0)) < 1e-9
+    assert abs(float(loss.value) - np.log(2.0)) < 1e-9
 
 
 def test_loss_orthonormal_closed_form():
     f = np.eye(2, 5)
     loss = contrastive_loss(Tensor(f.copy()), Tensor(f.copy()), Temperature.create(gamma=1.0))
-    assert abs(loss.item() - np.log(1.0 + np.exp(-1.0))) < 1e-9
+    assert abs(float(loss.value) - np.log(1.0 + np.exp(-1.0))) < 1e-9
 
 
 def test_loss_row_shift_invariance():
@@ -47,8 +47,8 @@ def test_loss_row_shift_invariance():
     g_ext = np.concatenate([g, np.full((3, 1), c)], axis=1)
     f_ext = np.concatenate([f, np.ones((3, 1))], axis=1)
     temp = Temperature.create(gamma=1.0)
-    a = contrastive_loss(Tensor(g), Tensor(f), temp).item()
-    b = contrastive_loss(Tensor(g_ext), Tensor(f_ext), temp).item()
+    a = float(contrastive_loss(Tensor(g), Tensor(f), temp).value)
+    b = float(contrastive_loss(Tensor(g_ext), Tensor(f_ext), temp).value)
     assert abs(a - b) < 1e-9
 
 
@@ -61,7 +61,7 @@ def test_loss_nonnegative(seed, b, d):
         Tensor(rng.standard_normal((b, d))),
         Temperature.create(gamma=float(rng.uniform(0.1, 2.0))),
     )
-    assert loss.item() >= 0.0
+    assert float(loss.value) >= 0.0
 
 
 def test_loss_gradient_including_temperature():
@@ -71,8 +71,9 @@ def test_loss_gradient_including_temperature():
     g = Parameter("G", rng.standard_normal((3, 4)))
     f = Parameter("F", rng.standard_normal((3, 4)))
     temp = Temperature.create(gamma=1.0)
-    err = grad_check(lambda: contrastive_loss(g, f, temp), [g, f, temp.log_inv_gamma])
-    assert err < 1e-6
+    for symmetric in (False, True):
+        err = grad_check(lambda: contrastive_loss(g, f, temp, symmetric=symmetric), [g, f, temp.log_inv_gamma])
+        assert err < 1e-6
 
 
 def test_loss_dim_mismatch():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import chain_structure
+from conftest import chain_structure, contract
 from imuclr import autodiff as ad
 from imuclr.autodiff import Parameter, Tensor, grad_check
 from imuclr.errors import BadStrategy, ShapeMismatch
@@ -59,7 +59,7 @@ def test_spatial_conv_gradient():
     adj = build_adjacency(chain_structure(3), "distance")
     x = Tensor(rng.standard_normal((1, 2, 4, 3)))
     phi = Parameter("phi", rng.standard_normal((2, 3, 2)))
-    assert grad_check(lambda: ad.mean_all(ad.graph_conv(x, phi, adj.normalized())), [phi]) < 1e-6
+    assert grad_check(lambda: contract(ad.graph_conv(x, phi, adj.normalized())), [phi]) < 1e-6
 
 
 def test_temporal_conv_k1_identity():
@@ -81,7 +81,7 @@ def test_temporal_conv_gradient():
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal((2, 3, 6, 2)))
     w = Parameter("w", rng.standard_normal((4, 3, 3)))
-    assert grad_check(lambda: ad.mean_all(ad.time_conv(x, w)), [w]) < 1e-6
+    assert grad_check(lambda: contract(ad.time_conv(x, w)), [w]) < 1e-6
 
 
 def test_global_pool_constant():
@@ -180,7 +180,7 @@ def test_full_pipeline_gradient():
     params = init_encoder_params(cfg, np.random.default_rng(1))
     x = np.random.default_rng(21).standard_normal((1, 6, 16, 22))
     plist = list(params.values())
-    err = grad_check(lambda: ad.mean_all(encode_batch(x, adj, params, cfg)), plist)
+    err = grad_check(lambda: contract(encode_batch(x, adj, params, cfg)), plist)
     assert err < 1e-4
 
 
