@@ -309,18 +309,11 @@ def build_parser():
     return parser
 
 
-def _apply_config_file(parser, argv):
-    """Pre-set subcommand defaults from --config key=value pairs."""
-    if not argv or argv[0].startswith("-") or "--config" not in argv:
-        return
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return  # argparse reports the missing value itself
-    values = formats.read_config_file(argv[idx + 1])
+def _apply_config_file(parser, args):
+    """Pre-set the defaults of args.command from the key=value file args.config."""
+    values = formats.read_config_file(args.config)
     sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    subparser = sub_actions[0].choices.get(argv[0])
-    if subparser is None:
-        return
+    subparser = sub_actions[0].choices[args.command]
     overrides = {}
     for key, raw in values.items():
         dest = key.replace("-", "_")
@@ -343,8 +336,11 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        if args.config:
+            # the file only sets defaults, so flags given on the command line still win
+            _apply_config_file(parser, args)
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -62,17 +62,30 @@ def simulate_skeleton_dir(data_dir, fs, noise, seed, gravity, cache):
     depend on how work would be scheduled. With cache set, simulations are
     kept under data_dir/.simcache and reused only when skeleton content,
     sorted index, rate, noise levels, seed and gravity all match, so adding
-    or removing a file never serves another index's noise.
+    or removing a file never serves another index's noise. Entries whose
+    content hash and index match no current file are deleted, with one
+    warning giving their count; entries of a current file at other rates,
+    noise levels, seeds or gravity settings stay.
     """
     skel_files = sorted(n for n in os.listdir(data_dir) if n.endswith(SKELETON_EXT))
+    hashes = [file_hash(os.path.join(data_dir, name)) for name in skel_files]
     cache_dir = os.path.join(data_dir, ".simcache")
     if cache:
         os.makedirs(cache_dir, exist_ok=True)
-    for index, name in enumerate(skel_files):
+        live = tuple(f"{digest}_i{index}_" for index, digest in enumerate(hashes))
+        orphans = [n for n in os.listdir(cache_dir) if n.endswith(".tsb") and not n.startswith(live)]
+        for name in orphans:
+            os.remove(os.path.join(cache_dir, name))
+        if orphans:
+            warnings.warn(
+                f"{cache_dir}: removed {len(orphans)} entries that no current {SKELETON_EXT} file maps to",
+                stacklevel=2,
+            )
+    for index, (name, digest) in enumerate(zip(skel_files, hashes)):
         path = os.path.join(data_dir, name)
         seq_id = name[: -len(SKELETON_EXT)]
         key = (
-            f"{file_hash(path)}_i{index}_fs{fs!r}_sa{noise.sigma_accel!r}_sg{noise.sigma_gyro!r}"
+            f"{digest}_i{index}_fs{fs!r}_sa{noise.sigma_accel!r}_sg{noise.sigma_gyro!r}"
             f"_seed{seed}_g{int(gravity)}"
         )
         cache_path = os.path.join(cache_dir, key + ".tsb")

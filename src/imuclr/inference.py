@@ -11,6 +11,7 @@ while the text side stays frozen.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -208,7 +209,9 @@ def finetune(model, train_set, labels, cfg):
 
     train_set: list of (MotionTimeSeries, label_name). Text embeddings are
     never touched. The classifier is created fresh unless the model already
-    carries one.
+    carries one. Each batch is cropped to its own shortest recording; one
+    warning per call counts the batches that cropping cut below the
+    checkpoint's training window.
     """
     if not train_set:
         raise EmptyDataset("fine-tuning needs at least one labeled sample")
@@ -227,11 +230,17 @@ def finetune(model, train_set, labels, cfg):
     trainable = list(model.encoder_params().values()) + [w, b]
     optimizer = Adam(trainable, lr=cfg.lr)
     y = np.array([labels.index(name) for _, name in train_set], dtype=np.intp)
-    t_min = min(s.num_frames for s, _ in train_set)
+    window = model.ckpt.train_window
+    short_batches = num_batches = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(len(train_set))
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
+            lengths = [train_set[i][0].num_frames for i in idx]
+            t_min = min(lengths)
+            num_batches += 1
+            if t_min < window and max(lengths) > t_min:
+                short_batches += 1
             batch = np.stack([train_set[i][0].data[:, :t_min, :] for i in idx])
             emb = model.embed_batch_tensor(batch)
             logits = ad.linear(emb, w, b)
@@ -239,6 +248,12 @@ def finetune(model, train_set, labels, cfg):
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
+    if short_batches:
+        warnings.warn(
+            f"fine-tuning cropped {short_batches} of {num_batches} batches below the "
+            f"training window of {window} frames to their shortest recording",
+            stacklevel=2,
+        )
     return model
 
 

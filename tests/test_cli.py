@@ -189,6 +189,19 @@ def test_config_file_defaults_and_override(workspace, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("spelling", [["--config={}"], ["--conf", "{}"]])
+def test_config_file_alternate_spellings(workspace, tmp_path, capsys, spelling):
+    cfg = workspace["root"] / "sim.cfg"
+    cfg.write_text("seed = 3\n")
+    flags = [part.format(cfg) for part in spelling]
+    args = ["simulate", "--skeleton-dir", str(workspace["skel_dir"]), "--out", str(tmp_path / "sim")]
+    assert main(args + flags) == 0
+    assert "seed=3" in capsys.readouterr().out
+    cfg.write_text("bogus = 1\n")
+    assert main(args + flags) == 1
+    assert "bogus" in capsys.readouterr().err
+
+
 def test_config_file_unknown_key(workspace, capsys):
     cfg = workspace["root"] / "run.cfg"
     cfg.write_text("bogus = 1\n")

@@ -52,12 +52,28 @@ def test_cache_key_includes_sorted_index(skel_dir):
     # a.skel, a copy of s1.skel, sorts first and shifts every index (and noise seed) by one
     load_pretrain_samples(skel_dir, seed=1)
     shutil.copyfile(skel_dir / "s1.skel", skel_dir / "a.skel")
-    warm = load_pretrain_samples(skel_dir, seed=1)
+    with pytest.warns(UserWarning, match="removed 3 entries"):
+        warm = load_pretrain_samples(skel_dir, seed=1)
     fresh = load_pretrain_samples(skel_dir, seed=1, cache=False)
     assert [s.seq_id for s in warm] == ["a", "s0", "s1", "s2"]
     for w, f in zip(warm, fresh):
         assert np.array_equal(w.series.data, f.series.data), w.seq_id
     assert not np.array_equal(warm[0].series.data, warm[2].series.data)
+
+
+def test_orphaned_cache_entries_are_removed(skel_dir):
+    cache = skel_dir / ".simcache"
+    load_pretrain_samples(skel_dir, seed=1)
+    load_pretrain_samples(skel_dir, fs=10.0, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a current file's entries at another rate are not orphans
+        load_pretrain_samples(skel_dir, seed=1)
+    assert len(list(cache.glob("*.tsb"))) == 6
+    # a.skel sorts first and moves s0..s2 to indices 1..3, orphaning all six entries
+    shutil.copyfile(skel_dir / "s1.skel", skel_dir / "a.skel")
+    with pytest.warns(UserWarning, match="removed 6 entries"):
+        load_pretrain_samples(skel_dir, seed=1)
+    assert len(list(cache.glob("*.tsb"))) == 4
 
 
 def test_load_from_timeseries_dir(tmp_path, rng):

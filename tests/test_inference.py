@@ -228,6 +228,25 @@ def test_finetune_reaches_full_accuracy_on_separable_data():
     assert rep.accuracy == 1.0
 
 
+def test_finetune_crops_each_batch_to_its_own_shortest_recording():
+    # one 5-frame recording among 20-frame ones must not shorten every batch
+    model = Model(tiny_checkpoint())
+    labels = LabelSet(names=("a", "b"))
+    train = [(series_of(-1.0, t=20), "a"), (series_of(1.0, t=20), "b")] * 4
+    train[3] = (series_of(1.0, t=5), "b")
+    seen = []
+    embed = model.embed_batch_tensor
+
+    def recording_embed(batch):
+        seen.append(batch.shape[2])
+        return embed(batch)
+
+    model.embed_batch_tensor = recording_embed
+    with pytest.warns(UserWarning, match=r"cropped 2 of 4 batches below the training window of 8"):
+        finetune(model, train, labels, FinetuneConfig(epochs=2, lr=1e-3, batch_size=4))
+    assert sorted(seen) == [5, 5, 20, 20]
+
+
 def test_finetune_does_not_touch_temperature():
     model = Model(tiny_checkpoint())
     before = model.params["log_inv_gamma"].value.copy()
