@@ -211,7 +211,7 @@ def finetune(model, train_set, labels, cfg):
     never touched. The classifier is created fresh unless the model already
     carries one. Each batch is cropped to its own shortest recording; one
     warning per call counts the batches that cropping cut below the
-    checkpoint's training window.
+    checkpoint's training window (every cropped batch when it has none).
     """
     if not train_set:
         raise EmptyDataset("fine-tuning needs at least one labeled sample")
@@ -239,7 +239,7 @@ def finetune(model, train_set, labels, cfg):
             lengths = [train_set[i][0].num_frames for i in idx]
             t_min = min(lengths)
             num_batches += 1
-            if t_min < window and max(lengths) > t_min:
+            if max(lengths) > t_min and (window is None or t_min < window):
                 short_batches += 1
             batch = np.stack([train_set[i][0].data[:, :t_min, :] for i in idx])
             emb = model.embed_batch_tensor(batch)
@@ -250,8 +250,8 @@ def finetune(model, train_set, labels, cfg):
             optimizer.step()
     if short_batches:
         warnings.warn(
-            f"fine-tuning cropped {short_batches} of {num_batches} batches below the "
-            f"training window of {window} frames to their shortest recording",
+            f"fine-tuning cropped {short_batches} of {num_batches} batches to their shortest "
+            f"recording, below the checkpoint's training window ({window})",
             stacklevel=2,
         )
     return model

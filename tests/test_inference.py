@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,9 +244,12 @@ def test_finetune_crops_each_batch_to_its_own_shortest_recording():
         return embed(batch)
 
     model.embed_batch_tensor = recording_embed
-    with pytest.warns(UserWarning, match=r"cropped 2 of 4 batches below the training window of 8"):
+    with pytest.warns(UserWarning, match=r"cropped 2 of 4 batches .* training window \(8\)"):
         finetune(model, train, labels, FinetuneConfig(epochs=2, lr=1e-3, batch_size=4))
     assert sorted(seen) == [5, 5, 20, 20]
+    unknown_window = Model(replace(tiny_checkpoint(), train_window=None))
+    with pytest.warns(UserWarning, match=r"cropped 2 of 4 batches .* training window \(None\)"):
+        finetune(unknown_window, train, labels, FinetuneConfig(epochs=2, lr=1e-3, batch_size=4))
 
 
 def test_finetune_does_not_touch_temperature():
