@@ -9,10 +9,12 @@ tolerances.
 The primitives: add, mul (both broadcasting), matmul, transpose, reshape,
 relu, exp, minimum_const and linear; stack_rows and embedding_mean for the
 text side; softmax_cross_entropy for both training objectives; graph_conv,
-time_conv, channel_affine and pool_time_joints on (B, C, T, V) tensors.
+time_conv, channel_affine and pool_time_joints on channel-major
+(C, B, T, V) tensors, so their (C, B*T*V) GEMM operands are free reshapes.
 
-No operation mutates its inputs; gradients accumulate additively when a
-tensor feeds several downstream ops.
+No operation mutates its inputs, and no gradient is updated in place: a
+tensor that feeds several downstream ops gets the sum as a new array, so a
+backward rule may hand on its incoming gradient or a view of it.
 """
 
 from __future__ import annotations
@@ -70,11 +72,8 @@ class Tensor:
                 node._backward(node.grad)
 
     def _accumulate(self, g):
-        # copy on first write: g may alias an upstream gradient buffer
-        if self.grad is None:
-            self.grad = np.array(g)
-        else:
-            self.grad += g
+        # never in place: g may alias another node's gradient or a read-only view
+        self.grad = g if self.grad is None else self.grad + g
 
     def __repr__(self):
         tag = " param" if isinstance(self, Parameter) else ""
@@ -273,85 +272,69 @@ def embedding_mean(table, indices):
 
 
 # ---------------------------------------------------------------------------
-# Structured ops for the C x T x V graph tensors
+# Structured ops for the channel-major C x B x T x V graph tensors
 # ---------------------------------------------------------------------------
-
-
-def _as_cols(x4d):
-    """(B,C,T,V) -> contiguous (C, B*T*V) column matrix."""
-    b, c, t, v = x4d.shape
-    return np.ascontiguousarray(x4d.transpose(1, 0, 2, 3)).reshape(c, b * t * v)
-
-
-def _from_cols(cols, b, t, v):
-    """(O, B*T*V) -> (B,O,T,V)."""
-    o = cols.shape[0]
-    return np.ascontiguousarray(cols.reshape(o, b, t, v).transpose(1, 0, 2, 3))
 
 
 def graph_conv(x, w, adj_norm):
     """Spatial graph convolution: sum_k Phi_k (x @ A_hat_k).
 
-    x: (B,C,T,V) tensor; w: (K,O,C) weights; adj_norm: constant (K,V,V)
+    x: (C,B,T,V) tensor; w: (K,O,C) weights; adj_norm: constant (K,V,V)
     stack of symmetrically normalized adjacency matrices.
     """
     x, w = as_tensor(x), as_tensor(w)
     adj = np.asarray(adj_norm, dtype=np.float64)
     if x.ndim != 4 or w.ndim != 3 or adj.ndim != 3:
-        raise ShapeMismatch("graph_conv expects x (B,C,T,V), w (K,O,C), adj (K,V,V)")
+        raise ShapeMismatch("graph_conv expects x (C,B,T,V), w (K,O,C), adj (K,V,V)")
     k_s = adj.shape[0]
-    if w.shape[0] != k_s or w.shape[2] != x.shape[1] or adj.shape[1:] != (x.shape[3],) * 2:
+    if w.shape[0] != k_s or w.shape[2] != x.shape[0] or adj.shape[1:] != (x.shape[3],) * 2:
         raise ShapeMismatch(
             f"graph_conv shape mismatch: x {x.shape}, w {w.shape}, adj {adj.shape}"
         )
-    b, c, t, v = x.shape
+    c, b, t, v = x.shape
     o = w.shape[1]
-    xa_cols = [_as_cols(x.value @ adj[k]) for k in range(k_s)]
+    xa_cols = [(x.value @ adj[k]).reshape(c, -1) for k in range(k_s)]
     acc = w.value[0] @ xa_cols[0]
     for k in range(1, k_s):
         acc += w.value[k] @ xa_cols[k]
-    out_val = _from_cols(acc, b, t, v)
 
     def backward(g):
-        g_cols = _as_cols(g)
+        g_cols = g.reshape(o, -1)
         if w.requires_grad:
-            dw = np.stack([g_cols @ xa_cols[k].T for k in range(k_s)])
-            w._accumulate(dw)
+            w._accumulate(np.stack([g_cols @ xa_cols[k].T for k in range(k_s)]))
         if x.requires_grad:
             dx = np.zeros(x.shape)
             for k in range(k_s):
-                dx += _from_cols(w.value[k].T @ g_cols, b, t, v) @ adj[k].T
+                dx += (w.value[k].T @ g_cols).reshape(x.shape) @ adj[k].T
             x._accumulate(dx)
 
-    return _tracked(out_val, (x, w), backward)
+    return _tracked(acc.reshape(o, b, t, v), (x, w), backward)
 
 
 def _conv_cols(values, k):
-    """(B,C,T,V) -> im2col matrix (C*K, B*T*V) of zero-padded windows."""
-    b, c, t, v = values.shape
+    """(C,B,T,V) -> im2col matrix (C*K, B*T*V) of zero-padded windows."""
+    c, b, t, v = values.shape
     pad = (k - 1) // 2
-    xp = np.zeros((b, c, t + k - 1, v))
+    xp = np.zeros((c, b, t + k - 1, v))
     xp[:, :, pad : pad + t, :] = values
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)  # (B,C,T,V,K)
-    return np.ascontiguousarray(win.transpose(1, 4, 0, 2, 3)).reshape(c * k, b * t * v)
+    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)  # (C,B,T,V,K)
+    return np.ascontiguousarray(win.transpose(0, 4, 1, 2, 3)).reshape(c * k, b * t * v)
 
 
-def _conv_same(values, kernel, cols=None):
-    """Same-length temporal convolution as one GEMM; returns ((B,O,T,V), cols)."""
-    b, _, t, v = values.shape
+def _conv_same(values, kernel):
+    """Same-length temporal convolution as one GEMM; returns ((O,B,T,V), cols)."""
+    _, b, t, v = values.shape
     o, c, k = kernel.shape
-    if cols is None:
-        cols = _conv_cols(values, k)
-    out = kernel.reshape(o, c * k) @ cols
-    return _from_cols(out, b, t, v), cols
+    cols = _conv_cols(values, k)
+    return (kernel.reshape(o, c * k) @ cols).reshape(o, b, t, v), cols
 
 
 def time_conv(x, w):
-    """Temporal convolution with a (O,C,K) kernel, zero-padded to keep T."""
+    """Temporal convolution of a (C,B,T,V) tensor with a (O,C,K) kernel, zero-padded to keep T."""
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 4 or w.ndim != 3:
-        raise ShapeMismatch("time_conv expects x (B,C,T,V) and w (O,C,K)")
-    b, c, t, v = x.shape
+        raise ShapeMismatch("time_conv expects x (C,B,T,V) and w (O,C,K)")
+    c = x.shape[0]
     o, c2, k = w.shape
     if c2 != c:
         raise ShapeMismatch(f"kernel expects {c2} input channels, tensor has {c}")
@@ -361,47 +344,45 @@ def time_conv(x, w):
 
     def backward(g):
         if w.requires_grad:
-            g_cols = _as_cols(g)
-            w._accumulate((g_cols @ cols.T).reshape(w.shape))
+            w._accumulate((g.reshape(o, -1) @ cols.T).reshape(w.shape))
         if x.requires_grad:
             # gradient wrt input is the same conv with the flipped, transposed kernel
-            w_flip = np.ascontiguousarray(w.value[:, :, ::-1].transpose(1, 0, 2))
-            x._accumulate(_conv_same(g, w_flip)[0])
+            x._accumulate(_conv_same(g, w.value[:, :, ::-1].transpose(1, 0, 2))[0])
 
     return _tracked(out_val, (x, w), backward)
 
 
 def channel_affine(x, scale, shift):
-    """Per-channel learnable scale and shift on a (B,C,T,V) tensor."""
+    """Per-channel learnable scale and shift on a (C,B,T,V) tensor."""
     x, scale, shift = as_tensor(x), as_tensor(scale), as_tensor(shift)
-    c = x.shape[1]
+    c = x.shape[0]
     if scale.shape != (c,) or shift.shape != (c,):
         raise ShapeMismatch(f"affine parameters must have shape ({c},)")
-    s = scale.value[None, :, None, None]
-    out_val = x.value * s + shift.value[None, :, None, None]
+    s = scale.value[:, None, None, None]
+    out_val = x.value * s + shift.value[:, None, None, None]
 
     def backward(g):
         if x.requires_grad:
             x._accumulate(g * s)
         if scale.requires_grad:
-            scale._accumulate(np.einsum("bctv,bctv->c", g, x.value))
+            scale._accumulate(np.einsum("cbtv,cbtv->c", g, x.value))
         if shift.requires_grad:
-            shift._accumulate(g.sum(axis=(0, 2, 3)))
+            shift._accumulate(g.sum(axis=(1, 2, 3)))
 
     return _tracked(out_val, (x, scale, shift), backward)
 
 
 def pool_time_joints(x):
-    """Mean over joints and timesteps: (B,C,T,V) -> (B,C)."""
+    """Mean over joints and timesteps: (C,B,T,V) -> (B,C)."""
     x = as_tensor(x)
     if x.ndim != 4:
-        raise ShapeMismatch(f"pool expects (B,C,T,V), got {x.shape}")
+        raise ShapeMismatch(f"pool expects (C,B,T,V), got {x.shape}")
     denom = x.shape[2] * x.shape[3]
-    out_val = x.value.sum(axis=(2, 3)) / denom
+    out_val = x.value.sum(axis=(2, 3)).T / denom
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(np.broadcast_to(g[:, :, None, None] / denom, x.shape))
+            x._accumulate(np.broadcast_to(g.T[:, :, None, None] / denom, x.shape))
 
     return _tracked(out_val, (x,), backward)
 

@@ -309,27 +309,24 @@ def build_parser():
     return parser
 
 
-def _apply_config_file(parser, args):
-    """Pre-set the defaults of args.command from the key=value file args.config."""
-    values = formats.read_config_file(args.config)
+def _config_tokens(parser, args):
+    """The key=value lines of args.config as flags of args.command."""
     sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     subparser = sub_actions[0].choices[args.command]
-    overrides = {}
-    for key, raw in values.items():
+    tokens = []
+    for key, raw in formats.read_config_file(args.config).items():
         dest = key.replace("-", "_")
         action = next((a for a in subparser._actions if a.dest == dest), None)
         if action is None:
             raise UsageError(f"config file sets unknown flag {key!r}")
-        if isinstance(action, argparse._StoreTrueAction):
-            overrides[dest] = raw.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            try:
-                overrides[dest] = action.type(raw)
-            except ValueError as exc:
-                raise UsageError(f"config value {key}={raw!r}: {exc}") from exc
-        else:
-            overrides[dest] = raw
-    subparser.set_defaults(**overrides)
+        flag = action.option_strings[-1]
+        if not isinstance(action, argparse._StoreTrueAction):
+            tokens.append(f"{flag}={raw}")
+        elif raw.lower() in ("1", "true", "yes", "on"):
+            tokens.append(flag)
+        elif raw.lower() not in ("0", "false", "no", "off"):
+            raise UsageError(f"config value {key}={raw!r} is not one of 1/true/yes/on or 0/false/no/off")
+    return tokens
 
 
 def main(argv=None):
@@ -338,9 +335,10 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.config:
-            # the file only sets defaults, so flags given on the command line still win
-            _apply_config_file(parser, args)
-            args = parser.parse_args(argv)
+            # file values go right after the subcommand, so argparse checks them
+            # like typed flags and the command line's own flags still win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_tokens(parser, args) + argv[at:])
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -72,6 +72,7 @@ def read_skeleton_file(path):
         raise ParseError(f"expected {t} frame lines, file has {len(lines) - 1}", path=path, line=len(lines))
     positions = np.empty((v, t, 3))
     orientations = np.empty((v, t, 4))
+    off_norm_lines = []
     for i in range(t):
         line_no = 2 + i
         fields = lines[1 + i].split()
@@ -85,13 +86,15 @@ def read_skeleton_file(path):
         norms = np.linalg.norm(quats, axis=1)
         if np.any(norms < QUAT_NORM_MIN):
             raise BadQuaternion("quaternion with (near-)zero norm", path=path, line=line_no)
-        bad = (norms < QUAT_NORM_OK[0]) | (norms > QUAT_NORM_OK[1])
-        if np.any(bad):
-            warnings.warn(
-                f"{path}:{line_no}: quaternion norm outside {QUAT_NORM_OK}, normalizing",
-                stacklevel=2,
-            )
+        if np.any((norms < QUAT_NORM_OK[0]) | (norms > QUAT_NORM_OK[1])):
+            off_norm_lines.append(line_no)
         orientations[:, i, :] = quats / norms[:, None]
+    if off_norm_lines:
+        warnings.warn(
+            f"{path}:{off_norm_lines[0]}: quaternion norm outside {QUAT_NORM_OK} on "
+            f"{len(off_norm_lines)} of {t} frame lines (first shown), normalizing",
+            stacklevel=2,
+        )
     return SkeletonSequence(positions=positions, orientations=orientations, frame_rate=fs)
 
 

@@ -144,16 +144,17 @@ def encoder_param_names(cfg):
 
 
 def encode_batch(x, adj, params, cfg):
-    """Embed a (B, 6, T, V) batch; returns a (B, embedding_dim) Tensor.
+    """Embed a constant (B, 6, T, V) ndarray batch; returns a (B, embedding_dim) Tensor.
 
-    Differentiable end to end: pass a Tensor for x to collect input
-    gradients, or a plain ndarray to treat the batch as constant.
+    The batch is transposed once to the channel-major (6, B, T, V) layout of
+    the encoder ops. adj is an AdjacencySet or its normalized (K_s, V, V) stack.
     """
-    h = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-    if h.ndim != 4:
-        raise ShapeMismatch(f"expected (B, C, T, V) input, got {h.shape}")
-    if h.shape[1] != cfg.blocks[0][0]:
-        raise ShapeMismatch(f"expected {cfg.blocks[0][0]} channels, got {h.shape[1]}")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 4:
+        raise ShapeMismatch(f"expected (B, C, T, V) input, got {x.shape}")
+    if x.shape[1] != cfg.blocks[0][0]:
+        raise ShapeMismatch(f"expected {cfg.blocks[0][0]} channels, got {x.shape[1]}")
+    h = Tensor(np.ascontiguousarray(x.transpose(1, 0, 2, 3)))
     norm = adj.normalized() if isinstance(adj, AdjacencySet) else np.asarray(adj)
     for i in range(len(cfg.blocks)):
         h = ad.graph_conv(h, params[f"block{i}.spatial"], norm)

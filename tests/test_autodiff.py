@@ -109,9 +109,13 @@ def test_embedding_mean_gradient_with_repeats():
     assert grad_check(lambda: contract(ad.mul(ad.embedding_mean(table, idx), ad.as_tensor(2.0))), [table]) < 1e-6
 
 
+# The structured ops take channel-major (C, B, T, V) tensors. Their tests use
+# pairwise-distinct C, B, T and V so that a swapped axis raises or fails.
+
+
 def test_channel_affine_gradient():
     rng = np.random.default_rng(6)
-    x = Parameter("x", rng.standard_normal((2, 3, 4, 5)))
+    x = Parameter("x", rng.standard_normal((3, 2, 4, 5)))
     s = Parameter("s", rng.standard_normal(3))
     h = Parameter("h", rng.standard_normal(3))
     assert grad_check(lambda: contract(ad.channel_affine(x, s, h)), [x, s, h]) < 1e-6
@@ -119,13 +123,14 @@ def test_channel_affine_gradient():
 
 def test_pool_gradient():
     rng = np.random.default_rng(7)
-    x = Parameter("x", rng.standard_normal((2, 3, 5, 4)))
+    x = Parameter("x", rng.standard_normal((3, 2, 5, 4)))
+    assert ad.pool_time_joints(x).shape == (2, 3)
     assert grad_check(lambda: contract(ad.pool_time_joints(x)), [x]) < 1e-6
 
 
 def test_graph_and_time_conv_gradients():
     rng = np.random.default_rng(8)
-    x = Parameter("x", rng.standard_normal((2, 3, 6, 4)))
+    x = Parameter("x", rng.standard_normal((3, 2, 6, 4)))
     wg = Parameter("wg", rng.standard_normal((2, 5, 3)))
     adj = np.abs(rng.standard_normal((2, 4, 4)))
     assert grad_check(lambda: contract(ad.graph_conv(x, wg, adj)), [x, wg]) < 1e-6
@@ -160,6 +165,17 @@ def test_gradient_accumulates_across_backward_calls():
     assert p.grad is None
 
 
+def test_aliased_gradient_is_not_updated_in_place():
+    # reshape and add hand on views of their incoming gradient; accumulating
+    # the second use of r must not write through r.grad into s.grad
+    p = Parameter("p", np.array([1.0, 2.0, 3.0, 4.0]))
+    r = ad.reshape(p, (2, 2))
+    s = ad.add(r, r)
+    contract(s).backward()
+    assert np.array_equal(s.grad, cotangent((2, 2)))
+    assert np.array_equal(p.grad, 2.0 * cotangent((2, 2)).reshape(-1))
+
+
 def test_backward_requires_scalar():
     with pytest.raises(ShapeMismatch):
         Tensor(np.zeros(3), requires_grad=True).backward()
@@ -176,9 +192,17 @@ def test_shape_mismatches():
     with pytest.raises(ShapeMismatch):
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
     with pytest.raises(ShapeMismatch):
-        ad.time_conv(Tensor(np.zeros((1, 2, 4, 3))), Tensor(np.zeros((2, 2, 2))))  # even K
+        ad.time_conv(Tensor(np.zeros((2, 1, 4, 3))), Tensor(np.zeros((2, 2, 2))))  # even K
     with pytest.raises(ShapeMismatch):
-        ad.graph_conv(Tensor(np.zeros((1, 2, 4, 3))), Tensor(np.zeros((1, 5, 2))), np.zeros((2, 3, 3)))
+        ad.graph_conv(Tensor(np.zeros((2, 1, 4, 3))), Tensor(np.zeros((1, 5, 2))), np.zeros((2, 3, 3)))
+    # a batch-major (B, C, T, V) tensor is refused by every channel check
+    x = Tensor(np.zeros((1, 2, 4, 3)))
+    with pytest.raises(ShapeMismatch):
+        ad.time_conv(x, Tensor(np.zeros((2, 2, 3))))
+    with pytest.raises(ShapeMismatch):
+        ad.graph_conv(x, Tensor(np.zeros((1, 5, 2))), np.zeros((1, 3, 3)))
+    with pytest.raises(ShapeMismatch):
+        ad.channel_affine(x, Tensor(np.ones(2)), Tensor(np.zeros(2)))
     with pytest.raises(ShapeMismatch):
         ad.softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0])
 

@@ -209,6 +209,32 @@ def test_config_file_unknown_key(workspace, capsys):
     capsys.readouterr()
 
 
+def test_config_file_bad_choice_is_usage_error_before_loading(workspace, capsys):
+    # checked like --partition bogus: exit 1 before the data is simulated and cached
+    cfg = workspace["root"] / "run.cfg"
+    cfg.write_text("partition = bogus\n")
+    assert main(pretrain_args(workspace, ["--config", str(cfg)])) == 1
+    assert "partition" in capsys.readouterr().err
+    assert not (workspace["skel_dir"] / ".simcache").exists()
+
+
+def test_config_file_switch_values(workspace, tmp_path, capsys):
+    cfg = workspace["root"] / "sim.cfg"
+    base = ["simulate", "--skeleton-dir", str(workspace["skel_dir"])]
+    cfg.write_text("gravity = maybe\n")
+    assert main(base + ["--out", str(tmp_path / "bad"), "--config", str(cfg)]) == 1
+    assert "gravity" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    cfg.write_text("gravity = Yes\n")
+    assert main(base + ["--out", str(tmp_path / "file"), "--config", str(cfg)]) == 0
+    assert main(base + ["--out", str(tmp_path / "flag"), "--gravity"]) == 0
+    assert main(base + ["--out", str(tmp_path / "off")]) == 0
+    capsys.readouterr()
+    name = "seq0.ts"
+    assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+    assert (tmp_path / "file" / name).read_bytes() != (tmp_path / "off" / name).read_bytes()
+
+
 def test_config_file_setting_deterministic_is_usage_error(workspace, capsys):
     # determinism is unconditional; the flag that claimed to switch it is gone
     cfg = workspace["root"] / "run.cfg"

@@ -45,6 +45,16 @@ def test_skeleton_oversized_quaternion_warns_and_normalizes(tmp_path):
     assert np.allclose(seq.orientations[0, 0], [1, 0, 0, 0])
 
 
+def test_skeleton_off_norm_quaternions_warn_once_per_file(tmp_path):
+    p = tmp_path / "a.skel"
+    good, off = "0 0 0 1 0 0 0\n", "0 0 0 1.5 0 0 0\n"
+    p.write_text("1 6 20\n" + good + off * 4 + good)
+    with pytest.warns(UserWarning) as record:
+        formats.read_skeleton_file(p)
+    assert len(record) == 1
+    assert f"{p}:3:" in str(record[0].message) and "4 of 6" in str(record[0].message)
+
+
 def test_skeleton_zero_quaternion_rejected(tmp_path):
     p = tmp_path / "a.skel"
     p.write_text("1 3 20\n" + "0 0 0 0 0 0 0\n" * 3)

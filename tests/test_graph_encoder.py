@@ -49,7 +49,7 @@ def test_spatial_conv_single_node_uniform():
 
 def test_spatial_conv_zero_weights():
     adj = build_adjacency(chain_structure(3), "distance")
-    x = Tensor(np.random.default_rng(0).standard_normal((2, 4, 5, 3)))
+    x = Tensor(np.random.default_rng(0).standard_normal((4, 2, 5, 3)))
     out = ad.graph_conv(x, Tensor(np.zeros((2, 3, 4))), adj.normalized())
     assert np.all(out.value == 0.0)
 
@@ -57,13 +57,13 @@ def test_spatial_conv_zero_weights():
 def test_spatial_conv_gradient():
     rng = np.random.default_rng(1)
     adj = build_adjacency(chain_structure(3), "distance")
-    x = Tensor(rng.standard_normal((1, 2, 4, 3)))
-    phi = Parameter("phi", rng.standard_normal((2, 3, 2)))
-    assert grad_check(lambda: contract(ad.graph_conv(x, phi, adj.normalized())), [phi]) < 1e-6
+    x = Parameter("x", rng.standard_normal((2, 1, 4, 3)))
+    phi = Parameter("phi", rng.standard_normal((2, 5, 2)))
+    assert grad_check(lambda: contract(ad.graph_conv(x, phi, adj.normalized())), [x, phi]) < 1e-6
 
 
 def test_temporal_conv_k1_identity():
-    x = Tensor(np.random.default_rng(2).standard_normal((2, 3, 5, 4)))
+    x = Tensor(np.random.default_rng(2).standard_normal((3, 2, 5, 4)))
     out = ad.time_conv(x, Tensor(np.eye(3)[:, :, None]))
     assert np.array_equal(out.value, x.value)
 
@@ -79,14 +79,14 @@ def test_temporal_conv_averaging_boundary():
 
 def test_temporal_conv_gradient():
     rng = np.random.default_rng(3)
-    x = Tensor(rng.standard_normal((2, 3, 6, 2)))
-    w = Parameter("w", rng.standard_normal((4, 3, 3)))
-    assert grad_check(lambda: contract(ad.time_conv(x, w)), [w]) < 1e-6
+    x = Parameter("x", rng.standard_normal((3, 2, 6, 4)))
+    w = Parameter("w", rng.standard_normal((5, 3, 3)))
+    assert grad_check(lambda: contract(ad.time_conv(x, w)), [x, w]) < 1e-6
 
 
 def test_global_pool_constant():
-    out = ad.pool_time_joints(Tensor(np.full((2, 3, 4, 5), 2.5)))
-    assert np.allclose(out.value, 2.5)
+    out = ad.pool_time_joints(Tensor(np.full((3, 2, 4, 5), 2.5)))
+    assert out.shape == (2, 3) and np.allclose(out.value, 2.5)
 
 
 def test_global_pool_arithmetic_mean():
@@ -165,7 +165,7 @@ def test_permutation_covariance():
 def test_doubling_one_partition_doubles_output():
     rng = np.random.default_rng(7)
     adj = build_adjacency(chain_structure(4), "distance")
-    x = Tensor(rng.standard_normal((1, 3, 5, 4)))
+    x = Tensor(rng.standard_normal((3, 1, 5, 4)))
     phi = np.zeros((2, 2, 3))
     phi[0] = rng.standard_normal((2, 3))
     out1 = ad.graph_conv(x, Tensor(phi), adj.normalized()).value
