@@ -14,7 +14,8 @@ Layout (all integers little-endian):
     crc     u32 CRC32 of every preceding byte
 
 Round-tripping save -> load -> save is byte-identical; parameter order and
-JSON key order are fixed. Loading verifies magic, version and CRC and can
+JSON key order are fixed. Saving goes through formats.write_atomic, so a
+crash leaves the old file or the new one. Loading verifies magic, version and CRC and can
 additionally pin the checkpoint to an expected skeleton.
 """
 
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptCheckpoint, SkeletonMismatch, VersionMismatch
+from .formats import write_atomic
 from .graph_encoder import EncoderConfig
 from .skeleton import SkeletonStructure
 
@@ -87,8 +89,7 @@ def save_checkpoint(path, ckpt):
             blob += struct.pack("<I", d)
         blob += arr.tobytes()
     blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    write_atomic(path, bytes(blob))
 
 
 class _Reader:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 
@@ -60,6 +61,37 @@ def _require(condition, message):
         raise UsageError(message)
 
 
+def _checked(convert, ok, want):
+    """An argparse type: convert the text, then require ok(value), else a usage error naming `want`."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+
+    return parse
+
+
+def _int_at_least(low):
+    return _checked(int, lambda v: v >= low, f"an integer >= {low}")
+
+
+def _widths(text):
+    return [int(c) for c in text.split(",") if c]
+
+
+NONNEGATIVE_INT = _int_at_least(0)
+ODD_INT = _checked(int, lambda v: v > 0 and v % 2 == 1, "a positive odd integer")
+POSITIVE_FLOAT = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+NONNEGATIVE_FLOAT = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+# kept as the string given, so the config hash of a run does not depend on the check
+WIDTHS = _checked(str, lambda text: min(_widths(text), default=0) > 0, "comma-separated integers > 0")
+
+
 def _structure_from(args):
     if getattr(args, "structure", None):
         return formats.read_structure_file(args.structure)
@@ -72,8 +104,6 @@ def _structure_from(args):
 
 
 def cmd_simulate(args):
-    _require(args.fs > 0, "--fs must be positive")
-    _require(args.sigma_accel >= 0 and args.sigma_gyro >= 0, "noise sigmas must be >= 0")
     _banner("simulate", args)
     if not any(n.endswith(SKELETON_EXT) for n in os.listdir(args.skeleton_dir)):
         raise PipelineError(f"no {SKELETON_EXT} files in {args.skeleton_dir}")
@@ -93,22 +123,15 @@ def cmd_simulate(args):
 
 
 def _encoder_config(args, embed_dim):
-    channels = [int(c) for c in args.channels.split(",") if c]
-    _require(channels, "--channels needs at least one width")
     blocks, c_in = [], 6
-    for c_out in channels:
+    for c_out in _widths(args.channels):
         blocks.append((c_in, c_out, args.kt))
         c_in = c_out
     return EncoderConfig(blocks=tuple(blocks), partition=args.partition, embedding_dim=embed_dim)
 
 
 def cmd_pretrain(args):
-    _require(args.batch >= 2, "--batch must be >= 2")
-    _require(args.epochs >= 0, "--epochs must be >= 0")
-    _require(args.lr > 0, "--lr must be positive")
-    _require(args.mask_min >= 1, "--mask-min must be >= 1 (joints are 1..V)")
     _require(args.mask_max >= args.mask_min, "--mask-max must be >= --mask-min")
-    _require(args.kt % 2 == 1, "--kt must be odd")
     table = formats.read_embedding_file(args.embeddings)
     if args.l2_normalize_text:
         table = table.l2_normalized()
@@ -195,9 +218,6 @@ def cmd_zero_shot(args):
 
 
 def cmd_finetune(args):
-    _require(args.epochs >= 0, "--epochs must be >= 0")
-    _require(args.lr > 0, "--lr must be positive")
-    _require(args.batch >= 1, "--batch must be >= 1")
     model, dataset = _model_and_dataset("finetune", args)
     names = tuple(sorted({label for _, label in dataset}))
     if model.ckpt.label_names is not None:
@@ -237,15 +257,15 @@ def build_parser():
 
     def common(p):
         p.add_argument("--config", help="flat key=value file pre-setting any flag")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
 
     p = sub.add_parser("simulate", help="synthesize sensor recordings from skeleton files")
     common(p)
     p.add_argument("--skeleton-dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--fs", type=float, default=20.0)
-    p.add_argument("--sigma-accel", type=float, default=0.05)
-    p.add_argument("--sigma-gyro", type=float, default=0.005)
+    p.add_argument("--fs", type=POSITIVE_FLOAT, default=20.0)
+    p.add_argument("--sigma-accel", type=NONNEGATIVE_FLOAT, default=0.05)
+    p.add_argument("--sigma-gyro", type=NONNEGATIVE_FLOAT, default=0.005)
     p.add_argument("--gravity", action="store_true")
     p.add_argument("--binary", action="store_true")
     p.set_defaults(func=cmd_simulate)
@@ -256,21 +276,21 @@ def build_parser():
     p.add_argument("--desc", required=True, help="description assignment file")
     p.add_argument("--embeddings", required=True, help="text embedding file")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--lr", type=float, default=0.0001)
-    p.add_argument("--mask-min", type=int, default=1)
+    p.add_argument("--epochs", type=NONNEGATIVE_INT, default=1)
+    p.add_argument("--batch", type=_int_at_least(2), default=64)
+    p.add_argument("--lr", type=POSITIVE_FLOAT, default=0.0001)
+    p.add_argument("--mask-min", type=_int_at_least(1), default=1, help="joints are 1..V")
     p.add_argument("--mask-max", type=int, default=5)
     p.add_argument("--no-rot-aug", action="store_true")
     p.add_argument("--no-text-aug", action="store_true")
     p.add_argument("--symmetric-loss", action="store_true")
-    p.add_argument("--fs", type=float, default=20.0)
-    p.add_argument("--sigma-accel", type=float, default=0.05)
-    p.add_argument("--sigma-gyro", type=float, default=0.005)
+    p.add_argument("--fs", type=POSITIVE_FLOAT, default=20.0)
+    p.add_argument("--sigma-accel", type=NONNEGATIVE_FLOAT, default=0.05)
+    p.add_argument("--sigma-gyro", type=NONNEGATIVE_FLOAT, default=0.005)
     p.add_argument("--gravity", action="store_true")
     p.add_argument("--structure", help="skeleton structure override file")
-    p.add_argument("--channels", default="32,64", help="comma-separated block widths")
-    p.add_argument("--kt", type=int, default=9, help="temporal kernel size (odd)")
+    p.add_argument("--channels", type=WIDTHS, default="32,64", help="comma-separated block widths")
+    p.add_argument("--kt", type=ODD_INT, default=9, help="temporal kernel size (odd)")
     p.add_argument("--partition", choices=("uniform", "distance"), default="distance")
     p.add_argument("--trainable-text", action="store_true")
     p.add_argument("--l2-normalize-text", action="store_true")
@@ -281,7 +301,7 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--labels", required=True, help="label candidate embedding file")
-    p.add_argument("--window", type=int, default=0, help="override evaluation window length")
+    p.add_argument("--window", type=NONNEGATIVE_INT, default=0, help="override evaluation window length")
     p.add_argument("--report", help="write metrics to a key-value file")
     p.add_argument("--l2-normalize-text", action="store_true")
     p.set_defaults(func=cmd_zero_shot)
@@ -291,10 +311,10 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--lr", type=float, default=0.0001)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--window", type=int, default=0)
+    p.add_argument("--epochs", type=NONNEGATIVE_INT, default=50)
+    p.add_argument("--lr", type=POSITIVE_FLOAT, default=0.0001)
+    p.add_argument("--batch", type=_int_at_least(1), default=16)
+    p.add_argument("--window", type=NONNEGATIVE_INT, default=0)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
@@ -302,19 +322,17 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--labels", help="label embeddings (zero-shot models)")
-    p.add_argument("--window", type=int, default=0)
+    p.add_argument("--window", type=NONNEGATIVE_INT, default=0)
     p.add_argument("--report", help="write metrics to a key-value file")
     p.add_argument("--l2-normalize-text", action="store_true")
     p.set_defaults(func=cmd_eval)
     return parser
 
 
-def _config_tokens(parser, args):
-    """The key=value lines of args.config as flags of args.command."""
-    sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    subparser = sub_actions[0].choices[args.command]
+def _config_tokens(subparser, path):
+    """The key=value lines of the config file at path as flags of subparser."""
     tokens = []
-    for key, raw in formats.read_config_file(args.config).items():
+    for key, raw in formats.read_config_file(path).items():
         dest = key.replace("-", "_")
         action = next((a for a in subparser._actions if a.dest == dest), None)
         if action is None:
@@ -332,13 +350,18 @@ def _config_tokens(parser, args):
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    # knows only --config, so the file is found (also as --config=f or --conf f)
+    # before any flag it may supply is required
+    config_parser = Parser(add_help=False)
+    config_parser.add_argument("--config")
     try:
-        args = parser.parse_args(argv)
-        if args.config:
+        config = config_parser.parse_known_args(argv)[0].config
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        if config and argv[0] in subparsers.choices:
             # file values go right after the subcommand, so argparse checks them
             # like typed flags and the command line's own flags still win
-            at = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:at] + _config_tokens(parser, args) + argv[at:])
+            argv = argv[:1] + _config_tokens(subparsers.choices[argv[0]], config) + argv[1:]
+        args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,12 +1,13 @@
 """Disk-backed dataset assembly for the command-line pipeline.
 
 Pre-training data comes either from a directory of skeleton motion files
-(simulated on first use, cached under .simcache keyed by content hash,
-sorted file index, rate, noise levels, seed and gravity) or from a
-directory of already simulated time-series files. Evaluation data is
-described by a manifest referencing per-device recordings, which are
-unit-scaled, resampled to the model rate, assigned to skeleton joints and
-cut into windows; a warning reports the tail frames the windows leave out.
+(simulated on first use, each from its own content, and cached under
+.simcache keyed by simulator version, content hash, rate, noise levels, seed
+and gravity) or from a directory of already simulated time-series files.
+Evaluation data is described by a manifest referencing per-device
+recordings, which are unit-scaled, resampled to the model rate, assigned to
+skeleton joints and cut into windows; a warning reports the tail frames the
+windows leave out.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .simulate import ACCEL, GYRO, MotionTimeSeries, NoiseParams, resample_serie
 
 SKELETON_EXT = ".skel"
 TIMESERIES_EXTS = (".ts", ".tsb")
+SIM_VERSION = 1  # heads every .simcache key; bump it when simulate.py changes its output
 
 
 def file_hash(path):
@@ -58,21 +60,19 @@ def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, 
 def simulate_skeleton_dir(data_dir, fs, noise, seed, gravity, cache):
     """One PretrainSample per skeleton file of data_dir, yielded in sorted name order.
 
-    The noise stream of file i is seeded with seed xor i, so results do not
-    depend on how work would be scheduled. With cache set, simulations are
-    kept under data_dir/.simcache and reused only when skeleton content,
-    sorted index, rate, noise levels, seed and gravity all match, so adding
-    or removing a file never serves another index's noise. Entries whose
-    content hash and index match no current file are deleted, with one
-    warning giving their count; entries of a current file at other rates,
-    noise levels, seeds or gravity settings stay.
+    A file's noise is seeded with the run seed and the file's content hash,
+    so its simulation depends on that file alone. With cache set, results
+    are kept under data_dir/.simcache, keyed by exactly the simulation's
+    inputs: SIM_VERSION, content hash, rate, noise levels, seed and gravity.
+    Entries that do not start with SIM_VERSION and a current file's hash are
+    deleted, with one warning giving their count.
     """
     skel_files = sorted(n for n in os.listdir(data_dir) if n.endswith(SKELETON_EXT))
     hashes = [file_hash(os.path.join(data_dir, name)) for name in skel_files]
     cache_dir = os.path.join(data_dir, ".simcache")
     if cache:
         os.makedirs(cache_dir, exist_ok=True)
-        live = tuple(f"{digest}_i{index}_" for index, digest in enumerate(hashes))
+        live = tuple(f"v{SIM_VERSION}_{digest}_" for digest in hashes)
         orphans = [n for n in os.listdir(cache_dir) if n.endswith(".tsb") and not n.startswith(live)]
         for name in orphans:
             os.remove(os.path.join(cache_dir, name))
@@ -81,28 +81,22 @@ def simulate_skeleton_dir(data_dir, fs, noise, seed, gravity, cache):
                 f"{cache_dir}: removed {len(orphans)} entries that no current {SKELETON_EXT} file maps to",
                 stacklevel=2,
             )
-    for index, (name, digest) in enumerate(zip(skel_files, hashes)):
-        path = os.path.join(data_dir, name)
-        seq_id = name[: -len(SKELETON_EXT)]
-        key = (
-            f"{digest}_i{index}_fs{fs!r}_sa{noise.sigma_accel!r}_sg{noise.sigma_gyro!r}"
-            f"_seed{seed}_g{int(gravity)}"
-        )
-        cache_path = os.path.join(cache_dir, key + ".tsb")
+    inputs = f"fs{fs!r}_sa{noise.sigma_accel!r}_sg{noise.sigma_gyro!r}_seed{seed}_g{int(gravity)}.tsb"
+    for name, digest in zip(skel_files, hashes):
+        cache_path = os.path.join(cache_dir, f"v{SIM_VERSION}_{digest}_{inputs}")
         if cache and os.path.exists(cache_path):
             series = formats.read_timeseries_file(cache_path)
         else:
-            seq = formats.read_skeleton_file(path)
             series = simulate_sequence(
-                seq,
+                formats.read_skeleton_file(os.path.join(data_dir, name)),
                 noise=noise,
                 target_fs=fs,
-                rng=np.random.default_rng(seed ^ index),
+                rng=np.random.default_rng([seed, int(digest, 16)]),
                 gravity=gravity,
             )
             if cache:
                 formats.write_timeseries_file(cache_path, series, binary=True)
-        yield PretrainSample(seq_id=seq_id, series=series)
+        yield PretrainSample(seq_id=name[: -len(SKELETON_EXT)], series=series)
 
 
 def _device_series_to_mapping_input(series, locations):

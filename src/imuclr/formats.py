@@ -9,6 +9,7 @@ text files are written with repr(), which round-trips float64 exactly.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -25,6 +26,26 @@ TIMESERIES_BINARY_VERSION = 1
 
 QUAT_NORM_OK = (0.9, 1.1)
 QUAT_NORM_MIN = 1e-6
+
+
+def write_atomic(path, data):
+    """Write bytes to path so that a crash leaves the old file or the new one, never a torn one.
+
+    The bytes go to a temporary file in path's directory, are flushed and
+    fsync'ed, and only then renamed over path; a failure removes the
+    temporary file.
+    """
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _read_lines(path):
@@ -51,6 +72,14 @@ def _ints(fields, path, line_no):
         raise ParseError(f"expected integers, got {fields!r}", path=path, line=line_no) from exc
 
 
+def _frame(line, width, path, line_no):
+    """The `width` floats of one frame line."""
+    fields = line.split()
+    if len(fields) != width:
+        raise ParseError(f"expected {width} values per frame, got {len(fields)}", path=path, line=line_no)
+    return np.array(_floats(fields, path, line_no))
+
+
 # ---------------------------------------------------------------------------
 # Skeleton motion files: header "V T fs", then T lines of 7*V reals
 # (px py pz qw qx qy qz per joint).
@@ -66,21 +95,18 @@ def read_skeleton_file(path):
         raise ParseError(f"header must be 'V T fs', got {lines[0]!r}", path=path, line=1)
     v, t = _ints(header[:2], path, 1)
     (fs,) = _floats(header[2:], path, 1)
-    if v < 1 or t < 3 or fs <= 0:
+    if v < 1 or t < 3 or not 0 < fs < np.inf:
         raise ParseError(f"invalid header values V={v} T={t} fs={fs}", path=path, line=1)
     if len(lines) < 1 + t:
         raise ParseError(f"expected {t} frame lines, file has {len(lines) - 1}", path=path, line=len(lines))
+    # the first frame's width is checked before V sizes any array
+    first = _frame(lines[1], 7 * v, path, 2)
     positions = np.empty((v, t, 3))
     orientations = np.empty((v, t, 4))
     off_norm_lines = []
     for i in range(t):
         line_no = 2 + i
-        fields = lines[1 + i].split()
-        if len(fields) != 7 * v:
-            raise ParseError(
-                f"expected {7 * v} values per frame, got {len(fields)}", path=path, line=line_no
-            )
-        row = np.array(_floats(fields, path, line_no)).reshape(v, 7)
+        row = (first if i == 0 else _frame(lines[1 + i], 7 * v, path, line_no)).reshape(v, 7)
         positions[:, i, :] = row[:, 0:3]
         quats = row[:, 3:7]
         norms = np.linalg.norm(quats, axis=1)
@@ -127,10 +153,8 @@ def write_timeseries_file(path, series, binary=False):
                 series.data.transpose(1, 2, 0).reshape(-1),
             ]
         )
-        with open(path, "wb") as fh:
-            fh.write(TIMESERIES_MAGIC)
-            fh.write(np.array([TIMESERIES_BINARY_VERSION], dtype="<u4").tobytes())
-            fh.write(payload.astype("<f8").tobytes())
+        version = np.array([TIMESERIES_BINARY_VERSION], dtype="<u4").tobytes()
+        write_atomic(path, TIMESERIES_MAGIC + version + payload.astype("<f8").tobytes())
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{v} {t} {float(series.sample_rate)!r} {c}\n")
@@ -185,7 +209,7 @@ def read_timeseries_file(path):
         v, t = _ints(header[:2], path, 1)
         (fs,) = _floats(header[2:3], path, 1)
         (c,) = _ints(header[3:], path, 1)
-        if v < 1 or t < 1 or c < 1 or fs <= 0:
+        if v < 1 or t < 1 or c < 1 or not 0 < fs < np.inf:
             raise ParseError(f"invalid header values V={v} T={t} fs={fs} C={c}", path=path, line=1)
         mask_fields = lines[1].split()
         if len(mask_fields) != v or any(f not in ("0", "1") for f in mask_fields):
@@ -193,16 +217,12 @@ def read_timeseries_file(path):
         mask = np.array([f == "1" for f in mask_fields])
         if len(lines) < 2 + t:
             raise ParseError(f"expected {t} frame lines, file has {len(lines) - 2}", path=path, line=len(lines))
+        # the first frame's width is checked before C and V size the array
+        first = _frame(lines[2], c * v, path, 3)
         data = np.empty((c, t, v))
         for i in range(t):
-            line_no = 3 + i
-            fields = lines[2 + i].split()
-            if len(fields) != c * v:
-                raise ParseError(
-                    f"expected {c * v} values per frame, got {len(fields)}", path=path, line=line_no
-                )
-            frame = np.array(_floats(fields, path, line_no)).reshape(v, c)
-            data[:, i, :] = frame.T
+            frame = first if i == 0 else _frame(lines[2 + i], c * v, path, 3 + i)
+            data[:, i, :] = frame.reshape(v, c).T
     if np.any(data[:, :, ~mask] != 0.0):
         raise ParseError("mask marks joints invisible but their channels are nonzero", path=path)
     return MotionTimeSeries(data, mask, fs)
@@ -286,7 +306,10 @@ def read_structure_file(path):
     lines = _read_lines(path)
     if not lines:
         raise ParseError("empty structure file", path=path, line=1)
-    (v,) = _ints(lines[0].split(), path, 1)
+    header = lines[0].split()
+    if len(header) != 1:
+        raise ParseError(f"header must be 'V', got {lines[0]!r}", path=path, line=1)
+    (v,) = _ints(header, path, 1)
     if v < 1 or len(lines) < 1 + v:
         raise ParseError(f"expected {v} joint lines", path=path, line=1)
     names = [None] * v
@@ -323,7 +346,7 @@ def read_mapping_file(path, structure):
         location, joint = parts
         if location in joint_for:
             raise ParseError(f"duplicate location {location!r}", path=path, line=line_no)
-        if joint.lstrip("-").isdigit():
+        if joint.removeprefix("-").isdecimal():  # what int() takes; "²" is a digit but not decimal
             idx = int(joint)
         else:
             try:
@@ -366,7 +389,9 @@ def read_manifest_file(path):
         if line.startswith("mapping\t") or line.startswith("mapping "):
             if mapping_path is not None:
                 raise ParseError("duplicate mapping line", path=path, line=line_no)
-            mapping_path = line.split(None, 1)[1].strip()
+            mapping_path = line[len("mapping") :].strip()
+            if not mapping_path:
+                raise ParseError("mapping line names no file", path=path, line=line_no)
             continue
         parts = line.split("\t")
         if parts[0] != "sample" or len(parts) != 6:
@@ -379,8 +404,8 @@ def read_manifest_file(path):
         locations = tuple(loc for loc in parts[3].split(",") if loc)
         if not locations:
             raise ParseError("sample needs at least one device location", path=path, line=line_no)
-        if fs <= 0:
-            raise ParseError(f"native fs must be positive, got {fs}", path=path, line=line_no)
+        if not 0 < fs < np.inf:
+            raise ParseError(f"native fs must be positive and finite, got {fs}", path=path, line=line_no)
         samples.append(
             ManifestSample(
                 data_path=parts[1], label=parts[2], locations=locations, native_fs=fs, unit_scale=scale

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,38 @@ def contract(t, seed=0):
     w = cotangent(t.shape, seed).reshape(-1, 1)
     row = ad.reshape(t, (1, w.shape[0]))
     return ad.reshape(ad.matmul(row, ad.Tensor(w)), ())
+
+
+class _TornFile:
+    """A binary file whose first write stores half its bytes and then raises, as a kill would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def write(self, data):
+        self.fh.write(bytes(data)[: len(data) // 2])
+        self.fh.flush()
+        raise OSError("writer killed midway")
+
+
+@contextlib.contextmanager
+def torn_writes():
+    """Within it, every file imuclr.formats opens for writing fails halfway through its first write."""
+    from imuclr import formats
+
+    def torn_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return fh if "r" in mode else _TornFile(fh)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "open", torn_open, raising=False)
+        yield

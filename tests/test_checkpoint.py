@@ -1,9 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_structure
+from conftest import chain_structure, torn_writes
 from imuclr.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from imuclr.errors import CorruptCheckpoint, SkeletonMismatch, VersionMismatch
 from imuclr.graph_encoder import EncoderConfig
@@ -34,6 +36,15 @@ def test_save_load_save_byte_identical(tmp_path):
     back = load_checkpoint(p1)
     save_checkpoint(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_interrupted_save_keeps_the_old_checkpoint(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, sample_checkpoint())
+    old = path.read_bytes()
+    with torn_writes(), pytest.raises(OSError, match="killed midway"):
+        save_checkpoint(path, sample_checkpoint(np.random.default_rng(1)))
+    assert path.read_bytes() == old and os.listdir(tmp_path) == ["m.ckpt"]
 
 
 def test_load_restores_everything(tmp_path):

@@ -310,3 +310,49 @@ def test_zero_shot_window_flag(workspace, capsys):
     ])
     assert code == 0
     capsys.readouterr()
+
+
+def test_config_file_supplies_required_flags(workspace, tmp_path, capsys):
+    cfg = workspace["root"] / "sim.cfg"
+    cfg.write_text(f"skeleton-dir = {workspace['skel_dir']}\nout = {tmp_path / 'file'}\nseed = 2\n")
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    flags = ["simulate", "--skeleton-dir", str(workspace["skel_dir"]), "--out", str(tmp_path / "flag")]
+    assert main(flags + ["--seed", "2"]) == 0
+    capsys.readouterr()
+    for name in ("seq0.ts", "seq3.ts"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("pretrain", "channels", "a"),
+        ("pretrain", "channels", "0"),
+        ("pretrain", "kt", "-1"),
+        ("pretrain", "fs", "inf"),
+        ("pretrain", "seed", "-1"),
+        ("simulate", "seed", "-1"),
+        ("simulate", "sigma-accel", "inf"),
+        ("zero-shot", "window", "-1"),
+    ],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bad_flag_values_are_usage_errors(workspace, tmp_path, capsys, command, flag, value, source):
+    # checked where the flag is declared: exit 1 before the banner and before any file is read
+    if command == "pretrain":
+        args = pretrain_args(workspace)
+    elif command == "simulate":
+        args = ["simulate", "--skeleton-dir", str(workspace["skel_dir"]), "--out", str(tmp_path / "sim")]
+    else:
+        args = ["zero-shot", "--model", str(tmp_path / "absent.ckpt"), "--manifest", str(workspace["manifest"]),
+                "--labels", str(workspace["emb"])]
+    if source == "flag":
+        args += [f"--{flag}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag} = {value}\n")
+        args += ["--config", str(cfg)]
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert f"--{flag}" in err and "run " not in out
+    assert not (workspace["skel_dir"] / ".simcache").exists() and not (tmp_path / "sim").exists()

@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import chain_structure
-from imuclr import formats
-from imuclr.datasets import load_eval_dataset, load_pretrain_samples
+from conftest import chain_structure, torn_writes
+from imuclr import datasets, formats
+from imuclr.datasets import file_hash, load_eval_dataset, load_pretrain_samples
 from imuclr.errors import ParseError, ShapeMismatch
 from imuclr.simulate import MotionTimeSeries, NoiseParams
 from imuclr.toy import make_toy_sequence
@@ -42,23 +42,35 @@ def test_cache_key_respects_seed_and_sigma(skel_dir):
     assert len(list((skel_dir / ".simcache").glob("*.tsb"))) == 9
 
 
-def test_noise_stream_is_per_sequence_index(skel_dir):
-    # same content hashed per file, noise seeded with seed xor index
-    samples = load_pretrain_samples(skel_dir, fs=20.0, noise=NoiseParams(0.5, 0.0), seed=0, cache=False)
-    assert not np.array_equal(samples[0].series.data, samples[1].series.data)
-
-
-def test_cache_key_includes_sorted_index(skel_dir):
-    # a.skel, a copy of s1.skel, sorts first and shifts every index (and noise seed) by one
-    load_pretrain_samples(skel_dir, seed=1)
-    shutil.copyfile(skel_dir / "s1.skel", skel_dir / "a.skel")
-    with pytest.warns(UserWarning, match="removed 3 entries"):
-        warm = load_pretrain_samples(skel_dir, seed=1)
-    fresh = load_pretrain_samples(skel_dir, seed=1, cache=False)
-    assert [s.seq_id for s in warm] == ["a", "s0", "s1", "s2"]
+def test_noise_stream_is_per_file_content(skel_dir):
+    # noise is seeded with the run seed and the content hash: a copy under another
+    # name gets the same noise and shares its cache entry, other files do not
+    shutil.copyfile(skel_dir / "s1.skel", skel_dir / "copy.skel")
+    fresh = load_pretrain_samples(skel_dir, fs=20.0, noise=NoiseParams(0.5, 0.0), seed=0, cache=False)
+    assert [s.seq_id for s in fresh] == ["copy", "s0", "s1", "s2"]
+    assert np.array_equal(fresh[0].series.data, fresh[2].series.data)
+    assert not np.array_equal(fresh[1].series.data, fresh[2].series.data)
+    warm = load_pretrain_samples(skel_dir, fs=20.0, noise=NoiseParams(0.5, 0.0), seed=0)
+    assert len(list((skel_dir / ".simcache").glob("*.tsb"))) == 3
     for w, f in zip(warm, fresh):
         assert np.array_equal(w.series.data, f.series.data), w.seq_id
-    assert not np.array_equal(warm[0].series.data, warm[2].series.data)
+
+
+def test_adding_a_file_leaves_other_files_alone(skel_dir):
+    cache = skel_dir / ".simcache"
+    before = {s.seq_id: s.series.data for s in load_pretrain_samples(skel_dir, seed=1)}
+    entries = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in cache.glob("*.tsb")}
+    # new content whose name sorts before every other file
+    formats.write_skeleton_file(skel_dir / "a.skel", make_toy_sequence(1, np.random.default_rng(9), duration=0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        after = load_pretrain_samples(skel_dir, seed=1)
+    assert [s.seq_id for s in after] == ["a", "s0", "s1", "s2"]
+    for sample in after[1:]:
+        assert np.array_equal(sample.series.data, before[sample.seq_id]), sample.seq_id
+    for name, (data, mtime) in entries.items():
+        assert (cache / name).read_bytes() == data and (cache / name).stat().st_mtime_ns == mtime, name
+    assert len(list(cache.glob("*.tsb"))) == 4
 
 
 def test_orphaned_cache_entries_are_removed(skel_dir):
@@ -69,11 +81,33 @@ def test_orphaned_cache_entries_are_removed(skel_dir):
         warnings.simplefilter("error")  # a current file's entries at another rate are not orphans
         load_pretrain_samples(skel_dir, seed=1)
     assert len(list(cache.glob("*.tsb"))) == 6
-    # a.skel sorts first and moves s0..s2 to indices 1..3, orphaning all six entries
-    shutil.copyfile(skel_dir / "s1.skel", skel_dir / "a.skel")
-    with pytest.warns(UserWarning, match="removed 6 entries"):
+    # an entry named by content hash and sorted index, with no SIM_VERSION head, is an orphan too
+    digest = file_hash(skel_dir / "s0.skel")
+    (cache / f"{digest}_i0_fs20.0_sa0.05_sg0.005_seed1_g0.tsb").write_bytes(b"UMTS")
+    os.remove(skel_dir / "s1.skel")
+    with pytest.warns(UserWarning, match="removed 3 entries"):
         load_pretrain_samples(skel_dir, seed=1)
     assert len(list(cache.glob("*.tsb"))) == 4
+
+
+def test_cache_serves_no_entry_of_another_simulator_version(skel_dir, monkeypatch):
+    first = load_pretrain_samples(skel_dir, seed=1)
+    monkeypatch.setattr(datasets, "SIM_VERSION", datasets.SIM_VERSION + 1)
+    with pytest.warns(UserWarning, match="removed 3 entries"):
+        again = load_pretrain_samples(skel_dir, seed=1)
+    assert len(list((skel_dir / ".simcache").glob("*.tsb"))) == 3
+    for a, b in zip(first, again):
+        assert np.array_equal(a.series.data, b.series.data)
+
+
+def test_interrupted_cache_write_leaves_no_entry(skel_dir):
+    with torn_writes(), pytest.raises(OSError, match="killed midway"):
+        load_pretrain_samples(skel_dir, seed=1)
+    assert os.listdir(skel_dir / ".simcache") == []
+    loaded = load_pretrain_samples(skel_dir, seed=1)
+    fresh = load_pretrain_samples(skel_dir, seed=1, cache=False)
+    for a, b in zip(loaded, fresh):
+        assert np.array_equal(a.series.data, b.series.data)
 
 
 def test_load_from_timeseries_dir(tmp_path, rng):

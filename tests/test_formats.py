@@ -14,6 +14,7 @@ from imuclr.errors import (
     UnknownLocation,
 )
 from imuclr.simulate import MotionTimeSeries, SkeletonSequence
+from imuclr.skeleton import body22
 from imuclr.text_embeddings import DescriptionSet, TextEmbeddingTable
 
 
@@ -277,7 +278,39 @@ READERS = [
     formats.read_description_file,
     formats.read_manifest_file,
     formats.read_config_file,
+    formats.read_structure_file,
+    lambda path: formats.read_mapping_file(path, body22()),
 ]
+
+SKEL_FRAME = "0 0 0 1 0 0 0\n"
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        # header sizes that no frame line holds: rejected before arrays are allocated
+        (formats.read_skeleton_file, "1000000000000 3 20\n" + 3 * SKEL_FRAME),
+        (formats.read_timeseries_file, "1 1 20 1000000000000\n1\n0 0 0 0 0 0\n"),
+        # a digit that int() does not take, read as a joint name
+        (lambda path: formats.read_mapping_file(path, body22()), "wrist \u00b2\n"),
+        # non-finite rates
+        (formats.read_skeleton_file, "1 3 nan\n" + 3 * SKEL_FRAME),
+        (formats.read_skeleton_file, "1 3 inf\n" + 3 * SKEL_FRAME),
+        (formats.read_timeseries_file, "1 1 nan 6\n1\n0 0 0 0 0 0\n"),
+        (formats.read_timeseries_file, "1 1 inf 6\n1\n0 0 0 0 0 0\n"),
+        (formats.read_manifest_file, "mapping m.txt\nsample\tr.ts\tw\twrist\tnan\t1\n"),
+        # a header of two numbers
+        (formats.read_structure_file, "1 2\n0 root -1\n"),
+        (formats.read_manifest_file, "mapping \nsample\tr.ts\tw\twrist\t50\t1\n"),
+    ],
+    ids=["skel-huge-V", "ts-huge-C", "mapping-superscript", "skel-fs-nan", "skel-fs-inf", "ts-fs-nan",
+         "ts-fs-inf", "manifest-fs-nan", "structure-two-field-header", "manifest-empty-mapping"],
+)
+def test_reader_rejects_header_and_field_values(tmp_path, reader, text):
+    path = tmp_path / "f.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError):
+        reader(path)
 
 
 @given(st.binary(max_size=300))
