@@ -77,7 +77,28 @@ def _frame(line, width, path, line_no):
     fields = line.split()
     if len(fields) != width:
         raise ParseError(f"expected {width} values per frame, got {len(fields)}", path=path, line=line_no)
-    return np.array(_floats(fields, path, line_no))
+    return _floats(fields, path, line_no)
+
+
+def _frames(lines, width, path, first_line_no):
+    """The (len(lines), width) floats of a block of frame lines.
+
+    One loadtxt call parses a valid block. A block it rejects or reads to
+    another shape (a blank line, a wrong value count, a token that float()
+    takes and numpy does not, such as 1_0) goes through _frame line by line,
+    which raises the located ParseError or parses it as float() does.
+    """
+    block = None
+    # a first line of the wrong width skips loadtxt: it sizes nothing from a
+    # bad header and never sees a block without data, which it warns about
+    if len(lines[0].split()) == width:
+        try:
+            block = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if block is None or block.shape != (len(lines), width):
+        block = np.array([_frame(line, width, path, first_line_no + i) for i, line in enumerate(lines)])
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -99,40 +120,33 @@ def read_skeleton_file(path):
         raise ParseError(f"invalid header values V={v} T={t} fs={fs}", path=path, line=1)
     if len(lines) < 1 + t:
         raise ParseError(f"expected {t} frame lines, file has {len(lines) - 1}", path=path, line=len(lines))
-    # the first frame's width is checked before V sizes any array
-    first = _frame(lines[1], 7 * v, path, 2)
-    positions = np.empty((v, t, 3))
-    orientations = np.empty((v, t, 4))
-    off_norm_lines = []
-    for i in range(t):
-        line_no = 2 + i
-        row = (first if i == 0 else _frame(lines[1 + i], 7 * v, path, line_no)).reshape(v, 7)
-        positions[:, i, :] = row[:, 0:3]
-        quats = row[:, 3:7]
-        norms = np.linalg.norm(quats, axis=1)
-        if np.any(norms < QUAT_NORM_MIN):
-            raise BadQuaternion("quaternion with (near-)zero norm", path=path, line=line_no)
-        if np.any((norms < QUAT_NORM_OK[0]) | (norms > QUAT_NORM_OK[1])):
-            off_norm_lines.append(line_no)
-        orientations[:, i, :] = quats / norms[:, None]
-    if off_norm_lines:
+    frames = _frames(lines[1 : 1 + t], 7 * v, path, 2).reshape(t, v, 7)
+    quats = frames[:, :, 3:7]
+    norms = np.linalg.norm(quats, axis=2)
+    zero = np.any(norms < QUAT_NORM_MIN, axis=1)
+    if zero.any():
+        raise BadQuaternion("quaternion with (near-)zero norm", path=path, line=2 + int(zero.argmax()))
+    off_norm = np.any((norms < QUAT_NORM_OK[0]) | (norms > QUAT_NORM_OK[1]), axis=1)
+    if off_norm.any():
         warnings.warn(
-            f"{path}:{off_norm_lines[0]}: quaternion norm outside {QUAT_NORM_OK} on "
-            f"{len(off_norm_lines)} of {t} frame lines (first shown), normalizing",
+            f"{path}:{2 + int(off_norm.argmax())}: quaternion norm outside {QUAT_NORM_OK} on "
+            f"{int(off_norm.sum())} of {t} frame lines (first shown), normalizing",
             stacklevel=2,
         )
+    positions = np.ascontiguousarray(frames[:, :, 0:3].transpose(1, 0, 2))
+    orientations = np.ascontiguousarray((quats / norms[:, :, None]).transpose(1, 0, 2))
     return SkeletonSequence(positions=positions, orientations=orientations, frame_rate=fs)
 
 
 def write_skeleton_file(path, seq):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{seq.num_joints} {seq.num_frames} {float(seq.frame_rate)!r}\n")
-        for i in range(seq.num_frames):
-            fields = []
-            for j in range(seq.num_joints):
-                fields += [repr(float(x)) for x in seq.positions[j, i]]
-                fields += [repr(float(x)) for x in seq.orientations[j, i]]
-            fh.write(" ".join(fields) + "\n")
+    lines = [f"{seq.num_joints} {seq.num_frames} {float(seq.frame_rate)!r}\n"]
+    for i in range(seq.num_frames):
+        fields = []
+        for j in range(seq.num_joints):
+            fields += [repr(float(x)) for x in seq.positions[j, i]]
+            fields += [repr(float(x)) for x in seq.orientations[j, i]]
+        lines.append(" ".join(fields) + "\n")
+    write_atomic(path, "".join(lines).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +170,13 @@ def write_timeseries_file(path, series, binary=False):
         version = np.array([TIMESERIES_BINARY_VERSION], dtype="<u4").tobytes()
         write_atomic(path, TIMESERIES_MAGIC + version + payload.astype("<f8").tobytes())
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{v} {t} {float(series.sample_rate)!r} {c}\n")
-        fh.write(" ".join("1" if m else "0" for m in series.mask) + "\n")
-        frame = series.data.transpose(1, 2, 0).reshape(t, v * c)
-        for i in range(t):
-            fh.write(" ".join(repr(float(x)) for x in frame[i]) + "\n")
+    lines = [
+        f"{v} {t} {float(series.sample_rate)!r} {c}\n",
+        " ".join("1" if m else "0" for m in series.mask) + "\n",
+    ]
+    frame = series.data.transpose(1, 2, 0).reshape(t, v * c)
+    lines += [" ".join(repr(float(x)) for x in frame[i]) + "\n" for i in range(t)]
+    write_atomic(path, "".join(lines).encode("utf-8"))
 
 
 def _parse_timeseries_binary(path):
@@ -217,12 +232,8 @@ def read_timeseries_file(path):
         mask = np.array([f == "1" for f in mask_fields])
         if len(lines) < 2 + t:
             raise ParseError(f"expected {t} frame lines, file has {len(lines) - 2}", path=path, line=len(lines))
-        # the first frame's width is checked before C and V size the array
-        first = _frame(lines[2], c * v, path, 3)
-        data = np.empty((c, t, v))
-        for i in range(t):
-            frame = first if i == 0 else _frame(lines[2 + i], c * v, path, 3 + i)
-            data[:, i, :] = frame.reshape(v, c).T
+        frames = _frames(lines[2 : 2 + t], c * v, path, 3)
+        data = np.ascontiguousarray(frames.reshape(t, v, c).transpose(2, 0, 1))
     if np.any(data[:, :, ~mask] != 0.0):
         raise ParseError("mask marks joints invisible but their channels are nonzero", path=path)
     return MotionTimeSeries(data, mask, fs)
@@ -262,10 +273,10 @@ def read_embedding_file(path):
 
 
 def write_embedding_file(path, table):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(table.entries)} {table.dim}\n")
-        for key, (text, vec) in table.entries.items():
-            fh.write(f"{key}\t{text}\t" + " ".join(repr(float(x)) for x in vec) + "\n")
+    lines = [f"{len(table.entries)} {table.dim}\n"]
+    for key, (text, vec) in table.entries.items():
+        lines.append(f"{key}\t{text}\t" + " ".join(repr(float(x)) for x in vec) + "\n")
+    write_atomic(path, "".join(lines).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +300,11 @@ def read_description_file(path):
 
 
 def write_description_file(path, ds):
-    with open(path, "w", encoding="utf-8") as fh:
-        for seq_id in ds.originals:
-            for text_id in ds.originals[seq_id]:
-                fh.write(f"{seq_id}\torig\t{text_id}\n")
-            for text_id in ds.paraphrases.get(seq_id, []):
-                fh.write(f"{seq_id}\tpara\t{text_id}\n")
+    lines = []
+    for seq_id in ds.originals:
+        lines += [f"{seq_id}\torig\t{text_id}\n" for text_id in ds.originals[seq_id]]
+        lines += [f"{seq_id}\tpara\t{text_id}\n" for text_id in ds.paraphrases.get(seq_id, [])]
+    write_atomic(path, "".join(lines).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +416,8 @@ def read_manifest_file(path):
             raise ParseError("sample needs at least one device location", path=path, line=line_no)
         if not 0 < fs < np.inf:
             raise ParseError(f"native fs must be positive and finite, got {fs}", path=path, line=line_no)
+        if not np.isfinite(scale):
+            raise ParseError(f"unit scale must be finite, got {scale}", path=path, line=line_no)
         samples.append(
             ManifestSample(
                 data_path=parts[1], label=parts[2], locations=locations, native_fs=fs, unit_scale=scale

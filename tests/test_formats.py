@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,6 +269,37 @@ def test_config_file(tmp_path):
         formats.read_config_file(p)
 
 
+def _descriptions():
+    ds = DescriptionSet()
+    ds.add("seq1", "t0")
+    ds.add("seq1", "t1", paraphrase=True)
+    return ds
+
+
+@pytest.mark.parametrize(
+    "write, value",
+    [
+        (formats.write_skeleton_file, SkeletonSequence(np.zeros((1, 3, 3)), np.tile([1.0, 0, 0, 0], (1, 3, 1)), 20.0)),
+        (formats.write_timeseries_file, MotionTimeSeries(np.ones((6, 2, 1)), np.ones(1, dtype=bool), 20.0)),
+        (formats.write_embedding_file, TextEmbeddingTable(dim=2, entries={"a": ("alpha", np.ones(2))})),
+        (formats.write_description_file, _descriptions()),
+    ],
+    ids=["skeleton", "timeseries-text", "embedding", "description"],
+)
+def test_text_writer_failure_keeps_old_file(tmp_path, monkeypatch, write, value):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"old contents\n")
+
+    def failing_fsync(fd):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk gone"):
+        write(path, value)
+    assert path.read_bytes() == b"old contents\n"
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
+
+
 # ---------------------------------------------------------------------------
 # fuzz: every reader fails cleanly on arbitrary bytes
 # ---------------------------------------------------------------------------
@@ -299,12 +332,16 @@ SKEL_FRAME = "0 0 0 1 0 0 0\n"
         (formats.read_timeseries_file, "1 1 nan 6\n1\n0 0 0 0 0 0\n"),
         (formats.read_timeseries_file, "1 1 inf 6\n1\n0 0 0 0 0 0\n"),
         (formats.read_manifest_file, "mapping m.txt\nsample\tr.ts\tw\twrist\tnan\t1\n"),
+        # non-finite unit scales, which would be multiplied into the accelerations
+        (formats.read_manifest_file, "mapping m.txt\nsample\tr.ts\tw\twrist\t50\tnan\n"),
+        (formats.read_manifest_file, "mapping m.txt\nsample\tr.ts\tw\twrist\t50\tinf\n"),
         # a header of two numbers
         (formats.read_structure_file, "1 2\n0 root -1\n"),
         (formats.read_manifest_file, "mapping \nsample\tr.ts\tw\twrist\t50\t1\n"),
     ],
     ids=["skel-huge-V", "ts-huge-C", "mapping-superscript", "skel-fs-nan", "skel-fs-inf", "ts-fs-nan",
-         "ts-fs-inf", "manifest-fs-nan", "structure-two-field-header", "manifest-empty-mapping"],
+         "ts-fs-inf", "manifest-fs-nan", "manifest-scale-nan", "manifest-scale-inf", "structure-two-field-header",
+         "manifest-empty-mapping"],
 )
 def test_reader_rejects_header_and_field_values(tmp_path, reader, text):
     path = tmp_path / "f.txt"
