@@ -269,6 +269,11 @@ def test_config_file(tmp_path):
         formats.read_config_file(p)
 
 
+# ---------------------------------------------------------------------------
+# text writers: a write that fails keeps the old file
+# ---------------------------------------------------------------------------
+
+
 def _descriptions():
     ds = DescriptionSet()
     ds.add("seq1", "t0")
