@@ -16,6 +16,7 @@ from imuclr.simulate import (
     linear_acceleration,
     linear_velocity,
     resample,
+    resample_series,
     simulate_sequence,
 )
 
@@ -311,3 +312,51 @@ def test_sequence_validation():
         SkeletonSequence(np.zeros((1, 2, 3)), identity_orientations(1, 2), 20.0)
     with pytest.raises(NonUnitQuaternion):
         SkeletonSequence(np.zeros((1, 5, 3)), np.full((1, 5, 4), 0.4), 20.0)
+
+
+def reference_simulate(seq, noise, target_fs, rng, gravity):
+    """simulate_sequence as a loop over joints, one (T, 3) or (T, 4) array at a time."""
+    v = seq.num_joints
+    data = np.zeros((6, seq.num_frames, v))
+    for j in range(v):
+        a_global = differentiate(seq.positions[j], seq.frame_rate, order=2)
+        if gravity:
+            a_global = a_global + simulate.GRAVITY
+        data[simulate.ACCEL, :, j] = quat.rotate_global_to_local(seq.orientations[j], a_global).T
+        qs = quat.enforce_continuity(seq.orientations[j])
+        dq = differentiate(qs, seq.frame_rate, order=1)
+        data[simulate.GYRO, :, j] = (2.0 * quat.quat_mul(quat.quat_conj(qs), dq))[:, 1:].T
+    series = MotionTimeSeries(data, np.ones(v, dtype=bool), seq.frame_rate)
+    if noise.sigma_accel > 0 or noise.sigma_gyro > 0:
+        series = add_noise(series, noise.sigma_accel, noise.sigma_gyro, rng)
+    if target_fs != seq.frame_rate:
+        series = resample_series(series, target_fs)
+    return series
+
+
+def sign_flipping_orientations(rng, v, t):
+    """(V, T, 4) unit quaternions along smooth paths, each one negated at random."""
+    qs = rng.standard_normal((v, 1, 4)) + 0.2 * rng.standard_normal((v, t, 4)).cumsum(axis=1)
+    qs /= np.linalg.norm(qs, axis=2, keepdims=True)
+    return qs * rng.choice([-1.0, 1.0], size=(v, t, 1))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    v=st.integers(1, 5),
+    t=st.integers(3, 40),
+    fs=st.sampled_from([20.0, 30.0, 59.94, 100.0]),
+    resampled=st.booleans(),
+    gravity=st.booleans(),
+    noisy=st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_simulate_equals_per_joint_loop(seed, v, t, fs, resampled, gravity, noisy):
+    rng = np.random.default_rng(seed)
+    seq = SkeletonSequence(rng.standard_normal((v, t, 3)).cumsum(axis=1), sign_flipping_orientations(rng, v, t), fs)
+    noise = NoiseParams(0.05, 0.005) if noisy else NoiseParams(0.0, 0.0)
+    target_fs = 20.0 if resampled else fs
+    got = simulate_sequence(seq, noise, target_fs, np.random.default_rng(seed), gravity=gravity)
+    want = reference_simulate(seq, noise, target_fs, np.random.default_rng(seed), gravity)
+    assert got.data.shape == want.data.shape and got.data.tobytes() == want.data.tobytes()
+    assert got.sample_rate == want.sample_rate and np.array_equal(got.mask, want.mask)
