@@ -46,10 +46,6 @@ def quat_conj(q):
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def quat_norm(q):
-    return np.linalg.norm(np.asarray(q, dtype=np.float64), axis=-1)
-
-
 def rotate_global_to_local(q, v):
     """Map global-frame vector(s) v into the local frame of orientation q.
 
@@ -59,18 +55,14 @@ def rotate_global_to_local(q, v):
     """
     q = np.asarray(q, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    norms = quat_norm(q)
-    if np.any(np.abs(norms - 1.0) > UNIT_TOL):
+    norms = np.linalg.norm(q, axis=-1)
+    # written so that a nan norm fails too
+    if not np.all(np.abs(norms - 1.0) <= UNIT_TOL):
         worst = float(np.max(np.abs(norms - 1.0)))
         raise NonUnitQuaternion(f"quaternion norm deviates from 1 by {worst:.3e}")
     pure = np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
     out = quat_mul(quat_mul(quat_conj(q), pure), q)
     return out[..., 1:]
-
-
-def rotate_local_to_global(q, v):
-    """Inverse of rotate_global_to_local: vector part of q (x) (0, v) (x) q*."""
-    return rotate_global_to_local(quat_conj(q), v)
 
 
 def quat_from_axis_angle(axis, angle):
@@ -114,17 +106,17 @@ def quats_to_matrices(qs):
 
 
 def enforce_continuity(qs):
-    """Resolve the q/-q double-cover ambiguity along a quaternion path.
+    """Resolve the q/-q double-cover ambiguity along quaternion paths.
 
     Flips the sign of q_t whenever dot(q_{t-1}, q_t) < 0 so consecutive
     dot products come out non-negative; the first element is never changed.
-    Idempotent. Input shape (T, 4); returns a new array.
+    Idempotent. Input shape (T, ..., 4), one path per trailing index, time
+    along axis 0; returns a new array.
     """
     qs = np.array(qs, dtype=np.float64)
-    if qs.ndim != 2 or qs.shape[1] != 4 or qs.shape[0] == 0:
-        raise ShapeMismatch(f"expected nonempty (T, 4) quaternion sequence, got {qs.shape}")
-    signs = np.ones(qs.shape[0])
-    dots = np.sum(qs[1:] * qs[:-1], axis=1)
+    if qs.ndim < 2 or qs.shape[-1] != 4 or qs.shape[0] == 0:
+        raise ShapeMismatch(f"expected nonempty (T, ..., 4) quaternion sequence, got {qs.shape}")
+    dots = np.sum(qs[1:] * qs[:-1], axis=-1)
     # a flip at t inverts the sign of every later raw dot product
-    signs[1:] = np.cumprod(np.where(dots < 0.0, -1.0, 1.0))
-    return qs * signs[:, None]
+    qs[1:] *= np.cumprod(np.where(dots < 0.0, -1.0, 1.0), axis=0)[..., None]
+    return qs

@@ -1,10 +1,10 @@
 """Inertial signal synthesis from skeleton motion.
 
-Per joint, linear velocity and acceleration come from the first and second
-time derivatives of global position rotated into the joint's local frame;
-angular velocity is twice the quaternion derivative pre-multiplied by the
-conjugate orientation. Zero-mean Gaussian sensor noise and resampling to a
-target rate complete the synthetic recording.
+For every joint at once, acceleration is the second time derivative of
+global position rotated into the joint's local frame; angular velocity is
+twice the quaternion derivative pre-multiplied by the conjugate orientation.
+Zero-mean Gaussian sensor noise and resampling to a target rate complete
+the synthetic recording.
 
 Channel layout everywhere: C=6 per joint, ordered ax ay az gx gy gz
 (acceleration in m/s^2, angular velocity in rad/s).
@@ -56,7 +56,8 @@ class SkeletonSequence:
         if not np.all(np.isfinite(self.positions)):
             raise NonFinite("positions contain NaN or Inf")
         norms = np.linalg.norm(self.orientations, axis=-1)
-        if np.any(np.abs(norms - 1.0) > quat.UNIT_TOL):
+        # written so that a nan norm fails too
+        if not np.all(np.abs(norms - 1.0) <= quat.UNIT_TOL):
             raise NonUnitQuaternion("orientation quaternions must be unit length")
 
     @property
@@ -113,18 +114,13 @@ class NoiseParams:
 
 
 def differentiate(series, fs, order):
-    """First or second time derivative of a (T, k) series sampled at fs Hz.
+    """First or second time derivative along axis 0 of a (T, ...) series sampled at fs Hz.
 
     Central differences at interior points; one-sided stencils at the two
     boundary points, chosen so polynomials of degree <= 2 differentiate
     exactly everywhere. Requires T >= 3.
     """
     x = np.asarray(series, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-        squeeze = True
-    else:
-        squeeze = False
     t = x.shape[0]
     if t < 3:
         raise TooShort(f"need at least 3 samples to differentiate, got {t}")
@@ -145,46 +141,7 @@ def differentiate(series, fs, order):
             # T == 3: the 3-point stencil is the unique quadratic fit
             out[0] = (x[0] - 2.0 * x[1] + x[2]) * fs2
             out[-1] = out[0]
-    return out[:, 0] if squeeze else out
-
-
-def linear_velocity(seq, joint):
-    """Local-frame velocity (T, 3) of one joint, m/s."""
-    v_global = differentiate(seq.positions[joint], seq.frame_rate, order=1)
-    return quat.rotate_global_to_local(seq.orientations[joint], v_global)
-
-
-def linear_acceleration(seq, joint, gravity=False):
-    """Local-frame acceleration (T, 3) of one joint, m/s^2.
-
-    Pure rotated second derivative of position. With gravity=True the
-    constant global gravity vector is rotated into the local frame and
-    added, mimicking what a physical accelerometer reports.
-    """
-    a_global = differentiate(seq.positions[joint], seq.frame_rate, order=2)
-    if gravity:
-        a_global = a_global + GRAVITY
-    return quat.rotate_global_to_local(seq.orientations[joint], a_global)
-
-
-def angular_velocity(seq, joint):
-    """Local-frame angular velocity (T, 3) of one joint, rad/s.
-
-    Vector part of 2 q* (x) dq/dt with dq/dt by the same difference stencils
-    as positions. Sign continuity is enforced first (idempotent), otherwise
-    the double cover would corrupt the derivative.
-    """
-    qs = quat.enforce_continuity(seq.orientations[joint])
-    dq = differentiate(qs, seq.frame_rate, order=1)
-    omega = 2.0 * quat.quat_mul(quat.quat_conj(qs), dq)
-    return omega[..., 1:]
-
-
-def angular_velocity_scalar_residual(seq, joint):
-    """Scalar part of 2 q* (x) dq/dt; near zero for smooth unit-norm curves."""
-    qs = quat.enforce_continuity(seq.orientations[joint])
-    dq = differentiate(qs, seq.frame_rate, order=1)
-    return 2.0 * quat.quat_mul(quat.quat_conj(qs), dq)[..., 0]
+    return out
 
 
 def add_noise(x, sigma_accel, sigma_gyro, rng):
@@ -237,19 +194,27 @@ def resample_series(series, fs_out):
 def simulate_sequence(seq, noise=None, target_fs=20.0, rng=None, gravity=False):
     """Full synthetic recording for every joint of a skeleton sequence.
 
-    Assembles [accel; gyro] channels per joint, adds sensor noise, then
-    resamples to target_fs. Velocities are computed on demand through
-    linear_velocity but are not emitted as channels. The returned mask is
-    all-true. With zero noise the result is independent of rng.
+    Computes [accel; gyro] channels for all joints at once on (T, V, .)
+    arrays, adds sensor noise, then resamples to target_fs. Acceleration is
+    the second derivative of position, plus global gravity if gravity=True
+    (as a physical accelerometer reports), in the joint's local frame.
+    Angular velocity is the vector part of 2 q* (x) dq/dt, with sign
+    continuity enforced on q first, since the double cover would otherwise
+    corrupt the derivative. The returned mask is all-true. With zero noise
+    the result is independent of rng.
     """
     if noise is None:
         noise = NoiseParams()
-    v = seq.num_joints
-    data = np.zeros((6, seq.num_frames, v))
-    for j in range(v):
-        data[ACCEL, :, j] = linear_acceleration(seq, j, gravity=gravity).T
-        data[GYRO, :, j] = angular_velocity(seq, j).T
-    series = MotionTimeSeries(data, np.ones(v, dtype=bool), seq.frame_rate)
+    orientations = seq.orientations.transpose(1, 0, 2)
+    a_global = differentiate(seq.positions.transpose(1, 0, 2), seq.frame_rate, order=2)
+    if gravity:
+        a_global = a_global + GRAVITY
+    qs = quat.enforce_continuity(orientations)
+    dq = differentiate(qs, seq.frame_rate, order=1)
+    data = np.empty((6, seq.num_frames, seq.num_joints))
+    data[ACCEL] = quat.rotate_global_to_local(orientations, a_global).transpose(2, 0, 1)
+    data[GYRO] = (2.0 * quat.quat_mul(quat.quat_conj(qs), dq))[..., 1:].transpose(2, 0, 1)
+    series = MotionTimeSeries(data, np.ones(seq.num_joints, dtype=bool), seq.frame_rate)
     if noise.sigma_accel > 0 or noise.sigma_gyro > 0:
         if rng is None:
             raise ValueError("rng is required when noise sigmas are positive")

@@ -10,11 +10,7 @@ from imuclr.simulate import (
     NoiseParams,
     SkeletonSequence,
     add_noise,
-    angular_velocity,
-    angular_velocity_scalar_residual,
     differentiate,
-    linear_acceleration,
-    linear_velocity,
     resample,
     resample_series,
     simulate_sequence,
@@ -83,36 +79,32 @@ def test_differentiate_too_short():
 
 
 # ---------------------------------------------------------------------------
-# velocity / acceleration / angular velocity
+# acceleration / angular velocity of one joint
 # ---------------------------------------------------------------------------
 
 
-def test_stationary_joint_zero_velocity_and_acceleration():
+def accel_and_gyro(seq, gravity=False):
+    """(T, 3) acceleration and angular velocity of joint 0, noise-free at the sequence's own rate."""
+    out = simulate_sequence(seq, noise=NoiseParams(0.0, 0.0), target_fs=seq.frame_rate, gravity=gravity)
+    return out.data[simulate.ACCEL, :, 0].T, out.data[simulate.GYRO, :, 0].T
+
+
+def test_stationary_joint_zero_acceleration():
     seq = single_joint_sequence(np.tile([1.0, 2.0, 3.0], (6, 1)), 20.0)
-    assert np.allclose(linear_velocity(seq, 0), 0.0)
-    assert np.allclose(linear_acceleration(seq, 0), 0.0)
+    assert np.allclose(accel_and_gyro(seq)[0], 0.0)
 
 
-def test_velocity_of_ramp():
-    fs = 20.0
-    t = np.arange(8) / fs
-    pos = np.stack([t, np.zeros_like(t), np.zeros_like(t)], axis=1)
-    seq = single_joint_sequence(pos, fs)
-    v = linear_velocity(seq, 0)
-    assert np.allclose(v, [1.0, 0.0, 0.0], atol=1e-9)
-
-
-def test_velocity_constant_in_rotated_frame():
+def test_acceleration_constant_in_rotated_frame():
     fs = 50.0
     u = np.array([0.3, -0.2, 0.5])
     t = np.arange(10)[:, None] / fs
-    pos = t * u
+    pos = 0.5 * t**2 * u
     q = quat.sample_unit_quaternions(1, np.random.default_rng(8))[0]
     ori = np.tile(q, (10, 1))
     seq = single_joint_sequence(pos, fs, ori)
-    v = linear_velocity(seq, 0)
+    a = accel_and_gyro(seq)[0]
     expected = quat.rotate_global_to_local(q, u)
-    assert np.allclose(v, expected, atol=1e-9)
+    assert np.allclose(a, expected, atol=1e-9)
 
 
 def test_centripetal_acceleration_circle():
@@ -120,7 +112,7 @@ def test_centripetal_acceleration_circle():
     t = np.arange(t_n) / fs
     pos = np.stack([r * np.cos(omega * t), r * np.sin(omega * t), np.zeros_like(t)], axis=1)
     seq = single_joint_sequence(pos, fs)
-    a = np.linalg.norm(linear_acceleration(seq, 0), axis=1)[1:-1]
+    a = np.linalg.norm(accel_and_gyro(seq)[0], axis=1)[1:-1]
     assert np.abs(a - r * omega**2).max() <= 0.01 * r * omega**2
 
 
@@ -129,19 +121,19 @@ def test_uniform_acceleration_exact():
     t = np.arange(10) / fs
     pos = np.stack([0.5 * g * t**2, np.zeros_like(t), np.zeros_like(t)], axis=1)
     seq = single_joint_sequence(pos, fs)
-    assert np.allclose(linear_acceleration(seq, 0), [g, 0.0, 0.0], atol=1e-9)
+    assert np.allclose(accel_and_gyro(seq)[0], [g, 0.0, 0.0], atol=1e-9)
 
 
 def test_gravity_flag_adds_rotated_gravity():
     seq = single_joint_sequence(np.zeros((6, 3)), 20.0)
-    a = linear_acceleration(seq, 0, gravity=True)
+    a = accel_and_gyro(seq, gravity=True)[0]
     assert np.allclose(a, [0.0, 0.0, -9.81])
 
 
 def test_constant_orientation_zero_angular_velocity():
     q = quat.sample_unit_quaternions(1, np.random.default_rng(2))[0]
     seq = single_joint_sequence(np.zeros((8, 3)), 20.0, np.tile(q, (8, 1)))
-    assert np.allclose(angular_velocity(seq, 0), 0.0, atol=1e-12)
+    assert np.allclose(accel_and_gyro(seq)[1], 0.0, atol=1e-12)
 
 
 def test_spin_about_z_factor_two():
@@ -149,10 +141,8 @@ def test_spin_about_z_factor_two():
     t = np.arange(t_n) / fs
     q = np.stack([np.cos(omega * t / 2), np.zeros_like(t), np.zeros_like(t), np.sin(omega * t / 2)], axis=1)
     seq = single_joint_sequence(np.zeros((t_n, 3)), fs, q)
-    w = angular_velocity(seq, 0)[1:-1]
+    w = accel_and_gyro(seq)[1][1:-1]
     assert np.abs(w - [0.0, 0.0, omega]).max() < 1e-3
-    resid = angular_velocity_scalar_residual(seq, 0)[1:-1]
-    assert np.abs(resid).max() < 1e-3
 
 
 # ---------------------------------------------------------------------------
