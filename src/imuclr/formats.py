@@ -81,12 +81,13 @@ def _frame(line, width, path, line_no):
 
 
 def _frames(lines, width, path, first_line_no):
-    """The (len(lines), width) floats of a block of frame lines.
+    """The (len(lines), width) finite floats of a block of frame lines.
 
     One loadtxt call parses a valid block. A block it rejects or reads to
     another shape (a blank line, a wrong value count, a token that float()
     takes and numpy does not, such as 1_0) goes through _frame line by line,
-    which raises the located ParseError or parses it as float() does.
+    which raises the located ParseError or parses it as float() does. A
+    nan or inf value (1e400 included) then fails at the first line holding one.
     """
     block = None
     # a first line of the wrong width skips loadtxt: it sizes nothing from a
@@ -98,6 +99,9 @@ def _frames(lines, width, path, first_line_no):
             pass
     if block is None or block.shape != (len(lines), width):
         block = np.array([_frame(line, width, path, first_line_no + i) for i, line in enumerate(lines)])
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        raise ParseError("frame values must be finite", path=path, line=first_line_no + int(finite.argmin()))
     return block
 
 
@@ -201,6 +205,8 @@ def _parse_timeseries_binary(path):
     need = 4 + v + t * v * c
     if body.size != need:
         raise ParseError(f"expected {need} float64 values, found {body.size}", path=path)
+    if not np.all(np.isfinite(body[4:])):
+        raise ParseError("mask and frame values must be finite", path=path)
     mask = body[4 : 4 + v] != 0.0
     data = body[4 + v :].reshape(t, v, c).transpose(2, 0, 1)
     return data.copy(), mask, fs

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from imuclr.simulate import MotionTimeSeries, SkeletonSequence
 from imuclr.skeleton import body22
 from imuclr.text_embeddings import DescriptionSet, TextEmbeddingTable
 
+
+SKEL_FRAME = "0 0 0 1 0 0 0\n"
 
 # ---------------------------------------------------------------------------
 # skeleton files
@@ -63,6 +66,19 @@ def test_skeleton_zero_quaternion_rejected(tmp_path):
     p.write_text("1 3 20\n" + "0 0 0 0 0 0 0\n" * 3)
     with pytest.raises(BadQuaternion):
         formats.read_skeleton_file(p)
+
+
+@pytest.mark.parametrize(
+    "frame", ["0 0 0 -nan 0 0 0", "0 0 0 1e400 0 0 0", "nan 0 0 1 0 0 0"], ids=["quat-nan", "quat-inf", "position-nan"]
+)
+def test_skeleton_non_finite_value_names_path_and_line(tmp_path, frame):
+    p = tmp_path / "a.skel"
+    p.write_text("1 3 20\n" + SKEL_FRAME + frame + "\n" + SKEL_FRAME)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="finite") as exc_info:
+            formats.read_skeleton_file(p)
+    assert exc_info.value.path == p and exc_info.value.line == 3
 
 
 def test_skeleton_roundtrip(tmp_path, rng):
@@ -127,6 +143,22 @@ def test_timeseries_masked_joints_roundtrip(tmp_path, rng):
         formats.write_timeseries_file(p, series, binary=binary)
         back = formats.read_timeseries_file(p)
         assert np.array_equal(back.mask, mask)
+
+
+def test_timeseries_non_finite_value_rejected(tmp_path):
+    p = tmp_path / "x.ts"
+    p.write_text("1 3 20 6\n1\n0 0 0 0 0 0\n0 0 0 0 0 0\nnan 1e400 0 0 0 0\n")
+    with pytest.raises(ParseError, match="finite") as exc_info:
+        formats.read_timeseries_file(p)
+    assert exc_info.value.path == p and exc_info.value.line == 5
+    for bad in (np.nan, np.inf):
+        data = np.zeros((6, 3, 2))
+        data[1, 2, 0] = bad
+        p = tmp_path / "x.tsb"
+        formats.write_timeseries_file(p, MotionTimeSeries(data, np.ones(2, dtype=bool), 20.0), binary=True)
+        with pytest.raises(ParseError, match="finite") as exc_info:
+            formats.read_timeseries_file(p)
+        assert exc_info.value.path == p
 
 
 def test_timeseries_header_errors(tmp_path):
@@ -319,9 +351,6 @@ READERS = [
     formats.read_structure_file,
     lambda path: formats.read_mapping_file(path, body22()),
 ]
-
-SKEL_FRAME = "0 0 0 1 0 0 0\n"
-
 
 @pytest.mark.parametrize(
     "reader, text",

@@ -21,7 +21,8 @@ from imuclr.simulate import MotionTimeSeries, SkeletonSequence
 SWAP_TOKENS = ["1_0", "１", "٣", "#", "-nan", "1e400", "x"]
 
 # ---------------------------------------------------------------------------
-# per-line reference readers: one str.split and float() list per frame line
+# per-line reference readers: one str.split and float() list per frame line,
+# which must be finite
 # ---------------------------------------------------------------------------
 
 
@@ -37,7 +38,10 @@ def _ref_frame(line, width, path, line_no):
     fields = line.split()
     if len(fields) != width:
         raise ParseError(f"expected {width} values per frame, got {len(fields)}", path=path, line=line_no)
-    return np.array(_numbers(fields, float, path, line_no))
+    row = np.array(_numbers(fields, float, path, line_no))
+    if not np.isfinite(row).all():
+        raise ParseError("frame values must be finite", path=path, line=line_no)
+    return row
 
 
 def _lines(path):

@@ -88,6 +88,8 @@ def test_rotate_inverse_roundtrip(q, vseed):
 def test_rotate_rejects_non_unit():
     with pytest.raises(NonUnitQuaternion):
         quat.rotate_global_to_local([1.1, 0, 0, 0], [1, 0, 0])
+    with pytest.raises(NonUnitQuaternion):
+        quat.rotate_global_to_local([[1.0, 0, 0, 0], [np.nan, 0, 0, 0]], [1, 0, 0])
 
 
 def test_quat_to_matrix_matches_rotation():

@@ -302,6 +302,10 @@ def test_sequence_validation():
         SkeletonSequence(np.zeros((1, 2, 3)), identity_orientations(1, 2), 20.0)
     with pytest.raises(NonUnitQuaternion):
         SkeletonSequence(np.zeros((1, 5, 3)), np.full((1, 5, 4), 0.4), 20.0)
+    ori = identity_orientations(1, 5)
+    ori[0, 2] = np.nan
+    with pytest.raises(NonUnitQuaternion):
+        SkeletonSequence(np.zeros((1, 5, 3)), ori, 20.0)
 
 
 def reference_simulate(seq, noise, target_fs, rng, gravity):
