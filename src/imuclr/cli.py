@@ -164,14 +164,15 @@ def cmd_pretrain(args):
     )
     _banner("pretrain", args)
     metrics_path = args.out + ".metrics.tsv"
-    with open(metrics_path, "w", encoding="utf-8") as metrics:
+    metrics = []
 
-        def on_epoch(epoch, mean_loss, inv_gamma):
-            line = f"{epoch}\t{mean_loss!r}\t{inv_gamma!r}"
-            print(line)
-            metrics.write(line + "\n")
+    def on_epoch(epoch, mean_loss, inv_gamma):
+        line = f"{epoch}\t{mean_loss!r}\t{inv_gamma!r}"
+        print(line)
+        metrics.append(line + "\n")
 
-        ckpt = pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=on_epoch)
+    ckpt = pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=on_epoch)
+    formats.write_atomic(metrics_path, "".join(metrics).encode("utf-8"))
     save_checkpoint(args.out, ckpt)
     print(f"saved {args.out} checkpoint_hash={file_hash(args.out)} metrics={metrics_path}")
     return 0
@@ -194,9 +195,8 @@ def _labels_from_embedding_file(path, l2_normalize=False):
 def _print_report(report, report_path=None):
     print(report.as_text())
     if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            for key, value in report.as_key_values():
-                fh.write(f"{key}\t{value}\n")
+        lines = [f"{key}\t{value}\n" for key, value in report.as_key_values()]
+        formats.write_atomic(report_path, "".join(lines).encode("utf-8"))
         print(f"report written to {report_path}")
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import torn_writes
 from imuclr import formats
 from imuclr.checkpoint import load_checkpoint
 from imuclr.cli import main
@@ -135,6 +136,37 @@ def test_finetune_and_eval(workspace, tmp_path, capsys):
     lines = report_path.read_text().splitlines()
     assert lines[0].startswith("accuracy\t")
     capsys.readouterr()
+
+
+def test_torn_metrics_write_keeps_previous_file(workspace, capsys):
+    assert main(pretrain_args(workspace)) == 0  # warms .simcache, so no cache entry is written below
+    metrics = workspace["root"] / "model.ckpt.metrics.tsv"
+    metrics.write_bytes(b"previous\n")
+    with torn_writes():
+        assert main(pretrain_args(workspace)) == 2
+    assert "killed midway" in capsys.readouterr().err
+    assert metrics.read_bytes() == b"previous\n"
+    assert not list(workspace["root"].glob("*.tmp"))
+
+
+def test_torn_report_write_keeps_previous_file(workspace, capsys):
+    assert main(pretrain_args(workspace)) == 0
+    report = workspace["root"] / "report.tsv"
+    report.write_bytes(b"previous\n")
+    zero_shot = [
+        "zero-shot",
+        "--model", str(workspace["model"]),
+        "--manifest", str(workspace["manifest"]),
+        "--labels", str(workspace["emb"]),
+        "--report", str(report),
+    ]
+    with torn_writes():
+        assert main(zero_shot) == 2
+    assert "killed midway" in capsys.readouterr().err
+    assert report.read_bytes() == b"previous\n"
+    assert not list(workspace["root"].glob("*.tmp"))
+    assert main(zero_shot) == 0
+    assert report.read_text().startswith("accuracy\t")
 
 
 def test_eval_zero_shot_requires_labels(workspace, capsys):
