@@ -138,6 +138,80 @@ def test_graph_and_time_conv_gradients():
     assert grad_check(lambda: contract(ad.time_conv(x, wt)), [x, wt]) < 1e-6
 
 
+def _batch_conv_cols(values, k):
+    """Reference im2col of a whole (C,B,T,V) batch: (C*K, B*T*V)."""
+    c, b, t, v = values.shape
+    pad = (k - 1) // 2
+    xp = np.zeros((c, b, t + k - 1, v))
+    xp[:, :, pad : pad + t, :] = values
+    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)  # (C,B,T,V,K)
+    return np.ascontiguousarray(win.transpose(0, 4, 1, 2, 3)).reshape(c * k, b * t * v)
+
+
+def _batch_conv_same(values, kernel):
+    """Reference same-length temporal convolution as one whole-batch GEMM."""
+    _, b, t, v = values.shape
+    o, c, k = kernel.shape
+    cols = _batch_conv_cols(values, k)
+    return (kernel.reshape(o, c * k) @ cols).reshape(o, b, t, v), cols
+
+
+def _check_time_conv(x, w, exact):
+    """time_conv's output and gradients against the whole-batch reference.
+
+    exact asks for the output and the input gradient byte for byte. The
+    kernel gradient may sum its B*T*V terms in another order, so it is held
+    to rtol 1e-12, with an atol for entries that cancel to near zero.
+    """
+    out = ad.time_conv(x, w)
+    contract(out).backward()
+    g = out.grad
+    o = w.shape[0]
+    ref, cols = _batch_conv_same(x.value, w.value)
+    dx = _batch_conv_same(g, w.value[:, :, ::-1].transpose(1, 0, 2))[0]
+    dw = (g.reshape(o, -1) @ cols.T).reshape(w.shape)
+    terms = np.abs(g).reshape(o, -1) @ np.abs(cols).T
+    np.testing.assert_allclose(w.grad, dw, rtol=1e-12, atol=1e-12 * terms.max())
+    assert out.shape == ref.shape and x.grad.shape == dx.shape
+    if exact:
+        assert out.value.tobytes() == ref.tobytes()
+        assert x.grad.tobytes() == dx.tobytes()
+    else:
+        np.testing.assert_allclose(out.value, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        np.testing.assert_allclose(x.grad, dx, rtol=1e-12, atol=1e-12 * np.abs(dx).max())
+
+
+@given(
+    seed=st.integers(0, 2**31),
+    b=st.integers(1, 5),
+    c=st.integers(1, 4),
+    o=st.integers(1, 4),
+    t=st.integers(1, 12),
+    v=st.integers(1, 4),
+    k=st.sampled_from([1, 3, 5, 9]),
+)
+@settings(max_examples=200, deadline=None)
+def test_time_conv_matches_whole_batch_reference(seed, b, c, o, t, v, k):
+    # K may exceed T: every window then reaches into the zero padding. At
+    # these sizes BLAS picks its kernel (gemv for O or T*V of 1, a small-matrix
+    # kernel) by the product's shape, and one GEMM per sample may round the
+    # last bit of a sum differently from one GEMM over the batch
+    rng = np.random.default_rng(seed)
+    x = Parameter("x", rng.standard_normal((c, b, t, v)))
+    w = Parameter("w", rng.standard_normal((o, c, k)))
+    _check_time_conv(x, w, exact=False)
+
+
+@pytest.mark.parametrize("width", [16, 32])
+def test_time_conv_encoder_shapes_match_reference_bytes(width):
+    # the toy encoder's blocks (B=16, T=40, V=22, K=9): forward and input
+    # gradient equal the whole-batch reference byte for byte
+    rng = np.random.default_rng(width)
+    x = Parameter("x", rng.standard_normal((width, 16, 40, 22)))
+    w = Parameter("w", rng.standard_normal((width, width, 9)))
+    _check_time_conv(x, w, exact=True)
+
+
 def test_no_input_mutation():
     rng = np.random.default_rng(9)
     a = Tensor(rng.standard_normal((3, 3)))
