@@ -11,6 +11,9 @@ relu, exp, minimum_const and linear; stack_rows and embedding_mean for the
 text side; softmax_cross_entropy for both training objectives; graph_conv,
 time_conv, channel_affine and pool_time_joints on channel-major
 (C, B, T, V) tensors, so their (C, B*T*V) GEMM operands are free reshapes.
+time_conv is the exception: its im2col matrix is K times its input, so it
+is built one sample at a time, (C*K, T*V), and rebuilt in backward rather
+than kept on the tape. relu passes NaN on, for the loss's finiteness check.
 
 No operation mutates its inputs, and no gradient is updated in place: a
 tensor that feeds several downstream ops gets the sum as a new array, so a
@@ -180,14 +183,15 @@ def reshape(a, shape):
 
 
 def relu(a):
+    """max(a, 0); -0.0 comes out as 0.0 and NaN as NaN."""
     a = as_tensor(a)
-    keep = a.value > 0  # subgradient 0 at the kink
+    out_val = np.maximum(a.value, 0.0)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * keep)
+            a._accumulate(g * (out_val > 0))  # subgradient 0 at the kink
 
-    return _tracked(np.where(keep, a.value, 0.0), (a,), backward)
+    return _tracked(out_val, (a,), backward)
 
 
 def exp(a):
@@ -311,45 +315,54 @@ def graph_conv(x, w, adj_norm):
     return _tracked(acc.reshape(o, b, t, v), (x, w), backward)
 
 
-def _conv_cols(values, k):
-    """(C,B,T,V) -> im2col matrix (C*K, B*T*V) of zero-padded windows."""
-    c, b, t, v = values.shape
+def _conv_cols(sample, k):
+    """(C,T,V) sample -> im2col matrix (C*K, T*V) of zero-padded windows."""
+    c, t, v = sample.shape
     pad = (k - 1) // 2
-    xp = np.zeros((c, b, t + k - 1, v))
-    xp[:, :, pad : pad + t, :] = values
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)  # (C,B,T,V,K)
-    return np.ascontiguousarray(win.transpose(0, 4, 1, 2, 3)).reshape(c * k, b * t * v)
+    xp = np.zeros((c, t + k - 1, v))
+    xp[:, pad : pad + t, :] = sample
+    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)  # (C,T,V,K)
+    return np.ascontiguousarray(win.transpose(0, 3, 1, 2)).reshape(c * k, t * v)
 
 
 def _conv_same(values, kernel):
-    """Same-length temporal convolution as one GEMM; returns ((O,B,T,V), cols)."""
+    """Same-length temporal convolution of (C,B,T,V) values, one GEMM per sample."""
     _, b, t, v = values.shape
     o, c, k = kernel.shape
-    cols = _conv_cols(values, k)
-    return (kernel.reshape(o, c * k) @ cols).reshape(o, b, t, v), cols
+    flat = kernel.reshape(o, c * k)
+    out = np.empty((o, b, t * v))
+    for i in range(b):
+        np.matmul(flat, _conv_cols(values[:, i], k), out=out[:, i])
+    return out.reshape(o, b, t, v)
 
 
 def time_conv(x, w):
-    """Temporal convolution of a (C,B,T,V) tensor with a (O,C,K) kernel, zero-padded to keep T."""
+    """Temporal convolution of a (C,B,T,V) tensor with a (O,C,K) kernel, zero-padded to keep T.
+
+    The im2col matrix is K times the size of the input, so it is built one
+    sample at a time and rebuilt in backward instead of kept on the tape.
+    """
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 4 or w.ndim != 3:
         raise ShapeMismatch("time_conv expects x (C,B,T,V) and w (O,C,K)")
-    c = x.shape[0]
+    c, b = x.shape[:2]
     o, c2, k = w.shape
     if c2 != c:
         raise ShapeMismatch(f"kernel expects {c2} input channels, tensor has {c}")
     if k % 2 != 1:
         raise ShapeMismatch(f"temporal kernel size must be odd, got {k}")
-    out_val, cols = _conv_same(x.value, w.value)
 
     def backward(g):
         if w.requires_grad:
-            w._accumulate((g.reshape(o, -1) @ cols.T).reshape(w.shape))
+            gw = np.zeros((o, c * k))
+            for i in range(b):
+                gw += g[:, i].reshape(o, -1) @ _conv_cols(x.value[:, i], k).T
+            w._accumulate(gw.reshape(w.shape))
         if x.requires_grad:
             # gradient wrt input is the same conv with the flipped, transposed kernel
-            x._accumulate(_conv_same(g, w.value[:, :, ::-1].transpose(1, 0, 2))[0])
+            x._accumulate(_conv_same(g, w.value[:, :, ::-1].transpose(1, 0, 2)))
 
-    return _tracked(out_val, (x, w), backward)
+    return _tracked(_conv_same(x.value, w.value), (x, w), backward)
 
 
 def channel_affine(x, scale, shift):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,28 @@ def test_relu_subgradient_zero_at_kink():
     x = Parameter("x", np.array([0.0]))
     contract(ad.relu(x)).backward()
     assert x.grad[0] == 0.0
+
+
+@pytest.mark.parametrize("view", [np.s_[:], np.s_[::3], np.s_[1:8]])
+def test_relu_matches_where_reference_bytes(view):
+    # np.maximum in place of np.where(a > 0, a, 0.0): the same bytes for every
+    # finite input, -0.0 (which comes out as +0.0), zeros and subnormals included
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal(100_000) * 10.0 ** rng.integers(-310, 300, 100_000)
+    a[::7], a[1::11], a[2::13] = -0.0, 0.0, 5e-324
+    x = Parameter("x", a.reshape(100, 1000)[:, view])
+    out = ad.relu(x)
+    contract(out).backward()
+    assert out.value.tobytes() == np.where(x.value > 0, x.value, 0.0).tobytes()
+    assert x.grad.tobytes() == (out.grad * (x.value > 0)).tobytes()
+
+
+def test_relu_passes_nan_on():
+    x = Parameter("x", np.array([np.nan, -1.0, 2.0]))
+    out = ad.relu(x)
+    assert np.isnan(out.value[0]) and np.array_equal(out.value[1:], [0.0, 2.0])
+    contract(out).backward()
+    assert np.array_equal(x.grad, [0.0, 0.0, cotangent(3)[2]])
 
 
 def test_quadratic_gradient_analytic():
@@ -210,6 +234,23 @@ def test_time_conv_encoder_shapes_match_reference_bytes(width):
     x = Parameter("x", rng.standard_normal((width, 16, 40, 22)))
     w = Parameter("w", rng.standard_normal((width, width, 9)))
     _check_time_conv(x, w, exact=True)
+
+
+def test_time_conv_holds_no_whole_batch_im2col():
+    # tracemalloc sees numpy's buffers; one whole-batch im2col matrix would
+    # be (C*K, B*T*V) float64, 8.1 MB here
+    c, b, t, v, k = 8, 16, 40, 22, 9
+    rng = np.random.default_rng(12)
+    x = Parameter("x", rng.standard_normal((c, b, t, v)))
+    w = Parameter("w", rng.standard_normal((c, c, k)))
+    tracemalloc.start()
+    try:
+        contract(ad.pool_time_joints(ad.time_conv(x, w))).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None and w.grad is not None
+    assert peak < c * k * b * t * v * 8
 
 
 def test_no_input_mutation():

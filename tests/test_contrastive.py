@@ -13,10 +13,24 @@ from imuclr.contrastive import (
     contrastive_loss,
     pretrain,
 )
-from imuclr.errors import BadRange, DimMismatch, EmptyDataset
-from imuclr.graph_encoder import EncoderConfig, init_encoder_params
+from imuclr.errors import BadRange, DimMismatch, EmptyDataset, NonFinite
+from imuclr.graph_encoder import EncoderConfig, build_adjacency, encode_batch, init_encoder_params
 from imuclr.simulate import MotionTimeSeries
 from imuclr.text_embeddings import DescriptionSet, TextEmbeddingTable
+
+
+def test_nan_reading_reaches_the_loss_check():
+    # relu passes NaN on, so a NaN in one sample's input is not zeroed away
+    # inside the encoder but fails the loss's finiteness check
+    rng = np.random.default_rng(6)
+    enc = EncoderConfig(blocks=((6, 4, 3),), partition="distance", embedding_dim=4)
+    params = init_encoder_params(enc, rng)
+    x = rng.standard_normal((3, 6, 5, 3))
+    x[1, 2, 3, 0] = np.nan
+    emb = encode_batch(x, build_adjacency(chain_structure(3), "distance"), params, enc)
+    assert np.isnan(emb.value[1]).all() and np.isfinite(emb.value[[0, 2]]).all()
+    with pytest.raises(NonFinite):
+        contrastive_loss(emb, Tensor(rng.standard_normal((3, 4))), Temperature.create())
 
 
 def test_loss_single_pair_is_zero():
