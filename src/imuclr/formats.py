@@ -126,7 +126,13 @@ def read_skeleton_file(path):
         raise ParseError(f"expected {t} frame lines, file has {len(lines) - 1}", path=path, line=len(lines))
     frames = _frames(lines[1 : 1 + t], 7 * v, path, 2).reshape(t, v, 7)
     quats = frames[:, :, 3:7]
-    norms = np.linalg.norm(quats, axis=2)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(quats, axis=2)
+    # a component above ~1e154 overflows its square: scale by the largest one
+    huge = np.isinf(norms)
+    if huge.any():
+        scale = np.abs(quats[huge]).max(axis=1, keepdims=True)
+        norms[huge] = scale[:, 0] * np.linalg.norm(quats[huge] / scale, axis=1)
     zero = np.any(norms < QUAT_NORM_MIN, axis=1)
     if zero.any():
         raise BadQuaternion("quaternion with (near-)zero norm", path=path, line=2 + int(zero.argmax()))

@@ -61,6 +61,18 @@ def test_skeleton_off_norm_quaternions_warn_once_per_file(tmp_path):
     assert f"{p}:3:" in str(record[0].message) and "4 of 6" in str(record[0].message)
 
 
+def test_skeleton_huge_quaternion_normalizes_without_overflow(tmp_path):
+    # squaring 1e200 overflows; the norm must still come out finite
+    p = tmp_path / "a.skel"
+    p.write_text("1 3 20\n" + "0 0 0 1e200 1e200 0 0\n" + SKEL_FRAME * 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        seq = formats.read_skeleton_file(p)
+    assert [w.category for w in caught] == [UserWarning]
+    assert f"{p}:2:" in str(caught[0].message) and "1 of 3" in str(caught[0].message)
+    assert np.allclose(seq.orientations[0, 0], [np.sqrt(0.5), np.sqrt(0.5), 0, 0], rtol=0, atol=1e-15)
+
+
 def test_skeleton_zero_quaternion_rejected(tmp_path):
     p = tmp_path / "a.skel"
     p.write_text("1 3 20\n" + "0 0 0 0 0 0 0\n" * 3)

@@ -18,7 +18,7 @@ from imuclr import formats
 from imuclr.errors import BadQuaternion, ParseError, PipelineError
 from imuclr.simulate import MotionTimeSeries, SkeletonSequence
 
-SWAP_TOKENS = ["1_0", "１", "٣", "#", "-nan", "1e400", "x"]
+SWAP_TOKENS = ["1_0", "１", "٣", "#", "-nan", "1e400", "1e200", "x"]
 
 # ---------------------------------------------------------------------------
 # per-line reference readers: one str.split and float() list per frame line,
@@ -67,12 +67,17 @@ def ref_read_skeleton(path):
     for i in range(t):
         row = (first if i == 0 else _ref_frame(lines[1 + i], 7 * v, path, 2 + i)).reshape(v, 7)
         positions[:, i, :] = row[:, 0:3]
-        norms = np.linalg.norm(row[:, 3:7], axis=1)
+        quats = row[:, 3:7]
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(quats, axis=1)
+        for j in np.flatnonzero(np.isinf(norms)):
+            scale = np.abs(quats[j]).max()
+            norms[j] = scale * np.linalg.norm(quats[j : j + 1] / scale, axis=1)[0]
         if np.any(norms < formats.QUAT_NORM_MIN):
             raise BadQuaternion("quaternion with (near-)zero norm", path=path, line=2 + i)
         if np.any((norms < formats.QUAT_NORM_OK[0]) | (norms > formats.QUAT_NORM_OK[1])):
             off_norm.append(2 + i)
-        orientations[:, i, :] = row[:, 3:7] / norms[:, None]
+        orientations[:, i, :] = quats / norms[:, None]
     if off_norm:
         warnings.warn(
             f"{path}:{off_norm[0]}: quaternion norm outside {formats.QUAT_NORM_OK} on "
