@@ -13,18 +13,42 @@ time_conv, channel_affine and pool_time_joints on channel-major
 (C, B, T, V) tensors, so their (C, B*T*V) GEMM operands are free reshapes.
 time_conv is the exception: its im2col matrix is K times its input, so it
 is built one sample at a time, (C*K, T*V), and rebuilt in backward rather
-than kept on the tape. relu passes NaN on, for the loss's finiteness check.
+than kept on the tape; graph_conv likewise rebuilds its x @ A_k products.
+relu passes NaN on, for the loss's finiteness check.
 
 No operation mutates its inputs, and no gradient is updated in place: a
 tensor that feeds several downstream ops gets the sum as a new array, so a
 backward rule may hand on its incoming gradient or a view of it.
+
+backward() frees the tape as it walks it. Nodes run in reverse topological
+order, so once a node's backward rule has run every consumer of it has too;
+the node then drops its rule and its parents, and each activation and
+interior gradient is freed as soon as nothing upstream needs it. A tensor the
+caller still holds keeps its .value and .grad. A graph can be backpropagated
+only once: backward() raises PipelineError when it reaches a consumed node,
+whether through a second call or through a new graph built on a consumed
+intermediate. The mallopt call below keeps the freed buffers in the heap.
 """
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
-from .errors import NonFinite, ShapeMismatch
+from .errors import NonFinite, PipelineError, ShapeMismatch
+
+# Every training step frees and reallocates tens of MB of activations and
+# gradients. Under glibc's defaults, buffers above a (dynamic) mmap threshold
+# are unmapped when freed and the top of the heap is trimmed past 128 KiB, so
+# those pages go back to the kernel and are faulted in again on the next step:
+# one 5-epoch pretrain() call on the benchmark's corpus took ~460k minor page
+# faults, and under 10 with buffers up to 32 MiB served from the heap and
+# trimming only past 1 GiB. A no-op where malloc is not glibc's.
+_libc = ctypes.CDLL(None)
+if hasattr(_libc, "mallopt"):
+    _libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    _libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 
 
 class Tensor:
@@ -51,7 +75,10 @@ class Tensor:
         return self.value.ndim
 
     def backward(self):
-        """Reverse-accumulate d(self)/d(leaf) into every reachable .grad."""
+        """Reverse-accumulate d(self)/d(leaf) into every reachable .grad, freeing the graph.
+
+        Raises PipelineError on a graph that was already backpropagated.
+        """
         if self.value.size != 1:
             raise ShapeMismatch("backward() requires a scalar output")
         order = []
@@ -64,15 +91,20 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents is None:
+                raise PipelineError("backward() reached a graph that was already backpropagated")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad:
                     stack.append((p, False))
         self.grad = np.ones_like(self.value)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:  # popped, so a node is freed once nothing upstream needs it
+            node = order.pop()
+            if node._backward is not None:
                 node._backward(node.grad)
+                # every consumer has run: drop the closure and the inputs it holds
+                node._backward = node._parents = None
 
     def _accumulate(self, g):
         # never in place: g may alias another node's gradient or a read-only view
@@ -297,15 +329,18 @@ def graph_conv(x, w, adj_norm):
         )
     c, b, t, v = x.shape
     o = w.shape[1]
-    xa_cols = [(x.value @ adj[k]).reshape(c, -1) for k in range(k_s)]
-    acc = w.value[0] @ xa_cols[0]
+
+    def xa_cols(k):  # rebuilt in backward rather than kept on the tape
+        return (x.value @ adj[k]).reshape(c, -1)
+
+    acc = w.value[0] @ xa_cols(0)
     for k in range(1, k_s):
-        acc += w.value[k] @ xa_cols[k]
+        acc += w.value[k] @ xa_cols(k)
 
     def backward(g):
         g_cols = g.reshape(o, -1)
         if w.requires_grad:
-            w._accumulate(np.stack([g_cols @ xa_cols[k].T for k in range(k_s)]))
+            w._accumulate(np.stack([g_cols @ xa_cols(k).T for k in range(k_s)]))
         if x.requires_grad:
             dx = np.zeros(x.shape)
             for k in range(k_s):

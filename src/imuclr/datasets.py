@@ -20,7 +20,7 @@ import numpy as np
 
 from . import formats
 from .contrastive import PretrainSample
-from .errors import ParseError, ShapeMismatch
+from .errors import NonFinite, ParseError, ShapeMismatch
 from .inference import assign_to_joints, windows
 from .simulate import ACCEL, GYRO, MotionTimeSeries, NoiseParams, resample_series, simulate_sequence
 
@@ -87,13 +87,17 @@ def simulate_skeleton_dir(data_dir, fs, noise, seed, gravity, cache):
         if cache and os.path.exists(cache_path):
             series = formats.read_timeseries_file(cache_path)
         else:
-            series = simulate_sequence(
-                formats.read_skeleton_file(os.path.join(data_dir, name)),
-                noise=noise,
-                target_fs=fs,
-                rng=np.random.default_rng([seed, int(digest, 16)]),
-                gravity=gravity,
-            )
+            path = os.path.join(data_dir, name)
+            try:
+                series = simulate_sequence(
+                    formats.read_skeleton_file(path),
+                    noise=noise,
+                    target_fs=fs,
+                    rng=np.random.default_rng([seed, int(digest, 16)]),
+                    gravity=gravity,
+                )
+            except NonFinite as exc:
+                raise ParseError(str(exc), path=path) from None
             if cache:
                 formats.write_timeseries_file(cache_path, series, binary=True)
         yield PretrainSample(seq_id=name[: -len(SKELETON_EXT)], series=series)

@@ -191,6 +191,7 @@ def resample_series(series, fs_out):
     return MotionTimeSeries(flat.reshape(-1, c, v).transpose(1, 0, 2), series.mask, fs_out)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge finite inputs can overflow: checked at the end
 def simulate_sequence(seq, noise=None, target_fs=20.0, rng=None, gravity=False):
     """Full synthetic recording for every joint of a skeleton sequence.
 
@@ -201,7 +202,8 @@ def simulate_sequence(seq, noise=None, target_fs=20.0, rng=None, gravity=False):
     Angular velocity is the vector part of 2 q* (x) dq/dt, with sign
     continuity enforced on q first, since the double cover would otherwise
     corrupt the derivative. The returned mask is all-true. With zero noise
-    the result is independent of rng.
+    the result is independent of rng. Raises NonFinite when the channels
+    overflow float64 (positions or orientations moving too fast).
     """
     if noise is None:
         noise = NoiseParams()
@@ -220,6 +222,8 @@ def simulate_sequence(seq, noise=None, target_fs=20.0, rng=None, gravity=False):
             raise ValueError("rng is required when noise sigmas are positive")
         series = add_noise(series, noise.sigma_accel, noise.sigma_gyro, rng)
     if target_fs != seq.frame_rate:
-        return resample_series(series, target_fs)
+        series = resample_series(series, target_fs)
+    if not np.all(np.isfinite(series.data)):
+        raise NonFinite("simulated channels overflow float64")
     series.sample_rate = target_fs
     return series

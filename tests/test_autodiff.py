@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from conftest import contract, cotangent
 from imuclr import autodiff as ad
 from imuclr.autodiff import Adam, Parameter, Tensor, grad_check
-from imuclr.errors import NonFinite, ShapeMismatch
+from imuclr.errors import NonFinite, PipelineError, ShapeMismatch
+from imuclr.graph_encoder import build_adjacency
+from imuclr.skeleton import body22
 
 
 def test_matmul_identity():
@@ -251,6 +253,43 @@ def test_time_conv_holds_no_whole_batch_im2col():
         tracemalloc.stop()
     assert x.grad is not None and w.grad is not None
     assert peak < c * k * b * t * v * 8
+
+
+def test_graph_conv_keeps_no_products_on_the_tape():
+    # the K_s products x @ A_k are each the input's size; rebuilt in backward,
+    # the forward holds little beyond its (O, B, T, V) output, 3.6 MB here
+    c, o, b, t, v = 16, 32, 16, 40, 22
+    rng = np.random.default_rng(13)
+    x = Parameter("x", rng.standard_normal((c, b, t, v)))
+    w = Parameter("w", rng.standard_normal((2, o, c)))
+    adj = build_adjacency(body22(), "distance").normalized()
+    tracemalloc.start()
+    try:
+        out = ad.graph_conv(x, w, adj)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1.5 * out.value.nbytes
+    contract(out).backward()
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
+def test_graph_is_backpropagated_only_once():
+    # loss = 2 (3p): a second backward through the same nodes would add to
+    # their stale interior gradients (p.grad 18, not 6 + 6), so it raises
+    p = Parameter("p", np.array([1.0]))
+    q = ad.mul(p, ad.as_tensor(3.0))
+    loss = ad.mul(q, ad.as_tensor(2.0))
+    loss.backward()
+    assert np.array_equal(p.grad, [6.0])
+    with pytest.raises(PipelineError):
+        loss.backward()
+    with pytest.raises(PipelineError):  # a new graph on a consumed intermediate
+        ad.mul(q, ad.as_tensor(4.0)).backward()
+    assert np.array_equal(p.grad, [6.0])
+    ad.mul(ad.mul(p, ad.as_tensor(3.0)), ad.as_tensor(2.0)).backward()
+    assert np.array_equal(p.grad, [12.0])
+    assert np.array_equal(loss.grad, [1.0]) and np.array_equal(q.grad, [2.0])
 
 
 def test_no_input_mutation():

@@ -110,6 +110,20 @@ def test_interrupted_cache_write_leaves_no_entry(skel_dir):
         assert np.array_equal(a.series.data, b.series.data)
 
 
+def test_overflowing_simulation_is_a_located_error_and_not_cached(tmp_path):
+    # a finite but huge position overflows the second derivative at 20 Hz
+    d = tmp_path / "skel"
+    d.mkdir()
+    still = "0 0 0 1 0 0 0\n"
+    (d / "a.skel").write_text("1 4 20\n" + still + "1e307 0 0 1 0 0 0\n" + still * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError) as caught:
+            load_pretrain_samples(d, fs=20.0, seed=0)
+    assert caught.value.path == str(d / "a.skel")
+    assert not list((d / ".simcache").iterdir())
+
+
 def test_load_from_timeseries_dir(tmp_path, rng):
     d = tmp_path / "sim"
     d.mkdir()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -201,3 +203,23 @@ def test_encode_batch_channel_check():
     params = init_encoder_params(cfg, np.random.default_rng(0))
     with pytest.raises(ShapeMismatch):
         encode_batch(np.zeros((1, 5, 4, 22)), adj, params, cfg)
+
+
+def test_backward_frees_the_tape():
+    # the toy encoder at its training shapes (B=16, T=40, V=22, widths 16/32,
+    # K_t=9): once backward has run, the held loss keeps no activation or
+    # interior gradient alive; the whole graph is about 54 MB
+    cfg = EncoderConfig(blocks=((6, 16, 9), (16, 32, 9)), partition="distance", embedding_dim=64)
+    rng = np.random.default_rng(14)
+    params = init_encoder_params(cfg, rng)
+    adj = build_adjacency(body22(), cfg.partition).normalized()
+    x = rng.standard_normal((16, 6, 40, 22))
+    tracemalloc.start()
+    try:
+        loss = contract(encode_batch(x, adj, params, cfg))
+        loss.backward()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert loss.grad is not None and all(p.grad is not None for p in params.values())
+    assert held < 5e6
