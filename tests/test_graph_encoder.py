@@ -208,7 +208,7 @@ def test_encode_batch_channel_check():
 def test_backward_frees_the_tape():
     # the toy encoder at its training shapes (B=16, T=40, V=22, widths 16/32,
     # K_t=9): once backward has run, the held loss keeps no activation or
-    # interior gradient alive; the whole graph is about 54 MB
+    # interior gradient alive; the graph and its gradients are over 50 MB
     cfg = EncoderConfig(blocks=((6, 16, 9), (16, 32, 9)), partition="distance", embedding_dim=64)
     rng = np.random.default_rng(14)
     params = init_encoder_params(cfg, rng)
