@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -275,10 +277,13 @@ def test_config_file_setting_deterministic_is_usage_error(workspace, capsys):
     assert "deterministic" in capsys.readouterr().err
 
 
-def test_deterministic_pretrain_byte_identical(workspace, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "extra", [[], ["--trainable-text", "--symmetric-loss"]], ids=["frozen-text", "trainable-text-symmetric"]
+)
+def test_deterministic_pretrain_byte_identical(workspace, tmp_path, capsys, extra):
     m1, m2 = tmp_path / "m1.ckpt", tmp_path / "m2.ckpt"
     for out in (m1, m2):
-        args = pretrain_args(workspace)
+        args = pretrain_args(workspace, extra)
         args[args.index("--out") + 1] = str(out)
         assert main(args) == 0
     assert m1.read_bytes() == m2.read_bytes()
@@ -330,6 +335,15 @@ def test_structure_override(workspace, tmp_path, capsys):
     ckpt = load_checkpoint(workspace["model"])
     assert ckpt.structure.names[3] == "node3"
     capsys.readouterr()
+
+
+def test_structure_joint_count_mismatch_is_data_error(workspace, tmp_path, capsys):
+    # a 3-joint tree against 22-joint recordings; --mask-max fits the tree
+    structure_path = tmp_path / "three.txt"
+    structure_path.write_text("3\n0 a -1\n1 b 0\n2 c 1\n")
+    args = pretrain_args(workspace, ["--structure", str(structure_path), "--mask-max", "2"])
+    assert main(args) == 2
+    assert re.search(r"22 joints.*skeleton has 3", capsys.readouterr().err)
 
 
 def test_zero_shot_window_flag(workspace, capsys):
