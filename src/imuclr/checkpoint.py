@@ -47,7 +47,6 @@ class Checkpoint:
     params: dict  # name -> np.ndarray (float64)
     train_window: int | None = None
     label_names: tuple | None = None  # classifier column order, set by fine-tuning
-    version: int = FORMAT_VERSION
 
     @property
     def skeleton_hash(self):
@@ -71,7 +70,7 @@ def _header_dict(ckpt):
 def save_checkpoint(path, ckpt):
     blob = bytearray()
     blob += MAGIC
-    blob += struct.pack("<I", ckpt.version)
+    blob += struct.pack("<I", FORMAT_VERSION)
     header = json.dumps(_header_dict(ckpt), sort_keys=True, separators=(",", ":")).encode("utf-8")
     blob += struct.pack("<I", len(header))
     blob += header
@@ -156,7 +155,6 @@ def load_checkpoint(path, expected_structure=None):
         params=params,
         train_window=train_window if train_window is None else int(train_window),
         label_names=None if label_names is None else tuple(label_names),
-        version=version,
     )
     if expected_structure is not None and expected_structure.structure_hash() != ckpt.skeleton_hash:
         raise SkeletonMismatch(

@@ -141,16 +141,10 @@ def cmd_pretrain(args):
     samples = load_pretrain_samples(
         args.data, fs=args.fs, noise=noise, seed=args.seed, gravity=args.gravity
     )
-    for s in samples:
-        if s.series.num_joints != structure.num_joints:
-            raise PipelineError(
-                f"{s.seq_id}: {s.series.num_joints} joints in data, skeleton has {structure.num_joints}"
-            )
     _require(args.mask_max <= structure.num_joints, "--mask-max exceeds the joint count")
     encoder_cfg = _encoder_config(args, table.dim)
-    text = table
-    if args.trainable_text:
-        text = TrainableTextEncoder.from_table(table, np.random.default_rng(args.seed))
+    rng = np.random.default_rng(args.seed)
+    text = TrainableTextEncoder.from_table(table, rng) if args.trainable_text else table
     cfg = TrainConfig(
         batch_size=args.batch,
         epochs=args.epochs,
@@ -212,8 +206,7 @@ def _model_and_dataset(command, args):
 def cmd_zero_shot(args):
     model, dataset = _model_and_dataset("zero-shot", args)
     labels = _labels_from_embedding_file(args.labels, args.l2_normalize_text)
-    report = evaluate(model, dataset, labels, mode="zero_shot")
-    _print_report(report, args.report)
+    _print_report(evaluate(model, dataset, labels), args.report)
     return 0
 
 
@@ -237,12 +230,10 @@ def cmd_eval(args):
         if ckpt.label_names is None:
             raise PipelineError("checkpoint has a classifier but no label names")
         labels = LabelSet(names=ckpt.label_names)
-        report = evaluate(model, dataset, labels, mode="finetuned")
     else:
         _require(args.labels, "--labels is required to evaluate a model without a classifier")
         labels = _labels_from_embedding_file(args.labels, args.l2_normalize_text)
-        report = evaluate(model, dataset, labels, mode="zero_shot")
-    _print_report(report, args.report)
+    _print_report(evaluate(model, dataset, labels), args.report)
     return 0
 
 

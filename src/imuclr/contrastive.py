@@ -1,11 +1,14 @@
 """Contrastive pre-training of the graph encoder against text embeddings.
 
 For every batch iteration: rotate each joint's channels by one fresh random
-rotation shared across the batch, mask all but a few random joints, encode,
-pair each sequence with one of its sampled descriptions, and minimize the
-softmax cross-entropy from each time-series embedding to its own text among
-the in-batch alternatives. The temperature is learned through its log
-inverse, clamped from above.
+rotation shared across the batch, mask all but a few random joints, crop to
+the shortest recording, encode, pair each sequence with one of its sampled
+descriptions, and minimize the softmax cross-entropy from each time-series
+embedding to its own text among the in-batch alternatives. The temperature
+is learned through its log inverse, clamped from above.
+
+The encoder trains as the same inference.Model that fine-tuning uses; the
+text side is a frozen table or a trainable encoder, both giving rows(ids).
 """
 
 from __future__ import annotations
@@ -15,13 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Adam, Parameter, Tensor
+from .autodiff import Adam, Parameter
 from .augment import apply_mask, rotate_augment, sample_joint_mask, sample_joint_rotations
 from .checkpoint import Checkpoint
 from .errors import BadRange, DimMismatch, EmptyDataset, NonFinite
-from .graph_encoder import build_adjacency, encode_batch, init_encoder_params
+from .graph_encoder import init_encoder_params
+from .inference import Model, crop_stack
 from .simulate import MotionTimeSeries
-from .text_embeddings import TrainableTextEncoder, sample_description
+from .text_embeddings import sample_description
 
 DEFAULT_GAMMA = 0.07
 INV_GAMMA_CLAMP = 100.0
@@ -109,32 +113,14 @@ def _batch_indices(n, batch_size, rng):
 
 
 def _assemble_batch(chosen, cfg, rng_rot, rng_mask):
-    """Rotate, mask and stack one batch into a (B, 6, T, V) array."""
+    """Rotate, mask and crop-stack one batch into a (B, 6, T, V) array."""
     v = chosen[0].series.num_joints
-    t_min = min(s.series.num_frames for s in chosen)
     rotations = None
     if cfg.rotation_augment:
         rotations = sample_joint_rotations(v, rng_rot)
     mask = sample_joint_mask(v, cfg.mask_min, cfg.mask_max, rng_mask)
-    stack = np.empty((len(chosen), 6, t_min, v))
-    for row, sample in enumerate(chosen):
-        series = sample.series
-        if rotations is not None:
-            series = rotate_augment(series, rotations=rotations)
-        series = apply_mask(series, mask)
-        stack[row] = series.data[:, :t_min, :]
-    return stack
-
-
-def _text_rows(text, chosen, descriptions, cfg, rng_desc):
-    """Paired text embeddings for a batch; Tensor of shape (B, dim)."""
-    ids = [
-        sample_description(descriptions, s.seq_id, rng_desc, include_paraphrases=cfg.text_augment)
-        for s in chosen
-    ]
-    if isinstance(text, TrainableTextEncoder):
-        return ad.stack_rows([text.embed_id(i) for i in ids])
-    return Tensor(text.matrix(ids))
+    series = [s.series if rotations is None else rotate_augment(s.series, rotations) for s in chosen]
+    return crop_stack([apply_mask(s, mask) for s in series])
 
 
 def pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=None):
@@ -142,8 +128,12 @@ def pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=
 
     samples: list of PretrainSample at a common sample rate. text: a frozen
     TextEmbeddingTable or a TrainableTextEncoder whose dimension matches
-    encoder_cfg.embedding_dim. on_epoch, when given, receives
-    (epoch, mean_loss, inv_gamma) after every epoch.
+    encoder_cfg.embedding_dim; its params train along. on_epoch, when
+    given, receives (epoch, mean_loss, inv_gamma) after every epoch.
+
+    The encoder trains as an inference.Model around a fresh Checkpoint of
+    the initial encoder parameters and log(1/gamma); the returned checkpoint
+    lists those, then any text-encoder parameters.
 
     Randomness is split into independent per-stage streams derived from
     cfg.seed (initialization, batch order, rotations, masks, descriptions),
@@ -175,39 +165,26 @@ def pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=
         np.random.default_rng(child) for child in seed_seq.spawn(5)
     )
 
-    params = init_encoder_params(encoder_cfg, rng_init)
-    temperature = Temperature.create()
-    adj_norm = build_adjacency(structure, encoder_cfg.partition).normalized()
-    trainable = list(params.values()) + [temperature.log_inv_gamma]
-    if isinstance(text, TrainableTextEncoder):
-        trainable += text.trainable_params()
-    optimizer = Adam(trainable, lr=cfg.lr)
+    params = {name: p.value for name, p in init_encoder_params(encoder_cfg, rng_init).items()}
+    params["log_inv_gamma"] = np.log(1.0 / DEFAULT_GAMMA)
+    window = int(np.median([s.series.num_frames for s in samples]))
+    model = Model(Checkpoint(encoder_cfg, structure, rates.pop(), params, train_window=window))
+    temperature = Temperature(model.params["log_inv_gamma"])
+    model.params.update(text.params)
+    optimizer = Adam(model.params.values(), lr=cfg.lr)
 
     for epoch in range(cfg.epochs):
         losses = []
         for batch_idx in _batch_indices(len(samples), cfg.batch_size, rng_batch):
             chosen = [samples[i] for i in batch_idx]
             batch = _assemble_batch(chosen, cfg, rng_rot, rng_mask)
-            g = encode_batch(batch, adj_norm, params, encoder_cfg)
-            f = _text_rows(text, chosen, descriptions, cfg, rng_desc)
-            loss = contrastive_loss(g, f, temperature, symmetric=cfg.symmetric_loss)
+            g = model.embed_batch_tensor(batch)
+            ids = [sample_description(descriptions, s.seq_id, rng_desc, cfg.text_augment) for s in chosen]
+            loss = contrastive_loss(g, text.rows(ids), temperature, symmetric=cfg.symmetric_loss)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
             losses.append(float(loss.value))
         if on_epoch is not None:
             on_epoch(epoch, float(np.mean(losses)), temperature.inv_gamma_value())
-
-    all_params = {name: p.value.copy() for name, p in params.items()}
-    all_params["log_inv_gamma"] = temperature.log_inv_gamma.value.copy()
-    if isinstance(text, TrainableTextEncoder):
-        for name, p in text.params.items():
-            all_params[name] = p.value.copy()
-    window = int(np.median([s.series.num_frames for s in samples]))
-    return Checkpoint(
-        config=encoder_cfg,
-        structure=structure,
-        sample_rate=samples[0].series.sample_rate,
-        params=all_params,
-        train_window=window,
-    )
+    return model.to_checkpoint()

@@ -133,6 +133,12 @@ def assign_to_joints(device_data, mapping, num_joints, sample_rate):
     return MotionTimeSeries(data, mask, sample_rate)
 
 
+def crop_stack(series):
+    """Stack MotionTimeSeries data as (B, 6, T, V), each cut to the shortest one's T frames."""
+    t_min = min(s.num_frames for s in series)
+    return np.stack([s.data[:, :t_min, :] for s in series])
+
+
 class Model:
     """Runtime view of a checkpoint: live parameters plus adjacency.
 
@@ -162,7 +168,7 @@ class Model:
         return out.value[0]
 
     def embed_batch_tensor(self, batch):
-        """Differentiable batch embedding used by fine-tuning."""
+        """Differentiable embedding of a (B, 6, T, V) batch, used by both training loops."""
         return encode_batch(batch, self.adj_norm, self.encoder_params(), self.config)
 
     def classifier_logits(self, series):
@@ -227,8 +233,7 @@ def finetune(model, train_set, labels, cfg):
         raise DimMismatch("existing classifier does not match this label set")
     w, b = model.params["classifier.weight"], model.params["classifier.bias"]
     model.ckpt = replace(model.ckpt, label_names=tuple(labels.names))
-    trainable = list(model.encoder_params().values()) + [w, b]
-    optimizer = Adam(trainable, lr=cfg.lr)
+    optimizer = Adam(list(model.encoder_params().values()) + [w, b], lr=cfg.lr)
     y = np.array([labels.index(name) for _, name in train_set], dtype=np.intp)
     window = model.ckpt.train_window
     short_batches = num_batches = 0
@@ -236,12 +241,12 @@ def finetune(model, train_set, labels, cfg):
         order = rng.permutation(len(train_set))
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            lengths = [train_set[i][0].num_frames for i in idx]
-            t_min = min(lengths)
+            chosen = [train_set[i][0] for i in idx]
+            batch = crop_stack(chosen)
+            t = batch.shape[2]
             num_batches += 1
-            if max(lengths) > t_min and (window is None or t_min < window):
+            if any(s.num_frames > t for s in chosen) and (window is None or t < window):
                 short_batches += 1
-            batch = np.stack([train_set[i][0].data[:, :t_min, :] for i in idx])
             emb = model.embed_batch_tensor(batch)
             logits = ad.linear(emb, w, b)
             loss = ad.softmax_cross_entropy(logits, y[idx])
@@ -305,18 +310,17 @@ def report_from_scores(y_true, scores):
     return EvalReport(accuracy, float(np.mean(f1s)), r2, confusion)
 
 
-def evaluate(model, dataset, labels, mode="zero_shot"):
-    """Score every (series, label_name) pair and compute the eval metrics."""
+def evaluate(model, dataset, labels):
+    """Score every (series, label_name) pair and compute the eval metrics.
+
+    Labels with embeddings are scored zero-shot, by embedding similarity;
+    labels without them by the classifier head that fine-tuning attaches.
+    """
     if not dataset:
         raise EmptyDataset("cannot evaluate an empty dataset")
-    if mode not in ("zero_shot", "finetuned"):
-        raise BadRange(f"unknown evaluation mode {mode!r}")
     y_true = np.array([labels.index(name) for _, name in dataset], dtype=np.intp)
-    rows = []
-    for series, _ in dataset:
-        if mode == "zero_shot":
-            _, scores = zero_shot_classify(series, model, labels)
-        else:
-            scores = model.classifier_logits(series)
-        rows.append(scores)
+    if labels.embeddings is None:
+        rows = [model.classifier_logits(series) for series, _ in dataset]
+    else:
+        rows = [zero_shot_classify(series, model, labels)[1] for series, _ in dataset]
     return report_from_scores(y_true, np.stack(rows))

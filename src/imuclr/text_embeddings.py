@@ -5,6 +5,9 @@ external text encoder and loaded from an embedding file. A small trainable
 hash embedder exists so the repository works end to end with no external
 assets: tokens are hashed into a fixed-size table, mean-pooled and linearly
 mapped to the shared dimension.
+
+Both give rows(ids), a (len(ids), dim) Tensor, and their trainable `params`
+by name (none for the table), so pre-training treats them alike.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter
+from .autodiff import Parameter, Tensor
 from .errors import DimMismatch, EmptyText, PipelineError
 
 HASH_SLOTS = 4096
@@ -51,6 +54,14 @@ class TextEmbeddingTable:
 
     def matrix(self, ids):
         return np.stack([self.vector(i) for i in ids])
+
+    @property
+    def params(self):
+        return {}  # a frozen table trains nothing
+
+    def rows(self, ids):
+        """Constant (len(ids), dim) Tensor of the ids' vectors."""
+        return Tensor(self.matrix(ids))
 
     def l2_normalized(self):
         out = {}
@@ -124,11 +135,9 @@ class TrainableTextEncoder:
         texts = {key: text for key, (text, _) in table.entries.items()}
         return cls(table.dim, rng, texts=texts)
 
-    def embed_id(self, text_id):
-        return self.embed(self.texts[text_id])
-
-    def trainable_params(self):
-        return list(self.params.values())
+    def rows(self, ids):
+        """Differentiable (len(ids), dim) Tensor embedding the ids' texts."""
+        return ad.stack_rows([self.embed(self.texts[i]) for i in ids])
 
     def embed(self, text):
         """Differentiable embedding of one string; returns a (dim,) Tensor."""

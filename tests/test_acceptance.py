@@ -233,7 +233,7 @@ def test_criterion_6_loss_closed_forms():
 def test_criterion_7_toy_zero_shot(toy_assets, model_augmented):
     model, train_time = model_augmented
     _, _, _, labels, test_set = toy_assets
-    report = evaluate(model, test_set, labels, mode="zero_shot")
+    report = evaluate(model, test_set, labels)
     ok = report.accuracy >= 0.95 and report.r_at_2 == 1.0 and train_time < 300.0
     _report(7, "toy end-to-end zero-shot", ok,
             f"acc={report.accuracy:.3f} r_at_2={report.r_at_2:.3f} train_time={train_time:.0f}s")
@@ -241,8 +241,8 @@ def test_criterion_7_toy_zero_shot(toy_assets, model_augmented):
 
 def test_criterion_8_ablation_echo(toy_assets, model_augmented, model_no_augment):
     _, _, _, labels, test_set = toy_assets
-    aug = evaluate(model_augmented[0], test_set, labels, mode="zero_shot")
-    plain = evaluate(model_no_augment, test_set, labels, mode="zero_shot")
+    aug = evaluate(model_augmented[0], test_set, labels)
+    plain = evaluate(model_no_augment, test_set, labels)
     gap = aug.accuracy - plain.accuracy
     ok = plain.accuracy <= aug.accuracy and gap >= 0.10
     _report(8, "rotation-augmentation ablation", ok,

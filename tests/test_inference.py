@@ -226,7 +226,7 @@ def test_finetune_reaches_full_accuracy_on_separable_data():
     train += [(series_of(2.0 + 0.01 * i), "high") for i in range(8)]
     cfg = FinetuneConfig(epochs=200, lr=1e-2, batch_size=8, seed=0)
     model = finetune(model, train, labels, cfg)
-    rep = evaluate(model, train, labels, mode="finetuned")
+    rep = evaluate(model, train, labels)
     assert rep.accuracy == 1.0
 
 
@@ -275,17 +275,17 @@ def test_evaluate_zero_shot_permutation_invariant():
     model = Model(tiny_checkpoint())
     labels = LabelSet(names=("a", "b"), embeddings=np.random.default_rng(1).standard_normal((2, 4)))
     dataset = [(series_of(v), "a" if v < 0 else "b") for v in (-2.0, -1.0, 1.0, 2.0)]
-    rep1 = evaluate(model, dataset, labels, mode="zero_shot")
-    rep2 = evaluate(model, dataset[::-1], labels, mode="zero_shot")
+    rep1 = evaluate(model, dataset, labels)
+    rep2 = evaluate(model, dataset[::-1], labels)
     assert rep1.accuracy == rep2.accuracy
     assert np.array_equal(rep1.confusion, rep2.confusion)
 
 
-def test_evaluate_rejects_bad_mode():
+def test_evaluate_without_label_embeddings_needs_a_classifier():
+    # labels without embeddings are scored by the classifier head
     model = Model(tiny_checkpoint())
-    labels = LabelSet(names=("a", "b"), embeddings=np.zeros((2, 4)))
-    with pytest.raises(BadRange):
-        evaluate(model, [(series_of(1.0), "a")], labels, mode="sideways")
+    with pytest.raises(ShapeMismatch, match="no classifier head"):
+        evaluate(model, [(series_of(1.0), "a")], LabelSet(names=("a", "b")))
 
 
 def test_model_joint_count_check():

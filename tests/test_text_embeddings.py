@@ -36,6 +36,17 @@ def test_table_matrix_and_vector():
     assert np.array_equal(t.matrix(["b", "a"]), [[0.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
 
 
+def test_table_and_encoder_give_rows_of_the_same_shape():
+    t = small_table()
+    assert t.params == {}
+    assert np.array_equal(t.rows(["b", "a"]).value, t.matrix(["b", "a"]))
+    enc = TrainableTextEncoder.from_table(t, np.random.default_rng(0))
+    assert list(enc.params) == ["text.table", "text.weight", "text.bias"]
+    rows = enc.rows(["b", "a"]).value
+    assert rows.shape == (2, 3)
+    assert np.array_equal(rows[0], enc.embed("running fast").value)
+
+
 def test_l2_normalized():
     t = small_table().l2_normalized()
     assert np.allclose(np.linalg.norm(t.matrix(t.ids()), axis=1), 1.0)
@@ -96,8 +107,8 @@ def test_gradient_through_trainable_and_loss():
         rows = ad.stack_rows([enc.embed("slow walk"), enc.embed("fast run")])
         return contrastive_loss(g, rows, temp, symmetric=True)
 
-    assert len(enc.trainable_params()) == 3
-    err = grad_check(fn, enc.trainable_params() + [temp.log_inv_gamma])
+    assert len(enc.params) == 3
+    err = grad_check(fn, list(enc.params.values()) + [temp.log_inv_gamma])
     assert err < 1e-5
 
 
