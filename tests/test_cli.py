@@ -277,9 +277,7 @@ def test_config_file_setting_deterministic_is_usage_error(workspace, capsys):
     assert "deterministic" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "extra", [[], ["--trainable-text", "--symmetric-loss"]], ids=["frozen-text", "trainable-text-symmetric"]
-)
+@pytest.mark.parametrize("extra", [[], ["--symmetric-loss"]], ids=["frozen-text", "symmetric"])
 def test_deterministic_pretrain_byte_identical(workspace, tmp_path, capsys, extra):
     m1, m2 = tmp_path / "m1.ckpt", tmp_path / "m2.ckpt"
     for out in (m1, m2):

@@ -64,12 +64,12 @@ GOLDEN = {
 
 
 GOLDEN_SYMMETRIC = (
-    [0.21496709619144796, -0.4367083432137897, -0.8269315325632692,
-     0.11669400744927053, 0.07628944892353018, -0.0768542021771478,
-     -1.0299146599240685, -0.06841120981054215, 0.45491909715388323],
-    [[1.7015911129158963, 14.14356905636701],
-     [1.30302560227772, 14.058549996371559],
-     [1.3184761333121986, 14.004388703391768]],
+    [-0.3665799416506422, -0.2102187083453922, 0.024544863494738486,
+     -0.8113830078648033, -0.36674199261449725, -0.09085286146387739,
+     0.34279627962975556, 0.2652030047848864, 0.08439160583176736],
+    [[2.0299373273015373, 14.143569054873657],
+     [1.601967486399583, 14.017987036750508],
+     [1.2488641756965895, 13.92441908016691]],
 )
 
 GOLDEN_FINETUNE = (
@@ -95,7 +95,7 @@ def test_golden_pretrain_embedding(trainable_text):
 
 
 def test_golden_symmetric_pretrain_embedding():
-    emb, log = golden_run(trainable_text=True, symmetric_loss=True)
+    emb, log = golden_run(trainable_text=False, symmetric_loss=True)
     np.testing.assert_allclose(emb, GOLDEN_SYMMETRIC[0], rtol=0, atol=1e-9)
     np.testing.assert_allclose(log, GOLDEN_SYMMETRIC[1], rtol=0, atol=1e-9)
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import chain_structure
 from imuclr import autodiff as ad
-from imuclr.checkpoint import Checkpoint
+from imuclr.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from imuclr.errors import (
     BadRange,
     DimMismatch,
@@ -286,6 +286,28 @@ def test_evaluate_without_label_embeddings_needs_a_classifier():
     model = Model(tiny_checkpoint())
     with pytest.raises(ShapeMismatch, match="no classifier head"):
         evaluate(model, [(series_of(1.0), "a")], LabelSet(names=("a", "b")))
+
+
+def test_checkpoint_with_trained_text_arrays_loads_evaluates_and_finetunes(tmp_path):
+    # checkpoints once written with a trained hash text encoder carry three
+    # extra arrays that nothing reads; they load and pass through unchanged
+    plain = tiny_checkpoint()
+    rng = np.random.default_rng(4)
+    text = {"text.table": rng.standard_normal((4096, 4)), "text.weight": rng.standard_normal((4, 4)),
+            "text.bias": np.zeros(4)}
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, replace(plain, params={**plain.params, **text}))
+    ckpt = load_checkpoint(path)
+    labels = LabelSet(names=("a", "b"), embeddings=rng.standard_normal((2, 4)))
+    dataset = [(series_of(v), "a" if v < 0 else "b") for v in (-2.0, -1.0, 1.0, 2.0)]
+    rep = evaluate(Model(ckpt), dataset, labels)
+    assert np.array_equal(rep.confusion, evaluate(Model(plain), dataset, labels).confusion)
+    cfg = FinetuneConfig(epochs=2, lr=1e-2, batch_size=2, seed=0)
+    tuned = finetune(Model(ckpt), dataset, LabelSet(names=("a", "b")), cfg)
+    assert evaluate(tuned, dataset, LabelSet(names=("a", "b"))).confusion.sum() == 4
+    out = tuned.to_checkpoint()
+    for name, arr in text.items():
+        assert np.array_equal(out.params[name], arr)
 
 
 def test_model_joint_count_check():
