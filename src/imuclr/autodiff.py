@@ -7,10 +7,10 @@ Everything runs in float64 by default so the gradient checker can use tight
 tolerances.
 
 The primitives: add, mul (both broadcasting), matmul, transpose, reshape,
-relu, exp, minimum_const and linear; stack_rows and embedding_mean for the
-text side; softmax_cross_entropy for both training objectives; graph_conv,
-time_conv, channel_affine and pool_time_joints on channel-major
-(C, B, T, V) tensors, so their (C, B*T*V) GEMM operands are free reshapes.
+relu, exp, minimum_const and linear; softmax_cross_entropy for both
+training objectives; graph_conv, time_conv, channel_affine and
+pool_time_joints on channel-major (C, B, T, V) tensors, so their
+(C, B*T*V) GEMM operands are free reshapes.
 time_conv is the exception: its im2col matrix is K times its input, so it
 is built one sample at a time, (C*K, T*V), and rebuilt in backward rather
 than kept on the tape; graph_conv likewise rebuilds its x @ A_k products.
@@ -276,35 +276,6 @@ def softmax_cross_entropy(logits, targets):
             a._accumulate(full - np.exp(log_probs) * full.sum(axis=1, keepdims=True))
 
     return _tracked(-np.asarray(log_probs[rows, idx].mean()), (a,), backward)
-
-
-def stack_rows(tensors):
-    """Stack k same-shape tensors along a new leading axis."""
-    tensors = [as_tensor(t) for t in tensors]
-
-    def backward(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accumulate(g[i])
-
-    return _tracked(np.stack([t.value for t in tensors]), tuple(tensors), backward)
-
-
-def embedding_mean(table, indices):
-    """Mean of selected table rows; repeated indices accumulate correctly."""
-    table = as_tensor(table)
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ShapeMismatch("embedding_mean needs a nonempty 1-D index list")
-    n = idx.size
-
-    def backward(g):
-        if table.requires_grad:
-            full = np.zeros(table.shape)
-            np.add.at(full, idx, g / n)
-            table._accumulate(full)
-
-    return _tracked(table.value[idx].mean(axis=0), (table,), backward)
 
 
 # ---------------------------------------------------------------------------

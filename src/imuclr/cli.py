@@ -19,8 +19,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import formats
 from .checkpoint import load_checkpoint, save_checkpoint
 from .contrastive import TrainConfig, pretrain
@@ -30,7 +28,6 @@ from .graph_encoder import EncoderConfig
 from .inference import FinetuneConfig, LabelSet, Model, evaluate, finetune
 from .simulate import NoiseParams
 from .skeleton import body22
-from .text_embeddings import TrainableTextEncoder
 
 
 class UsageError(Exception):
@@ -137,14 +134,12 @@ def cmd_pretrain(args):
         table = table.l2_normalized()
     descriptions = formats.read_description_file(args.desc)
     structure = _structure_from(args)
+    _require(args.mask_max <= structure.num_joints, "--mask-max exceeds the joint count")
     noise = NoiseParams(sigma_accel=args.sigma_accel, sigma_gyro=args.sigma_gyro)
     samples = load_pretrain_samples(
         args.data, fs=args.fs, noise=noise, seed=args.seed, gravity=args.gravity
     )
-    _require(args.mask_max <= structure.num_joints, "--mask-max exceeds the joint count")
     encoder_cfg = _encoder_config(args, table.dim)
-    rng = np.random.default_rng(args.seed)
-    text = TrainableTextEncoder.from_table(table, rng) if args.trainable_text else table
     cfg = TrainConfig(
         batch_size=args.batch,
         epochs=args.epochs,
@@ -165,7 +160,7 @@ def cmd_pretrain(args):
         print(line)
         metrics.append(line + "\n")
 
-    ckpt = pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=on_epoch)
+    ckpt = pretrain(samples, descriptions, table, structure, encoder_cfg, cfg, on_epoch=on_epoch)
     formats.write_atomic(metrics_path, "".join(metrics).encode("utf-8"))
     save_checkpoint(args.out, ckpt)
     print(f"saved {args.out} checkpoint_hash={file_hash(args.out)} metrics={metrics_path}")
@@ -224,15 +219,15 @@ def cmd_finetune(args):
 
 
 def cmd_eval(args):
+    _require(args.labels or not args.l2_normalize_text, "--l2-normalize-text needs --labels")
     model, dataset = _model_and_dataset("eval", args)
-    ckpt = model.ckpt
-    if ckpt.has_classifier():
-        if ckpt.label_names is None:
-            raise PipelineError("checkpoint has a classifier but no label names")
-        labels = LabelSet(names=ckpt.label_names)
-    else:
-        _require(args.labels, "--labels is required to evaluate a model without a classifier")
+    if args.labels:
         labels = _labels_from_embedding_file(args.labels, args.l2_normalize_text)
+    else:
+        _require(model.has_classifier(), "--labels is required to evaluate a model without a classifier")
+        if model.ckpt.label_names is None:
+            raise PipelineError("checkpoint has a classifier but no label names")
+        labels = LabelSet(names=model.ckpt.label_names)
     _print_report(evaluate(model, dataset, labels), args.report)
     return 0
 
@@ -283,7 +278,6 @@ def build_parser():
     p.add_argument("--channels", type=WIDTHS, default="32,64", help="comma-separated block widths")
     p.add_argument("--kt", type=ODD_INT, default=9, help="temporal kernel size (odd)")
     p.add_argument("--partition", choices=("uniform", "distance"), default="distance")
-    p.add_argument("--trainable-text", action="store_true")
     p.add_argument("--l2-normalize-text", action="store_true")
     p.set_defaults(func=cmd_pretrain)
 
@@ -312,7 +306,7 @@ def build_parser():
     common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--labels", help="label embeddings (zero-shot models)")
+    p.add_argument("--labels", help="label embeddings to score against; without it, the classifier")
     p.add_argument("--window", type=NONNEGATIVE_INT, default=0)
     p.add_argument("--report", help="write metrics to a key-value file")
     p.add_argument("--l2-normalize-text", action="store_true")

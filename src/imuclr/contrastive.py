@@ -8,7 +8,8 @@ embedding to its own text among the in-batch alternatives. The temperature
 is learned through its log inverse, clamped from above.
 
 The encoder trains as the same inference.Model that fine-tuning uses; the
-text side is a frozen table or a trainable encoder, both giving rows(ids).
+text side is a frozen TextEmbeddingTable, so zero-shot label vectors from
+the same text space score against the trained encoder.
 """
 
 from __future__ import annotations
@@ -126,14 +127,14 @@ def _assemble_batch(chosen, cfg, rng_rot, rng_mask):
 def pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=None):
     """Run the contrastive pre-training loop and return the final checkpoint.
 
-    samples: list of PretrainSample at a common sample rate. text: a frozen
-    TextEmbeddingTable or a TrainableTextEncoder whose dimension matches
-    encoder_cfg.embedding_dim; its params train along. on_epoch, when
-    given, receives (epoch, mean_loss, inv_gamma) after every epoch.
+    samples: list of PretrainSample at a common sample rate. text: the
+    frozen TextEmbeddingTable of the description ids, whose dimension
+    matches encoder_cfg.embedding_dim. on_epoch, when given, receives
+    (epoch, mean_loss, inv_gamma) after every epoch.
 
     The encoder trains as an inference.Model around a fresh Checkpoint of
     the initial encoder parameters and log(1/gamma); the returned checkpoint
-    lists those, then any text-encoder parameters.
+    holds exactly those, trained.
 
     Randomness is split into independent per-stage streams derived from
     cfg.seed (initialization, batch order, rotations, masks, descriptions),
@@ -170,7 +171,6 @@ def pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=
     window = int(np.median([s.series.num_frames for s in samples]))
     model = Model(Checkpoint(encoder_cfg, structure, rates.pop(), params, train_window=window))
     temperature = Temperature(model.params["log_inv_gamma"])
-    model.params.update(text.params)
     optimizer = Adam(model.params.values(), lr=cfg.lr)
 
     for epoch in range(cfg.epochs):
@@ -180,7 +180,7 @@ def pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=
             batch = _assemble_batch(chosen, cfg, rng_rot, rng_mask)
             g = model.embed_batch_tensor(batch)
             ids = [sample_description(descriptions, s.seq_id, rng_desc, cfg.text_augment) for s in chosen]
-            loss = contrastive_loss(g, text.rows(ids), temperature, symmetric=cfg.symmetric_loss)
+            loss = contrastive_loss(g, text.matrix(ids), temperature, symmetric=cfg.symmetric_loss)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()

@@ -1,30 +1,18 @@
-"""Text-side embedding providers.
+"""The text side: a frozen table of description embeddings.
 
-The primary mode is a frozen table of vectors produced offline by any
-external text encoder and loaded from an embedding file. A small trainable
-hash embedder exists so the repository works end to end with no external
-assets: tokens are hashed into a fixed-size table, mean-pooled and linearly
-mapped to the shared dimension.
-
-Both give rows(ids), a (len(ids), dim) Tensor, and their trainable `params`
-by name (none for the table), so pre-training treats them alike.
+The vectors are produced offline by any external text encoder and loaded
+from an embedding file; pre-training aligns the motion encoder to them and
+never changes them. Zero-shot evaluation scores against label vectors from
+the same text space, read from their own embedding file.
 """
 
 from __future__ import annotations
 
-import re
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Parameter, Tensor
 from .errors import DimMismatch, EmptyText, PipelineError
-
-HASH_SLOTS = 4096
-
-_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
 
 @dataclass
@@ -54,14 +42,6 @@ class TextEmbeddingTable:
 
     def matrix(self, ids):
         return np.stack([self.vector(i) for i in ids])
-
-    @property
-    def params(self):
-        return {}  # a frozen table trains nothing
-
-    def rows(self, ids):
-        """Constant (len(ids), dim) Tensor of the ids' vectors."""
-        return Tensor(self.matrix(ids))
 
     def l2_normalized(self):
         out = {}
@@ -102,49 +82,3 @@ def sample_description(descriptions, seq_id, rng, include_paraphrases=True):
         raise EmptyText(f"sequence {seq_id!r} has no descriptions")
     return ids[int(rng.integers(len(ids)))]
 
-
-def tokenize(text):
-    """Lowercase and split on non-alphanumeric runs."""
-    return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
-
-
-def token_slot(token):
-    """Stable hash of a token into the embedding table; crc32, not hash()."""
-    return zlib.crc32(token.encode("utf-8")) % HASH_SLOTS
-
-
-class TrainableTextEncoder:
-    """Hash-embedding text encoder: token table -> mean pool -> linear map.
-
-    `texts` maps description ids to the strings they stand for, so the
-    encoder can slot in wherever a frozen TextEmbeddingTable is accepted.
-    """
-
-    def __init__(self, dim, rng, texts=None):
-        self.dim = dim
-        self.texts = dict(texts) if texts else {}
-        scale = 1.0 / np.sqrt(dim)
-        self.params = {
-            "text.table": Parameter("text.table", rng.standard_normal((HASH_SLOTS, dim)) * scale),
-            "text.weight": Parameter("text.weight", rng.standard_normal((dim, dim)) * scale),
-            "text.bias": Parameter("text.bias", np.zeros(dim)),
-        }
-
-    @classmethod
-    def from_table(cls, table, rng):
-        texts = {key: text for key, (text, _) in table.entries.items()}
-        return cls(table.dim, rng, texts=texts)
-
-    def rows(self, ids):
-        """Differentiable (len(ids), dim) Tensor embedding the ids' texts."""
-        return ad.stack_rows([self.embed(self.texts[i]) for i in ids])
-
-    def embed(self, text):
-        """Differentiable embedding of one string; returns a (dim,) Tensor."""
-        slots = [token_slot(t) for t in tokenize(text)]
-        if not slots:
-            raise EmptyText(f"no tokens after normalization in {text!r}")
-        pooled = ad.embedding_mean(self.params["text.table"], slots)
-        row = ad.reshape(pooled, (1, self.dim))
-        out = ad.linear(row, self.params["text.weight"], self.params["text.bias"])
-        return ad.reshape(out, (self.dim,))

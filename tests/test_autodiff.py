@@ -122,23 +122,6 @@ def test_softmax_cross_entropy_repeated_targets_gradient():
     assert grad_check(lambda: ad.softmax_cross_entropy(p, idx), [p]) < 1e-6
 
 
-def test_stack_rows_gradient():
-    rng = np.random.default_rng(4)
-    ps = [Parameter(f"p{i}", rng.standard_normal(3)) for i in range(3)]
-    assert grad_check(lambda: contract(ad.mul(ad.stack_rows(ps), ad.stack_rows(ps))), ps) < 1e-6
-
-
-def test_embedding_mean_gradient_with_repeats():
-    rng = np.random.default_rng(5)
-    table = Parameter("table", rng.standard_normal((6, 4)))
-    idx = [1, 1, 4]
-    assert grad_check(lambda: contract(ad.mul(ad.embedding_mean(table, idx), ad.as_tensor(2.0))), [table]) < 1e-6
-
-
-# The structured ops take channel-major (C, B, T, V) tensors. Their tests use
-# pairwise-distinct C, B, T and V so that a swapped axis raises or fails.
-
-
 def test_channel_affine_gradient():
     rng = np.random.default_rng(6)
     x = Parameter("x", rng.standard_normal((3, 2, 4, 5)))

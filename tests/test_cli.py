@@ -140,6 +140,28 @@ def test_finetune_and_eval(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("l2", [[], ["--l2-normalize-text"]], ids=["raw", "l2"])
+def test_eval_with_labels_scores_a_finetuned_model_zero_shot(workspace, tmp_path, capsys, l2):
+    # --labels wins over the classifier head: the report is the zero-shot one,
+    # here over three candidate labels where the classifier knows two
+    assert main(pretrain_args(workspace)) == 0
+    tuned = tmp_path / "tuned.ckpt"
+    data = ["--manifest", str(workspace["manifest"])]
+    assert main(["finetune", "--model", str(workspace["model"]), *data, "--out", str(tuned), "--epochs", "2"]) == 0
+    table = formats.read_embedding_file(workspace["emb"])
+    table.entries["t2"] = ("idle", 3 * np.ones(table.dim))
+    labels_path = tmp_path / "labels.txt"
+    formats.write_embedding_file(labels_path, table)
+    labels = ["--labels", str(labels_path), *l2]
+    reports = {name: tmp_path / f"{name}.tsv" for name in ("zero-shot", "eval")}
+    assert main(["zero-shot", "--model", str(tuned), *data, *labels, "--report", str(reports["zero-shot"])]) == 0
+    assert main(["eval", "--model", str(tuned), *data, *labels, "--report", str(reports["eval"])]) == 0
+    assert "confusion_2\t" in reports["eval"].read_text()
+    assert reports["eval"].read_bytes() == reports["zero-shot"].read_bytes()
+    assert main(["eval", "--model", str(tuned), *data, "--l2-normalize-text"]) == 1
+    assert "--l2-normalize-text needs --labels" in capsys.readouterr().err
+
+
 def test_torn_metrics_write_keeps_previous_file(workspace, capsys):
     assert main(pretrain_args(workspace)) == 0  # warms .simcache, so no cache entry is written below
     metrics = workspace["root"] / "model.ckpt.metrics.tsv"
@@ -277,6 +299,25 @@ def test_config_file_setting_deterministic_is_usage_error(workspace, capsys):
     assert "deterministic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_trainable_text_is_usage_error(workspace, capsys, source):
+    # no flag trains the text side: zero-shot labels live in the frozen table's space
+    extra = ["--trainable-text"]
+    if source == "config":
+        cfg = workspace["root"] / "run.cfg"
+        cfg.write_text("trainable-text = true\n")
+        extra = ["--config", str(cfg)]
+    assert main(pretrain_args(workspace, extra)) == 1
+    assert "trainable" in capsys.readouterr().err
+
+
+def test_mask_max_above_joint_count_is_usage_error_before_simulation(workspace, capsys):
+    assert main(pretrain_args(workspace, ["--mask-max", "30"])) == 1
+    out, err = capsys.readouterr()
+    assert "--mask-max exceeds the joint count" in err and "run " not in out
+    assert not (workspace["skel_dir"] / ".simcache").exists()
+
+
 @pytest.mark.parametrize("extra", [[], ["--symmetric-loss"]], ids=["frozen-text", "symmetric"])
 def test_deterministic_pretrain_byte_identical(workspace, tmp_path, capsys, extra):
     m1, m2 = tmp_path / "m1.ckpt", tmp_path / "m2.ckpt"
@@ -304,7 +345,7 @@ def test_simulate_binary_output(workspace, tmp_path, capsys):
 def test_pretrain_flag_variants(workspace, capsys):
     # each optional switch must be accepted and produce a checkpoint
     for extra in (["--no-rot-aug"], ["--no-text-aug"], ["--symmetric-loss"],
-                  ["--trainable-text"], ["--l2-normalize-text"], ["--partition", "uniform"]):
+                  ["--l2-normalize-text"], ["--partition", "uniform"]):
         assert main(pretrain_args(workspace, extra)) == 0, extra
     capsys.readouterr()
 

@@ -18,11 +18,10 @@ from imuclr.graph_encoder import (
     EncoderConfig,
     build_adjacency,
     encode_batch,
-    encoder_param_names,
     init_encoder_params,
 )
 from imuclr.simulate import MotionTimeSeries
-from imuclr.text_embeddings import DescriptionSet, TextEmbeddingTable, TrainableTextEncoder
+from imuclr.text_embeddings import DescriptionSet, TextEmbeddingTable
 
 
 def test_nan_reading_reaches_the_loss_check():
@@ -188,18 +187,6 @@ def test_checkpoint_contents():
     assert "log_inv_gamma" in ckpt.params
     assert ckpt.structure.num_joints == V
     assert not ckpt.has_classifier()
-
-
-def test_trainable_text_checkpoint_lists_text_params_last_with_live_values():
-    samples, ds, table, cfg, enc = tiny_setup()
-    text = TrainableTextEncoder.from_table(table, np.random.default_rng(1))
-    initial = {name: p.value.copy() for name, p in text.params.items()}
-    ckpt = pretrain(samples, ds, text, chain_structure(V), enc, cfg)
-    text_names = ["text.table", "text.weight", "text.bias"]
-    assert list(ckpt.params) == encoder_param_names(enc) + ["log_inv_gamma"] + text_names
-    for name in text_names:
-        assert np.array_equal(ckpt.params[name], text.params[name].value)
-    assert not np.array_equal(ckpt.params["text.weight"], initial["text.weight"])
 
 
 def test_pretrain_validations():

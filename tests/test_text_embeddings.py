@@ -1,18 +1,8 @@
 import numpy as np
 import pytest
 
-from imuclr import autodiff as ad
-from imuclr.autodiff import grad_check
-from imuclr.contrastive import Temperature, contrastive_loss
 from imuclr.errors import DimMismatch, EmptyText
-from imuclr.text_embeddings import (
-    DescriptionSet,
-    TextEmbeddingTable,
-    TrainableTextEncoder,
-    sample_description,
-    token_slot,
-    tokenize,
-)
+from imuclr.text_embeddings import DescriptionSet, TextEmbeddingTable, sample_description
 
 
 def small_table():
@@ -36,17 +26,6 @@ def test_table_matrix_and_vector():
     assert np.array_equal(t.matrix(["b", "a"]), [[0.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
 
 
-def test_table_and_encoder_give_rows_of_the_same_shape():
-    t = small_table()
-    assert t.params == {}
-    assert np.array_equal(t.rows(["b", "a"]).value, t.matrix(["b", "a"]))
-    enc = TrainableTextEncoder.from_table(t, np.random.default_rng(0))
-    assert list(enc.params) == ["text.table", "text.weight", "text.bias"]
-    rows = enc.rows(["b", "a"]).value
-    assert rows.shape == (2, 3)
-    assert np.array_equal(rows[0], enc.embed("running fast").value)
-
-
 def test_l2_normalized():
     t = small_table().l2_normalized()
     assert np.allclose(np.linalg.norm(t.matrix(t.ids()), axis=1), 1.0)
@@ -57,70 +36,6 @@ def test_snapshot_is_bit_exact_copy():
     snap = t.state_snapshot()
     t.entries["a"][1][0] = 99.0
     assert snap["a"][0] == 1.0  # snapshot unaffected by later mutation
-
-
-def test_tokenize_rules():
-    assert tokenize("The quick-brown FOX, jumps!") == ["the", "quick", "brown", "fox", "jumps"]
-    assert tokenize("...") == []
-
-
-def test_token_slot_stable():
-    assert token_slot("walking") == token_slot("walking")
-    assert 0 <= token_slot("anything") < 4096
-
-
-def trainable():
-    return TrainableTextEncoder(dim=4, rng=np.random.default_rng(0))
-
-
-def test_identical_strings_identical_vectors():
-    enc = trainable()
-    a = enc.embed("walking the dog").value
-    b = enc.embed("walking the dog").value
-    assert np.array_equal(a, b)
-
-
-def test_case_insensitive():
-    enc = trainable()
-    assert np.array_equal(enc.embed("Walking").value, enc.embed("walking").value)
-
-
-def test_empty_text_rejected():
-    with pytest.raises(EmptyText):
-        trainable().embed("?!")
-
-
-def test_output_dimension():
-    enc = trainable()
-    assert enc.embed("some words here").value.shape == (4,)
-
-
-def test_gradient_through_trainable_and_loss():
-    enc = trainable()
-    g = ad.Tensor(np.random.default_rng(1).standard_normal((2, 4)) * 0.5)
-    temp = Temperature.create(gamma=1.0)
-
-    # symmetric direction: under the one-directional loss the text bias
-    # shifts every logit of a row equally, so its true gradient is exactly
-    # zero and the relative-error check would compare numerical dust
-    def fn():
-        rows = ad.stack_rows([enc.embed("slow walk"), enc.embed("fast run")])
-        return contrastive_loss(g, rows, temp, symmetric=True)
-
-    assert len(enc.params) == 3
-    err = grad_check(fn, list(enc.params.values()) + [temp.log_inv_gamma])
-    assert err < 1e-5
-
-
-def test_text_bias_gradient_is_zero_one_directional():
-    # softmax shift invariance: adding a constant to a logit row changes nothing
-    enc = trainable()
-    g = ad.Tensor(np.random.default_rng(1).standard_normal((2, 4)) * 0.5)
-    temp = Temperature.create(gamma=1.0)
-    rows = ad.stack_rows([enc.embed("slow walk"), enc.embed("fast run")])
-    loss = contrastive_loss(g, rows, temp)
-    loss.backward()
-    assert np.abs(enc.params["text.bias"].grad).max() < 1e-12
 
 
 def test_sample_description_single():
