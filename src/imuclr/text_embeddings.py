@@ -81,4 +81,3 @@ def sample_description(descriptions, seq_id, rng, include_paraphrases=True):
     if not ids:
         raise EmptyText(f"sequence {seq_id!r} has no descriptions")
     return ids[int(rng.integers(len(ids)))]
-
