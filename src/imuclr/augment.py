@@ -16,7 +16,7 @@ import numpy as np
 
 from . import quat
 from .errors import BadRange, ShapeMismatch
-from .simulate import ACCEL, GYRO, MotionTimeSeries
+from .simulate import MotionTimeSeries
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,22 @@ def sample_joint_rotations(num_joints, rng):
     return quat.quats_to_matrices(qs)
 
 
+def rotate_joints(data, rotations):
+    """Left-multiply each joint's accel and gyro triples of (..., 6, T, V) data by its matrix.
+
+    rotations: (V, 3, 3), one matrix per joint of data's last axis. Written
+    as elementwise products summed over j = 0, 1, 2 in that order, so an
+    entry's bytes do not depend on the leading batch axes or the layout:
+    rotate_augment and pretraining's batch assembly share this code path.
+    """
+    triples = data.reshape(data.shape[:-3] + (2, 3) + data.shape[-2:])
+    r = rotations.transpose(1, 2, 0)[:, :, None, :]  # r[i, j] is (1, V): R[v, i, j] over the joints
+    out = r[:, 0] * triples[..., 0:1, :, :]
+    for j in (1, 2):
+        out += r[:, j] * triples[..., j : j + 1, :, :]
+    return out.reshape(data.shape)
+
+
 def rotate_augment(x, rotations):
     """Left-multiply each joint's accel and gyro triples by one fixed rotation.
 
@@ -58,10 +74,7 @@ def rotate_augment(x, rotations):
         raise ShapeMismatch(
             f"rotations must be ({x.num_joints}, 3, 3), got {rotations.shape}"
         )
-    out = np.empty_like(x.data)
-    # einsum over the 3-vector axis: out[c', t, v] = R[v, c', c] x[c, t, v]
-    out[ACCEL] = np.einsum("vij,jtv->itv", rotations, x.data[ACCEL])
-    out[GYRO] = np.einsum("vij,jtv->itv", rotations, x.data[GYRO])
+    out = rotate_joints(x.data, rotations)
     out[:, :, ~x.mask] = 0.0
     return MotionTimeSeries(out, x.mask.copy(), x.sample_rate)
 

@@ -6,14 +6,16 @@ hand-written backward rule, a finite-difference gradient checker, and Adam.
 Everything runs in float64 by default so the gradient checker can use tight
 tolerances.
 
-The primitives: add, mul (both broadcasting), matmul, transpose, reshape,
-relu, exp, minimum_const and linear; softmax_cross_entropy for both
-training objectives; graph_conv, time_conv, channel_affine and
-pool_time_joints on channel-major (C, B, T, V) tensors, so their
-(C, B*T*V) GEMM operands are free reshapes.
-time_conv is the exception: its im2col matrix is K times its input, so it
-is built one sample at a time, (C*K, T*V), and rebuilt in backward rather
-than kept on the tape; graph_conv likewise rebuilds its x @ A_k products.
+The primitives: add, mul (both broadcasting), matmul, transpose, relu,
+exp, minimum_const and linear; softmax_cross_entropy for both training
+objectives; graph_conv, time_conv, channel_affine and pool_time_joints on
+channel-major (C, B, T, V) tensors, so their (C, B*T*V) GEMM operands are
+free reshapes. graph_conv stacks its K partitions into one (K*C, B*T*V)
+operand, so its channel mix, dW and dx are one GEMM each, and rebuilds
+that stack in backward rather than keep it on the tape. time_conv's im2col
+matrix is K times its input, so it is built one sample at a time,
+(C*K, T*V), and never kept: backward builds one im2col per sample, of the
+upstream gradient, and takes both dx and dW from it.
 relu passes NaN on, for the loss's finiteness check.
 
 No operation mutates its inputs, and no gradient is updated in place: a
@@ -204,16 +206,6 @@ def transpose(a):
     return _tracked(a.value.T.copy(), (a,), backward)
 
 
-def reshape(a, shape):
-    a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.shape))
-
-    return _tracked(a.value.reshape(shape), (a,), backward)
-
-
 def relu(a):
     """max(a, 0); -0.0 comes out as 0.0 and NaN as NaN."""
     a = as_tensor(a)
@@ -287,7 +279,10 @@ def graph_conv(x, w, adj_norm):
     """Spatial graph convolution: sum_k Phi_k (x @ A_hat_k).
 
     x: (C,B,T,V) tensor; w: (K,O,C) weights; adj_norm: constant (K,V,V)
-    stack of symmetrically normalized adjacency matrices.
+    stack of symmetrically normalized adjacency matrices. The K products
+    x @ A_hat_k are stacked into one (K*C, B*T*V) operand, so the channel
+    mix of forward, dW and dx are one GEMM each; the stack is rebuilt in
+    backward rather than kept on the tape.
     """
     x, w = as_tensor(x), as_tensor(w)
     adj = np.asarray(adj_norm, dtype=np.float64)
@@ -300,35 +295,42 @@ def graph_conv(x, w, adj_norm):
         )
     c, b, t, v = x.shape
     o = w.shape[1]
+    w_cat = w.value.transpose(1, 0, 2).reshape(o, k_s * c)  # w_cat[o, k*C + c] = w[k, o, c]
 
-    def xa_cols(k):  # rebuilt in backward rather than kept on the tape
-        return (x.value @ adj[k]).reshape(c, -1)
-
-    acc = w.value[0] @ xa_cols(0)
-    for k in range(1, k_s):
-        acc += w.value[k] @ xa_cols(k)
+    def xa_stack():  # (K*C, B*T*V): row block k is x @ A_hat_k
+        return np.matmul(x.value.reshape(-1, v), adj).reshape(k_s * c, -1)
 
     def backward(g):
         g_cols = g.reshape(o, -1)
         if w.requires_grad:
-            w._accumulate(np.stack([g_cols @ xa_cols(k).T for k in range(k_s)]))
+            w._accumulate((g_cols @ xa_stack().T).reshape(o, k_s, c).transpose(1, 0, 2))
         if x.requires_grad:
-            dx = np.zeros(x.shape)
-            for k in range(k_s):
-                dx += (w.value[k].T @ g_cols).reshape(x.shape) @ adj[k].T
-            x._accumulate(dx)
+            # the transposed adjacency is made contiguous: BLAS runs a strided
+            # (V, V) operand at about half speed
+            adj_t = np.ascontiguousarray(adj.transpose(0, 2, 1))
+            d_xa = (w_cat.T @ g_cols).reshape(k_s, -1, v)
+            dx = d_xa[0] @ adj_t[0]
+            for k in range(1, k_s):
+                dx += d_xa[k] @ adj_t[k]
+            x._accumulate(dx.reshape(x.shape))
 
-    return _tracked(acc.reshape(o, b, t, v), (x, w), backward)
+    return _tracked((w_cat @ xa_stack()).reshape(o, b, t, v), (x, w), backward)
 
 
-def _conv_cols(sample, k):
-    """(C,T,V) sample -> im2col matrix (C*K, T*V) of zero-padded windows."""
-    c, t, v = sample.shape
+def _sample_cols(values, k):
+    """Yield each (C,T,V) sample of (C,B,T,V) values as its (C*K, T*V) im2col matrix.
+
+    One zero-padded (C, T+K-1, V) buffer is refilled per sample and read
+    through a fixed (C, K, T*V) strided view, whose reshape is the only copy:
+    row c*K + k of the matrix holds the padded sample's frames k .. k+T-1.
+    """
+    c, b, t, v = values.shape
     pad = (k - 1) // 2
     xp = np.zeros((c, t + k - 1, v))
-    xp[:, pad : pad + t, :] = sample
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)  # (C,T,V,K)
-    return np.ascontiguousarray(win.transpose(0, 3, 1, 2)).reshape(c * k, t * v)
+    win = np.lib.stride_tricks.as_strided(xp, (c, k, t * v), xp.strides, writeable=False)
+    for i in range(b):
+        xp[:, pad : pad + t] = values[:, i]
+        yield win.reshape(c * k, t * v)
 
 
 def _conv_same(values, kernel):
@@ -337,8 +339,8 @@ def _conv_same(values, kernel):
     o, c, k = kernel.shape
     flat = kernel.reshape(o, c * k)
     out = np.empty((o, b, t * v))
-    for i in range(b):
-        np.matmul(flat, _conv_cols(values[:, i], k), out=out[:, i])
+    for i, cols in enumerate(_sample_cols(values, k)):
+        np.matmul(flat, cols, out=out[:, i])
     return out.reshape(o, b, t, v)
 
 
@@ -346,12 +348,15 @@ def time_conv(x, w):
     """Temporal convolution of a (C,B,T,V) tensor with a (O,C,K) kernel, zero-padded to keep T.
 
     The im2col matrix is K times the size of the input, so it is built one
-    sample at a time and rebuilt in backward instead of kept on the tape.
+    sample at a time and never kept on the tape. Backward builds one im2col
+    per sample, of the upstream gradient g, and takes both gradients from
+    it: dx is the same convolution of g with the flipped, transposed kernel,
+    and sum_i G_i @ x_i^T holds dW with its taps reversed.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 4 or w.ndim != 3:
         raise ShapeMismatch("time_conv expects x (C,B,T,V) and w (O,C,K)")
-    c, b = x.shape[:2]
+    c, b, t, v = x.shape
     o, c2, k = w.shape
     if c2 != c:
         raise ShapeMismatch(f"kernel expects {c2} input channels, tensor has {c}")
@@ -359,14 +364,19 @@ def time_conv(x, w):
         raise ShapeMismatch(f"temporal kernel size must be odd, got {k}")
 
     def backward(g):
-        if w.requires_grad:
-            gw = np.zeros((o, c * k))
-            for i in range(b):
-                gw += g[:, i].reshape(o, -1) @ _conv_cols(x.value[:, i], k).T
-            w._accumulate(gw.reshape(w.shape))
-        if x.requires_grad:
-            # gradient wrt input is the same conv with the flipped, transposed kernel
-            x._accumulate(_conv_same(g, w.value[:, :, ::-1].transpose(1, 0, 2)))
+        w_flip = w.value[:, :, ::-1].transpose(1, 0, 2).reshape(c, o * k)
+        dx = np.empty((c, b, t * v)) if x.requires_grad else None
+        # row (o, K-1-k) of m is dW[o, :, k]: row (o, k') of G_i is g[o] shifted by k' - pad
+        m = np.zeros((o * k, c)) if w.requires_grad else None
+        for i, cols in enumerate(_sample_cols(g, k)):
+            if dx is not None:
+                np.matmul(w_flip, cols, out=dx[:, i])
+            if m is not None:
+                m += cols @ x.value[:, i].reshape(c, t * v).T
+        if dx is not None:
+            x._accumulate(dx.reshape(x.shape))
+        if m is not None:
+            w._accumulate(m.reshape(o, k, c)[:, ::-1].transpose(0, 2, 1))
 
     return _tracked(_conv_same(x.value, w.value), (x, w), backward)
 

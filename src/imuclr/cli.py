@@ -189,9 +189,8 @@ def _print_report(report, report_path=None):
         print(f"report written to {report_path}")
 
 
-def _model_and_dataset(command, args):
-    """Checkpoint, banner, model and the manifest's windows (--window or the training window)."""
-    ckpt = load_checkpoint(args.model)
+def _model_and_dataset(command, args, ckpt):
+    """Banner, then the model of a loaded checkpoint and the manifest's windows (--window or the training window)."""
     _banner(command, args, file_hash(args.model))
     window = args.window if args.window else ckpt.train_window
     dataset = load_eval_dataset(args.manifest, ckpt.structure, ckpt.sample_rate, window=window)
@@ -199,14 +198,14 @@ def _model_and_dataset(command, args):
 
 
 def cmd_zero_shot(args):
-    model, dataset = _model_and_dataset("zero-shot", args)
+    model, dataset = _model_and_dataset("zero-shot", args, load_checkpoint(args.model))
     labels = _labels_from_embedding_file(args.labels, args.l2_normalize_text)
     _print_report(evaluate(model, dataset, labels), args.report)
     return 0
 
 
 def cmd_finetune(args):
-    model, dataset = _model_and_dataset("finetune", args)
+    model, dataset = _model_and_dataset("finetune", args, load_checkpoint(args.model))
     names = tuple(sorted({label for _, label in dataset}))
     if model.ckpt.label_names is not None:
         names = model.ckpt.label_names  # keep the existing classifier's class order
@@ -220,11 +219,12 @@ def cmd_finetune(args):
 
 def cmd_eval(args):
     _require(args.labels or not args.l2_normalize_text, "--l2-normalize-text needs --labels")
-    model, dataset = _model_and_dataset("eval", args)
+    ckpt = load_checkpoint(args.model)
+    _require(args.labels or ckpt.has_classifier(), "--labels is required to evaluate a model without a classifier")
+    model, dataset = _model_and_dataset("eval", args, ckpt)
     if args.labels:
         labels = _labels_from_embedding_file(args.labels, args.l2_normalize_text)
     else:
-        _require(model.has_classifier(), "--labels is required to evaluate a model without a classifier")
         if model.ckpt.label_names is None:
             raise PipelineError("checkpoint has a classifier but no label names")
         labels = LabelSet(names=model.ckpt.label_names)

@@ -20,11 +20,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Parameter
-from .augment import apply_mask, rotate_augment, sample_joint_mask, sample_joint_rotations
+from .augment import rotate_joints, sample_joint_mask, sample_joint_rotations
 from .checkpoint import Checkpoint
 from .errors import BadRange, DimMismatch, EmptyDataset, NonFinite
 from .graph_encoder import init_encoder_params
-from .inference import Model, crop_stack
+from .inference import Model
 from .simulate import MotionTimeSeries
 from .text_embeddings import sample_description
 
@@ -114,14 +114,27 @@ def _batch_indices(n, batch_size, rng):
 
 
 def _assemble_batch(chosen, cfg, rng_rot, rng_mask):
-    """Rotate, mask and crop-stack one batch into a (B, 6, T, V) array."""
+    """Rotate, mask and crop-stack one batch into a (B, 6, T, V) array.
+
+    Byte for byte what rotate_augment, apply_mask and crop_stack give one
+    sample at a time, but only the mask's live joints are cropped and
+    rotated, in one call over the batch; every other joint stays zero.
+    """
     v = chosen[0].series.num_joints
     rotations = None
     if cfg.rotation_augment:
         rotations = sample_joint_rotations(v, rng_rot)
-    mask = sample_joint_mask(v, cfg.mask_min, cfg.mask_max, rng_mask)
-    series = [s.series if rotations is None else rotate_augment(s.series, rotations) for s in chosen]
-    return crop_stack([apply_mask(s, mask) for s in series])
+    live = np.flatnonzero(sample_joint_mask(v, cfg.mask_min, cfg.mask_max, rng_mask).as_bool())
+    series = [s.series for s in chosen]
+    t_min = min(s.num_frames for s in series)
+    data = np.stack([s.data[:, :t_min, live] for s in series])
+    if rotations is not None:
+        data = rotate_joints(data, rotations[live])
+        # as rotate_augment does, after rotating: zero each recording's own unrecorded joints
+        data.transpose(0, 3, 1, 2)[~np.stack([s.mask[live] for s in series])] = 0.0
+    batch = np.zeros((len(series), data.shape[1], t_min, v))
+    batch[..., live] = data
+    return batch
 
 
 def pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=None):

@@ -32,14 +32,17 @@ def cotangent(shape, seed=0):
 
 
 def contract(t, seed=0):
-    """Scalar <t, W> for W = cotangent(t.shape, seed), built from tape ops.
+    """Scalar <t, W> for W = cotangent(t.shape, seed), as one tracked node.
 
     Its gradient with respect to t is exactly W, so a gradient check through
     it weighs every output coordinate differently, unlike a plain sum.
     """
-    w = cotangent(t.shape, seed).reshape(-1, 1)
-    row = ad.reshape(t, (1, w.shape[0]))
-    return ad.reshape(ad.matmul(row, ad.Tensor(w)), ())
+    w = cotangent(t.shape, seed)
+
+    def backward(g):
+        t._accumulate(g * w)
+
+    return ad.Tensor(np.sum(t.value * w), t.requires_grad, (t,), backward)
 
 
 class _TornFile:

@@ -97,7 +97,6 @@ def test_constant_function_zero_gradient():
         ("add_broadcast", lambda p, q, x: contract(ad.add(ad.matmul(Tensor(x), p), q))),
         ("mul_broadcast", lambda p, q, x: contract(ad.mul(ad.matmul(Tensor(x), p), q))),
         ("transpose", lambda p, q, x: contract(ad.matmul(ad.transpose(p), Tensor(x.T)))),
-        ("reshape", lambda p, q, x: contract(ad.reshape(p, (p.value.size,)))),
         ("exp", lambda p, q, x: contract(ad.exp(ad.mul(p, ad.as_tensor(0.3))))),
         ("minimum_const", lambda p, q, x: contract(ad.minimum_const(p, 0.5))),
         ("relu_shifted", lambda p, q, x: contract(ad.relu(ad.add(p, ad.as_tensor(3.0))))),
@@ -165,29 +164,41 @@ def _batch_conv_same(values, kernel):
     return (kernel.reshape(o, c * k) @ cols).reshape(o, b, t, v), cols
 
 
-def _check_time_conv(x, w, exact):
+def _check_time_conv(x, w, exact, pooled=False):
     """time_conv's output and gradients against the whole-batch reference.
 
     exact asks for the output and the input gradient byte for byte. The
     kernel gradient may sum its B*T*V terms in another order, so it is held
-    to rtol 1e-12, with an atol for entries that cancel to near zero.
+    to rtol 1e-12, with an atol for entries that cancel to near zero. pooled
+    backpropagates through pool_time_joints, whose gradient reaches
+    time_conv as a read-only broadcast view. An input that requires no
+    gradient must get none.
     """
     out = ad.time_conv(x, w)
-    contract(out).backward()
+    contract(ad.pool_time_joints(out) if pooled else out).backward()
     g = out.grad
     o = w.shape[0]
     ref, cols = _batch_conv_same(x.value, w.value)
-    dx = _batch_conv_same(g, w.value[:, :, ::-1].transpose(1, 0, 2))[0]
-    dw = (g.reshape(o, -1) @ cols.T).reshape(w.shape)
-    terms = np.abs(g).reshape(o, -1) @ np.abs(cols).T
-    np.testing.assert_allclose(w.grad, dw, rtol=1e-12, atol=1e-12 * terms.max())
-    assert out.shape == ref.shape and x.grad.shape == dx.shape
+    assert out.shape == ref.shape
     if exact:
         assert out.value.tobytes() == ref.tobytes()
-        assert x.grad.tobytes() == dx.tobytes()
     else:
         np.testing.assert_allclose(out.value, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
-        np.testing.assert_allclose(x.grad, dx, rtol=1e-12, atol=1e-12 * np.abs(dx).max())
+    if w.requires_grad:
+        dw = (g.reshape(o, -1) @ cols.T).reshape(w.shape)
+        terms = np.abs(g).reshape(o, -1) @ np.abs(cols).T
+        np.testing.assert_allclose(w.grad, dw, rtol=1e-12, atol=1e-12 * terms.max())
+    else:
+        assert w.grad is None
+    if x.requires_grad:
+        dx = _batch_conv_same(g, w.value[:, :, ::-1].transpose(1, 0, 2))[0]
+        assert x.grad.shape == dx.shape
+        if exact:
+            assert x.grad.tobytes() == dx.tobytes()
+        else:
+            np.testing.assert_allclose(x.grad, dx, rtol=1e-12, atol=1e-12 * np.abs(dx).max())
+    else:
+        assert x.grad is None
 
 
 @given(
@@ -219,6 +230,19 @@ def test_time_conv_encoder_shapes_match_reference_bytes(width):
     x = Parameter("x", rng.standard_normal((width, 16, 40, 22)))
     w = Parameter("w", rng.standard_normal((width, width, 9)))
     _check_time_conv(x, w, exact=True)
+
+
+@pytest.mark.parametrize("case", ["broadcast_gradient", "x_constant", "w_constant", "t_below_k"])
+def test_time_conv_backward_cases_match_reference(case):
+    # backward builds its one im2col per sample from the upstream gradient,
+    # which pool_time_joints hands on as a read-only view; it must also give
+    # dW alone, dx alone, and handle windows reaching past both ends (T < K)
+    rng = np.random.default_rng(14)
+    t, k = (3, 9) if case == "t_below_k" else (10, 5)
+    x_val, w_val = rng.standard_normal((4, 3, t, 5)), rng.standard_normal((6, 4, k))
+    x = Tensor(x_val) if case == "x_constant" else Parameter("x", x_val)
+    w = Tensor(w_val) if case == "w_constant" else Parameter("w", w_val)
+    _check_time_conv(x, w, exact=False, pooled=case == "broadcast_gradient")
 
 
 def test_time_conv_holds_no_whole_batch_im2col():
@@ -303,14 +327,14 @@ def test_gradient_accumulates_across_backward_calls():
 
 
 def test_aliased_gradient_is_not_updated_in_place():
-    # reshape and add hand on views of their incoming gradient; accumulating
-    # the second use of r must not write through r.grad into s.grad
-    p = Parameter("p", np.array([1.0, 2.0, 3.0, 4.0]))
-    r = ad.reshape(p, (2, 2))
+    # add hands on its incoming gradient itself; accumulating the second use
+    # of r must not write through r.grad into s.grad
+    p = Parameter("p", np.array([[1.0, 2.0], [3.0, 4.0]]))
+    r = ad.add(p, ad.as_tensor(0.0))
     s = ad.add(r, r)
     contract(s).backward()
     assert np.array_equal(s.grad, cotangent((2, 2)))
-    assert np.array_equal(p.grad, 2.0 * cotangent((2, 2)).reshape(-1))
+    assert np.array_equal(p.grad, 2.0 * cotangent((2, 2)))
 
 
 def test_backward_requires_scalar():

@@ -194,10 +194,14 @@ def test_torn_report_write_keeps_previous_file(workspace, capsys):
 
 
 def test_eval_zero_shot_requires_labels(workspace, capsys):
+    # checked on the loaded checkpoint before the banner and the manifest,
+    # so a missing manifest still gets the usage error
     assert main(pretrain_args(workspace)) == 0
-    code = main(["eval", "--model", str(workspace["model"]), "--manifest", str(workspace["manifest"])])
-    assert code == 1
     capsys.readouterr()
+    for manifest in (workspace["manifest"], workspace["root"] / "absent.tsv"):
+        assert main(["eval", "--model", str(workspace["model"]), "--manifest", str(manifest)]) == 1
+        out, err = capsys.readouterr()
+        assert "--labels is required" in err and "run eval" not in out
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import imuclr.contrastive as contrastive
 from conftest import chain_structure
+from imuclr.augment import apply_mask, rotate_augment, sample_joint_mask, sample_joint_rotations
 from imuclr.autodiff import Tensor, grad_check
 from imuclr.contrastive import (
     PretrainSample,
@@ -20,6 +21,7 @@ from imuclr.graph_encoder import (
     encode_batch,
     init_encoder_params,
 )
+from imuclr.inference import crop_stack
 from imuclr.simulate import MotionTimeSeries
 from imuclr.text_embeddings import DescriptionSet, TextEmbeddingTable
 
@@ -140,6 +142,35 @@ def run_pretrain(cfg_overrides=None, capture=None):
     if cfg_overrides:
         cfg = TrainConfig(**{**cfg.__dict__, **cfg_overrides})
     return pretrain(samples, ds, table, chain_structure(V), enc, cfg, on_epoch=capture)
+
+
+@pytest.mark.parametrize("rotation", [True, False], ids=["rotated", "unrotated"])
+def test_batch_assembly_matches_per_sample_composition(rotation):
+    # _assemble_batch crops and rotates only the mask's live joints, over the
+    # batch at once; it must give the bytes of the per-sample composition,
+    # which perfbench's layer replay still runs. Recordings have mixed
+    # lengths, some unrecorded (all-zero) joints and a NaN
+    v = 22
+    rng = np.random.default_rng(21)
+    cfg = TrainConfig(batch_size=2, mask_min=1, mask_max=v, rotation_augment=rotation)
+    for seed in range(25):
+        chosen = []
+        for i in range(int(rng.integers(2, 9))):
+            data = rng.standard_normal((6, int(rng.integers(1, 50)), v))
+            data[int(rng.integers(6)), 0, int(rng.integers(v))] = np.nan
+            recorded = rng.random(v) < 0.8
+            data[:, :, ~recorded] = 0.0
+            chosen.append(PretrainSample(f"s{i}", MotionTimeSeries(data, recorded, 20.0)))
+        rng_rot, rng_mask = np.random.default_rng(seed), np.random.default_rng(seed + 100)
+        batch = contrastive._assemble_batch(chosen, cfg, rng_rot, rng_mask)
+        rng_rot, rng_mask = np.random.default_rng(seed), np.random.default_rng(seed + 100)
+        series = [s.series for s in chosen]
+        if rotation:
+            rotations = sample_joint_rotations(v, rng_rot)
+            series = [rotate_augment(s, rotations) for s in series]
+        mask = sample_joint_mask(v, cfg.mask_min, cfg.mask_max, rng_mask)
+        ref = crop_stack([apply_mask(s, mask) for s in series])
+        assert batch.shape == ref.shape and batch.tobytes() == ref.tobytes()
 
 
 def test_zero_epochs_equals_initialization():
