@@ -130,7 +130,7 @@ def _assemble_batch(chosen, cfg, rng_rot, rng_mask):
     data = np.stack([s.data[:, :t_min, live] for s in series])
     if rotations is not None:
         data = rotate_joints(data, rotations[live])
-        # as rotate_augment does, after rotating: zero each recording's own unrecorded joints
+        # as rotate_augment does: a recording's unrecorded joints are zero, but rotated they may be -0.0
         data.transpose(0, 3, 1, 2)[~np.stack([s.mask[live] for s in series])] = 0.0
     batch = np.zeros((len(series), data.shape[1], t_min, v))
     batch[..., live] = data
