@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """End-to-end demo on the toy dataset, driving the CLI programmatically.
 
-Generates data, pre-trains a small encoder, runs zero-shot evaluation on
-the held-out rotated recordings, fine-tunes, and evaluates again.
+Generates data, pre-trains a small encoder, scores it zero-shot with
+`eval --labels` on the held-out rotated recordings (zero_shot.tsv),
+fine-tunes, and scores the classifier with `eval` (finetuned.tsv).
 
 Usage: python scripts/run_toy_pipeline.py [--workdir toy_run] [--epochs 60]
 """
@@ -57,7 +58,7 @@ def main():
 
     manifest = os.path.join(data, "real", "manifest.tsv")
     labels = os.path.join(data, "labels.txt")
-    run(["zero-shot", "--model", model, "--manifest", manifest, "--labels", labels,
+    run(["eval", "--model", model, "--manifest", manifest, "--labels", labels,
          "--report", os.path.join(args.workdir, "zero_shot.tsv")])
 
     tuned = os.path.join(args.workdir, "finetuned.ckpt")

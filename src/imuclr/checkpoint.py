@@ -15,8 +15,8 @@ Layout (all integers little-endian):
 
 Round-tripping save -> load -> save is byte-identical; parameter order and
 JSON key order are fixed. Saving goes through formats.write_atomic, so a
-crash leaves the old file or the new one. Loading verifies magic, version and CRC and can
-additionally pin the checkpoint to an expected skeleton.
+crash leaves the old file or the new one. Loading verifies magic, version, CRC
+and that the stored skeleton hash matches the stored skeleton.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptCheckpoint, SkeletonMismatch, VersionMismatch
+from .errors import CorruptCheckpoint, VersionMismatch
 from .formats import write_atomic
 from .graph_encoder import EncoderConfig
 from .skeleton import SkeletonStructure
@@ -107,7 +107,7 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def load_checkpoint(path, expected_structure=None):
+def load_checkpoint(path):
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(MAGIC) + 8 or data[: len(MAGIC)] != MAGIC:
@@ -148,7 +148,7 @@ def load_checkpoint(path, expected_structure=None):
         params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
     if rd.pos != len(rd.data):
         raise CorruptCheckpoint(f"{len(rd.data) - rd.pos} trailing bytes after parameters")
-    ckpt = Checkpoint(
+    return Checkpoint(
         config=config,
         structure=structure,
         sample_rate=sample_rate,
@@ -156,9 +156,3 @@ def load_checkpoint(path, expected_structure=None):
         train_window=train_window if train_window is None else int(train_window),
         label_names=None if label_names is None else tuple(label_names),
     )
-    if expected_structure is not None and expected_structure.structure_hash() != ckpt.skeleton_hash:
-        raise SkeletonMismatch(
-            f"checkpoint was trained on skeleton {ckpt.skeleton_hash}, "
-            f"expected {expected_structure.structure_hash()}"
-        )
-    return ckpt

@@ -1,8 +1,10 @@
 """Command-line surface for the whole pipeline.
 
-Subcommands: simulate, pretrain, zero-shot, finetune, eval. Every run prints
-a banner with the seed, a hash of the resolved options and the hash of any
-checkpoint read or written, which together pin down every reported number.
+Subcommands: simulate, pretrain, finetune, eval. eval is the one scoring
+command: zero-shot against the label embeddings of --labels, or through the
+classifier that finetune attached. Every run prints a banner with the seed,
+a hash of the resolved options and the hash of any checkpoint read or
+written, which together pin down every reported number.
 
 Exit codes: 0 success, 1 usage error (bad flags or flag values), 2 data
 error (unreadable or malformed files, corrupt checkpoints).
@@ -23,7 +25,7 @@ from . import formats
 from .checkpoint import load_checkpoint, save_checkpoint
 from .contrastive import TrainConfig, pretrain
 from .datasets import SKELETON_EXT, file_hash, load_eval_dataset, load_pretrain_samples, simulate_skeleton_dir
-from .errors import PipelineError
+from .errors import DimMismatch, PipelineError
 from .graph_encoder import EncoderConfig
 from .inference import FinetuneConfig, LabelSet, Model, evaluate, finetune
 from .simulate import NoiseParams
@@ -89,6 +91,12 @@ NONNEGATIVE_FLOAT = _checked(float, lambda v: 0 <= v < math.inf, "a finite numbe
 WIDTHS = _checked(str, lambda text: min(_widths(text), default=0) > 0, "comma-separated integers > 0")
 
 
+def _embedding_table(path, l2_normalize):
+    """The embedding file at path, each vector scaled to unit length if l2_normalize."""
+    table = formats.read_embedding_file(path)
+    return table.l2_normalized() if l2_normalize else table
+
+
 def _structure_from(args):
     if getattr(args, "structure", None):
         return formats.read_structure_file(args.structure)
@@ -129,9 +137,7 @@ def _encoder_config(args, embed_dim):
 
 def cmd_pretrain(args):
     _require(args.mask_max >= args.mask_min, "--mask-max must be >= --mask-min")
-    table = formats.read_embedding_file(args.embeddings)
-    if args.l2_normalize_text:
-        table = table.l2_normalized()
+    table = _embedding_table(args.embeddings, args.l2_normalize_text)
     descriptions = formats.read_description_file(args.desc)
     structure = _structure_from(args)
     _require(args.mask_max <= structure.num_joints, "--mask-max exceeds the joint count")
@@ -168,17 +174,8 @@ def cmd_pretrain(args):
 
 
 # ---------------------------------------------------------------------------
-# zero-shot / finetune / eval
+# finetune / eval
 # ---------------------------------------------------------------------------
-
-
-def _labels_from_embedding_file(path, l2_normalize=False):
-    table = formats.read_embedding_file(path)
-    if l2_normalize:
-        table = table.l2_normalized()
-    ids = table.ids()
-    names = tuple(table.text(i) for i in ids)
-    return LabelSet(names=names, embeddings=table.matrix(ids))
 
 
 def _print_report(report, report_path=None):
@@ -197,13 +194,6 @@ def _model_and_dataset(command, args, ckpt):
     return Model(ckpt), dataset
 
 
-def cmd_zero_shot(args):
-    model, dataset = _model_and_dataset("zero-shot", args, load_checkpoint(args.model))
-    labels = _labels_from_embedding_file(args.labels, args.l2_normalize_text)
-    _print_report(evaluate(model, dataset, labels), args.report)
-    return 0
-
-
 def cmd_finetune(args):
     model, dataset = _model_and_dataset("finetune", args, load_checkpoint(args.model))
     names = tuple(sorted({label for _, label in dataset}))
@@ -218,16 +208,23 @@ def cmd_finetune(args):
 
 
 def cmd_eval(args):
+    # the labels are read and checked against the checkpoint before the banner and the manifest
     _require(args.labels or not args.l2_normalize_text, "--l2-normalize-text needs --labels")
     ckpt = load_checkpoint(args.model)
-    _require(args.labels or ckpt.has_classifier(), "--labels is required to evaluate a model without a classifier")
-    model, dataset = _model_and_dataset("eval", args, ckpt)
     if args.labels:
-        labels = _labels_from_embedding_file(args.labels, args.l2_normalize_text)
+        table = _embedding_table(args.labels, args.l2_normalize_text)
+        if table.dim != ckpt.config.embedding_dim:
+            raise DimMismatch(
+                f"{args.labels}: label embeddings have dim {table.dim}, model emits {ckpt.config.embedding_dim}"
+            )
+        ids = table.ids()
+        labels = LabelSet(names=tuple(table.text(i) for i in ids), embeddings=table.matrix(ids))
     else:
-        if model.ckpt.label_names is None:
+        _require(ckpt.has_classifier(), "--labels is required to evaluate a model without a classifier")
+        if ckpt.label_names is None:
             raise PipelineError("checkpoint has a classifier but no label names")
-        labels = LabelSet(names=model.ckpt.label_names)
+        labels = LabelSet(names=ckpt.label_names)
+    model, dataset = _model_and_dataset("eval", args, ckpt)
     _print_report(evaluate(model, dataset, labels), args.report)
     return 0
 
@@ -281,16 +278,6 @@ def build_parser():
     p.add_argument("--l2-normalize-text", action="store_true")
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("zero-shot", help="similarity classification against label embeddings")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--labels", required=True, help="label candidate embedding file")
-    p.add_argument("--window", type=NONNEGATIVE_INT, default=0, help="override evaluation window length")
-    p.add_argument("--report", help="write metrics to a key-value file")
-    p.add_argument("--l2-normalize-text", action="store_true")
-    p.set_defaults(func=cmd_zero_shot)
-
     p = sub.add_parser("finetune", help="attach and train a linear classifier")
     common(p)
     p.add_argument("--model", required=True)
@@ -302,12 +289,12 @@ def build_parser():
     p.add_argument("--window", type=NONNEGATIVE_INT, default=0)
     p.set_defaults(func=cmd_finetune)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
+    p = sub.add_parser("eval", help="score a checkpoint on a manifest, zero-shot or through its classifier")
     common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--labels", help="label embeddings to score against; without it, the classifier")
-    p.add_argument("--window", type=NONNEGATIVE_INT, default=0)
+    p.add_argument("--labels", help="label embeddings to score zero-shot against; without it, the classifier")
+    p.add_argument("--window", type=NONNEGATIVE_INT, default=0, help="override evaluation window length")
     p.add_argument("--report", help="write metrics to a key-value file")
     p.add_argument("--l2-normalize-text", action="store_true")
     p.set_defaults(func=cmd_eval)
@@ -316,13 +303,16 @@ def build_parser():
 
 def _config_tokens(subparser, path):
     """The key=value lines of the config file at path as flags of subparser."""
-    tokens = []
-    for key, raw in formats.read_config_file(path).items():
+    tokens, seen = [], set()
+    for key, raw in formats.read_config_file(path):
         dest = key.replace("-", "_")
         action = next((a for a in subparser._actions if a.dest == dest), None)
         if action is None:
             raise UsageError(f"config file sets unknown flag {key!r}")
         flag = action.option_strings[-1]
+        if dest in seen:
+            raise UsageError(f"config file sets {flag} a second time, as {key!r}")
+        seen.add(dest)
         if not isinstance(action, argparse._StoreTrueAction):
             tokens.append(f"{flag}={raw}")
         elif raw.lower() in ("1", "true", "yes", "on"):

@@ -90,7 +90,3 @@ class CorruptCheckpoint(PipelineError):
 
 class VersionMismatch(PipelineError):
     pass
-
-
-class SkeletonMismatch(PipelineError):
-    pass

@@ -448,12 +448,13 @@ def read_manifest_file(path):
 
 
 def read_config_file(path):
-    out = {}
+    """(key, value) pairs in file order; a repeated key is kept, for the caller to reject."""
+    out = []
     for line_no, line in enumerate(_read_lines(path), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         if "=" not in line:
             raise ParseError("config line must be 'key = value'", path=path, line=line_no)
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        out.append((key.strip(), value.strip()))
     return out

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import chain_structure, torn_writes
 from imuclr.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from imuclr.errors import CorruptCheckpoint, SkeletonMismatch, VersionMismatch
+from imuclr.errors import CorruptCheckpoint, VersionMismatch
 from imuclr.graph_encoder import EncoderConfig
 
 
@@ -113,14 +113,6 @@ def test_garbage_header_with_valid_crc(tmp_path):
     p.write_bytes(blob)
     with pytest.raises(CorruptCheckpoint):
         load_checkpoint(p)
-
-
-def test_skeleton_pinning(tmp_path):
-    p = tmp_path / "a.ckpt"
-    save_checkpoint(p, sample_checkpoint())
-    load_checkpoint(p, expected_structure=chain_structure(5))  # matches
-    with pytest.raises(SkeletonMismatch):
-        load_checkpoint(p, expected_structure=chain_structure(6))
 
 
 @given(st.binary(min_size=0, max_size=200))

@@ -101,14 +101,23 @@ def test_pretrain_and_zero_shot_roundtrip(workspace, capsys):
     assert len(metrics.splitlines()) == 1  # one epoch line
 
     code = main([
-        "zero-shot",
+        "eval",
         "--model", str(workspace["model"]),
         "--manifest", str(workspace["manifest"]),
         "--labels", str(workspace["emb"]),
     ])
     assert code == 0
     out = capsys.readouterr().out
+    assert "run eval" in out
     assert "accuracy" in out and "macro_f1" in out and "r_at_2" in out
+
+
+def test_zero_shot_command_is_gone(workspace, capsys):
+    # eval --labels is the one scoring command
+    assert main(["zero-shot", "--model", str(workspace["model"]), "--manifest", str(workspace["manifest"]),
+                 "--labels", str(workspace["emb"])]) == 1
+    out, err = capsys.readouterr()
+    assert "usage error" in err and "zero-shot" in err and "run " not in out
 
 
 def test_finetune_and_eval(workspace, tmp_path, capsys):
@@ -152,12 +161,9 @@ def test_eval_with_labels_scores_a_finetuned_model_zero_shot(workspace, tmp_path
     table.entries["t2"] = ("idle", 3 * np.ones(table.dim))
     labels_path = tmp_path / "labels.txt"
     formats.write_embedding_file(labels_path, table)
-    labels = ["--labels", str(labels_path), *l2]
-    reports = {name: tmp_path / f"{name}.tsv" for name in ("zero-shot", "eval")}
-    assert main(["zero-shot", "--model", str(tuned), *data, *labels, "--report", str(reports["zero-shot"])]) == 0
-    assert main(["eval", "--model", str(tuned), *data, *labels, "--report", str(reports["eval"])]) == 0
-    assert "confusion_2\t" in reports["eval"].read_text()
-    assert reports["eval"].read_bytes() == reports["zero-shot"].read_bytes()
+    report = tmp_path / "report.tsv"
+    assert main(["eval", "--model", str(tuned), *data, "--labels", str(labels_path), *l2, "--report", str(report)]) == 0
+    assert "confusion_2\t" in report.read_text()
     assert main(["eval", "--model", str(tuned), *data, "--l2-normalize-text"]) == 1
     assert "--l2-normalize-text needs --labels" in capsys.readouterr().err
 
@@ -178,7 +184,7 @@ def test_torn_report_write_keeps_previous_file(workspace, capsys):
     report = workspace["root"] / "report.tsv"
     report.write_bytes(b"previous\n")
     zero_shot = [
-        "zero-shot",
+        "eval",
         "--model", str(workspace["model"]),
         "--manifest", str(workspace["manifest"]),
         "--labels", str(workspace["emb"]),
@@ -204,6 +210,21 @@ def test_eval_zero_shot_requires_labels(workspace, capsys):
         assert "--labels is required" in err and "run eval" not in out
 
 
+def test_eval_labels_of_another_dim_is_data_error_before_the_manifest(workspace, capsys):
+    # the labels are read and checked against the checkpoint's embedding dim
+    # before the banner, so a missing manifest still gets the dimension error
+    assert main(pretrain_args(workspace)) == 0
+    labels = workspace["root"] / "labels5.txt"
+    entries = {"a": ("a", np.ones(5)), "b": ("b", -np.ones(5))}
+    formats.write_embedding_file(labels, TextEmbeddingTable(dim=5, entries=entries))
+    capsys.readouterr()
+    args = ["eval", "--model", str(workspace["model"]), "--manifest", str(workspace["root"] / "absent.tsv"),
+            "--labels", str(labels)]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert "label embeddings have dim 5, model emits 8" in err and "run eval" not in out
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["pretrain", "--nonsense"]) == 1
     err = capsys.readouterr().err
@@ -225,7 +246,7 @@ def test_missing_file_is_data_error(workspace, capsys):
 def test_corrupt_model_is_data_error(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"garbage")
-    code = main(["zero-shot", "--model", str(bad), "--manifest", str(workspace["manifest"]),
+    code = main(["eval", "--model", str(bad), "--manifest", str(workspace["manifest"]),
                  "--labels", str(workspace["emb"])])
     assert code == 2
     capsys.readouterr()
@@ -260,6 +281,20 @@ def test_config_file_alternate_spellings(workspace, tmp_path, capsys, spelling):
     cfg.write_text("bogus = 1\n")
     assert main(args + flags) == 1
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines", ["seed = 3\nseed = 5\n", "sigma-accel = 0.1\nsigma_accel = 0.2\n"],
+                         ids=["same-spelling", "dash-and-underscore"])
+def test_config_file_repeated_flag_is_usage_error(workspace, tmp_path, capsys, lines):
+    # a second key for a flag the file already set is refused, not read as "the last one wins"
+    cfg = workspace["root"] / "sim.cfg"
+    cfg.write_text(lines)
+    args = ["simulate", "--skeleton-dir", str(workspace["skel_dir"]), "--out", str(tmp_path / "sim")]
+    assert main(args + ["--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    second_key = lines.splitlines()[1].split("=")[0].strip()
+    assert "usage error" in err and repr(second_key) in err and "run " not in out
+    assert not (tmp_path / "sim").exists()
 
 
 def test_config_file_unknown_key(workspace, capsys):
@@ -392,7 +427,7 @@ def test_structure_joint_count_mismatch_is_data_error(workspace, tmp_path, capsy
 def test_zero_shot_window_flag(workspace, capsys):
     assert main(pretrain_args(workspace)) == 0
     code = main([
-        "zero-shot", "--model", str(workspace["model"]),
+        "eval", "--model", str(workspace["model"]),
         "--manifest", str(workspace["manifest"]),
         "--labels", str(workspace["emb"]),
         "--window", "6",
@@ -422,7 +457,7 @@ def test_config_file_supplies_required_flags(workspace, tmp_path, capsys):
         ("pretrain", "seed", "-1"),
         ("simulate", "seed", "-1"),
         ("simulate", "sigma-accel", "inf"),
-        ("zero-shot", "window", "-1"),
+        ("eval", "window", "-1"),
     ],
 )
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -433,7 +468,7 @@ def test_bad_flag_values_are_usage_errors(workspace, tmp_path, capsys, command, 
     elif command == "simulate":
         args = ["simulate", "--skeleton-dir", str(workspace["skel_dir"]), "--out", str(tmp_path / "sim")]
     else:
-        args = ["zero-shot", "--model", str(tmp_path / "absent.ckpt"), "--manifest", str(workspace["manifest"]),
+        args = ["eval", "--model", str(tmp_path / "absent.ckpt"), "--manifest", str(workspace["manifest"]),
                 "--labels", str(workspace["emb"])]
     if source == "flag":
         args += [f"--{flag}", value]

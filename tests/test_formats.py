@@ -307,7 +307,7 @@ def test_manifest_requires_mapping_and_samples(tmp_path):
 def test_config_file(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("# comment\nepochs = 5\nlr=0.001\n\n")
-    assert formats.read_config_file(p) == {"epochs": "5", "lr": "0.001"}
+    assert formats.read_config_file(p) == [("epochs", "5"), ("lr", "0.001")]
     p.write_text("no equals sign\n")
     with pytest.raises(ParseError):
         formats.read_config_file(p)
