@@ -25,7 +25,7 @@ from . import formats
 from .checkpoint import load_checkpoint, save_checkpoint
 from .contrastive import TrainConfig, pretrain
 from .datasets import SKELETON_EXT, file_hash, load_eval_dataset, load_pretrain_samples, simulate_skeleton_dir
-from .errors import DimMismatch, PipelineError
+from .errors import DimMismatch, ParseError, PipelineError
 from .graph_encoder import EncoderConfig
 from .inference import FinetuneConfig, LabelSet, Model, evaluate, finetune
 from .simulate import NoiseParams
@@ -218,7 +218,12 @@ def cmd_eval(args):
                 f"{args.labels}: label embeddings have dim {table.dim}, model emits {ckpt.config.embedding_dim}"
             )
         ids = table.ids()
-        labels = LabelSet(names=tuple(table.text(i) for i in ids), embeddings=table.matrix(ids))
+        names = tuple(table.text(i) for i in ids)
+        for k, text in enumerate(names):
+            if text in names[:k]:
+                first = ids[names.index(text)]
+                raise ParseError(f"labels {first!r} and {ids[k]!r} share the text {text!r}", path=args.labels)
+        labels = LabelSet(names=names, embeddings=table.matrix(ids))
     else:
         _require(ckpt.has_classifier(), "--labels is required to evaluate a model without a classifier")
         if ckpt.label_names is None:
@@ -309,6 +314,8 @@ def _config_tokens(subparser, path):
         action = next((a for a in subparser._actions if a.dest == dest), None)
         if action is None:
             raise UsageError(f"config file sets unknown flag {key!r}")
+        if dest == "config":
+            raise UsageError(f"config file sets {key!r}: a config file cannot name another")
         flag = action.option_strings[-1]
         if dest in seen:
             raise UsageError(f"config file sets {flag} a second time, as {key!r}")

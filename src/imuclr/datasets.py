@@ -3,7 +3,9 @@
 Pre-training data comes either from a directory of skeleton motion files
 (simulated on first use, each from its own content, and cached under
 .simcache keyed by simulator version, content hash, rate, noise levels, seed
-and gravity) or from a directory of already simulated time-series files.
+and gravity; the content hashes are kept in .simcache.index, re-used while a
+file's stat is unchanged) or from a directory of already simulated
+time-series files.
 Evaluation data is described by a manifest referencing per-device
 recordings, which are unit-scaled, resampled to the model rate, assigned to
 skeleton joints and cut into windows; a warning reports the tail frames the
@@ -27,12 +29,60 @@ from .simulate import ACCEL, GYRO, MotionTimeSeries, NoiseParams, resample_serie
 SKELETON_EXT = ".skel"
 TIMESERIES_EXTS = (".ts", ".tsb")
 SIM_VERSION = 1  # heads every .simcache key; bump it when simulate.py changes its output
+HASH_INDEX = ".simcache.index"  # beside .simcache, which holds only its entries
 
 
 def file_hash(path):
     """First 12 hex digits of the SHA-256 of a file's bytes."""
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()[:12]
+
+
+def _indexed_hashes(data_dir, names):
+    """file_hash of each named file of data_dir, re-used from data_dir/.simcache.index where a row is trusted.
+
+    A row (name, st_size, st_mtime_ns, st_ctime_ns, st_ino, st_dev, digest,
+    tab-separated) is trusted when the file's stat still equals it and its
+    st_ctime_ns is older than the index's own st_mtime_ns, so a rewrite
+    within one timestamp tick of the index is hashed again. Any other file
+    is hashed. An unreadable or malformed index, or a bad row, costs only
+    hashing. The index is rewritten, atomically, only when a file was hashed
+    or a row changes, so a load that hashes nothing writes nothing.
+    """
+    path = os.path.join(data_dir, HASH_INDEX)
+    old_text, written, rows = "", 0, {}
+    try:
+        with open(path, "rb") as fh:
+            written = os.fstat(fh.fileno()).st_mtime_ns
+            old_text = fh.read().decode("utf-8", "surrogateescape")
+    except OSError:
+        pass
+    for row in old_text.split("\n"):
+        name, _, rest = row.partition("\t")
+        rows[name] = rest
+    digests, new_rows, rewrite = [], [], False
+    for name in names:
+        file_path = os.path.join(data_dir, name)
+        st = os.stat(file_path)  # before the read: a change during it leaves the row stale
+        signature = f"{st.st_size}\t{st.st_mtime_ns}\t{st.st_ctime_ns}\t{st.st_ino}\t{st.st_dev}\t"
+        rest = rows.get(name, "")
+        digest = rest[len(signature):]
+        trusted = (
+            rest.startswith(signature)
+            and st.st_ctime_ns < written
+            and len(digest) == 12
+            and not digest.strip("0123456789abcdef")
+        )
+        if not trusted:
+            digest = file_hash(file_path)
+        digests.append(digest)
+        if "\t" not in name and "\n" not in name:  # such a name cannot be a row; it is hashed every load
+            new_rows.append(f"{name}\t{signature}{digest}\n")
+            rewrite = rewrite or not trusted
+    new_text = "".join(new_rows)
+    if rewrite or new_text != old_text:
+        formats.write_atomic(path, new_text.encode("utf-8", "surrogateescape"))
+    return digests
 
 
 def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, cache=True):
@@ -65,13 +115,18 @@ def simulate_skeleton_dir(data_dir, fs, noise, seed, gravity, cache):
     are kept under data_dir/.simcache, keyed by exactly the simulation's
     inputs: SIM_VERSION, content hash, rate, noise levels, seed and gravity.
     Entries that do not start with SIM_VERSION and a current file's hash are
-    deleted, with one warning giving their count.
+    deleted, with one warning giving their count. With cache set, the content
+    hashes come from data_dir/.simcache.index, so a file whose stat is
+    unchanged since it was last hashed is not read again (see _indexed_hashes);
+    without it, every file is hashed.
     """
     skel_files = sorted(n for n in os.listdir(data_dir) if n.endswith(SKELETON_EXT))
-    hashes = [file_hash(os.path.join(data_dir, name)) for name in skel_files]
     cache_dir = os.path.join(data_dir, ".simcache")
-    if cache:
+    if not cache:
+        hashes = [file_hash(os.path.join(data_dir, name)) for name in skel_files]
+    else:
         os.makedirs(cache_dir, exist_ok=True)
+        hashes = _indexed_hashes(data_dir, skel_files)
         live = tuple(f"v{SIM_VERSION}_{digest}_" for digest in hashes)
         orphans = [n for n in os.listdir(cache_dir) if n.endswith(".tsb") and not n.startswith(live)]
         for name in orphans:

@@ -225,6 +225,22 @@ def test_eval_labels_of_another_dim_is_data_error_before_the_manifest(workspace,
     assert "label embeddings have dim 5, model emits 8" in err and "run eval" not in out
 
 
+def test_eval_labels_repeating_a_text_is_located_data_error(workspace, capsys):
+    # two ids with one text would make two indistinguishable classes; the error
+    # names the labels file and the text, before the banner and the manifest
+    assert main(pretrain_args(workspace)) == 0
+    labels = workspace["root"] / "labels.txt"
+    eye = np.eye(8)
+    entries = {"a": ("walk", eye[0]), "b": ("run", eye[1]), "c": ("walk", eye[2])}
+    formats.write_embedding_file(labels, TextEmbeddingTable(dim=8, entries=entries))
+    capsys.readouterr()
+    args = ["eval", "--model", str(workspace["model"]), "--manifest", str(workspace["root"] / "absent.tsv"),
+            "--labels", str(labels)]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert f"{labels}: labels 'a' and 'c' share the text 'walk'" in err and "run eval" not in out
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["pretrain", "--nonsense"]) == 1
     err = capsys.readouterr().err
@@ -294,6 +310,19 @@ def test_config_file_repeated_flag_is_usage_error(workspace, tmp_path, capsys, l
     out, err = capsys.readouterr()
     second_key = lines.splitlines()[1].split("=")[0].strip()
     assert "usage error" in err and repr(second_key) in err and "run " not in out
+    assert not (tmp_path / "sim").exists()
+
+
+def test_config_file_naming_another_config_is_usage_error(workspace, tmp_path, capsys):
+    # the nested file would never be read, so its settings would be silently dropped
+    inner = workspace["root"] / "inner.cfg"
+    inner.write_text("seed = 9\n")
+    cfg = workspace["root"] / "outer.cfg"
+    cfg.write_text(f"config = {inner}\n")
+    args = ["simulate", "--skeleton-dir", str(workspace["skel_dir"]), "--out", str(tmp_path / "sim")]
+    assert main(args + ["--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert "usage error" in err and "'config'" in err and "run " not in out
     assert not (tmp_path / "sim").exists()
 
 

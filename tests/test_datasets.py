@@ -110,6 +110,165 @@ def test_interrupted_cache_write_leaves_no_entry(skel_dir):
         assert np.array_equal(a.series.data, b.series.data)
 
 
+def settle_index(d, after_ns=10**10):
+    """Date d's hash index after_ns past the newest skeleton file's ctime, as if written well after it."""
+    stamp = max(p.stat().st_ctime_ns for p in d.glob("*.skel")) + after_ns
+    os.utime(d / datasets.HASH_INDEX, ns=(stamp, stamp))
+
+
+def count_hashes(monkeypatch):
+    """The names datasets.file_hash is called on from now on, in call order."""
+    calls = []
+    real = datasets.file_hash
+
+    def counting(path):
+        calls.append(os.path.basename(path))
+        return real(path)
+
+    monkeypatch.setattr(datasets, "file_hash", counting)
+    return calls
+
+
+def index_state(d):
+    index = d / datasets.HASH_INDEX
+    return index.read_bytes(), index.stat().st_mtime_ns
+
+
+def assert_index_is_current(d):
+    rows = [row.split("\t") for row in (d / datasets.HASH_INDEX).read_text().splitlines()]
+    names = sorted(p.name for p in d.glob("*.skel"))
+    assert [row[0] for row in rows] == names
+    for name, *stat, digest in rows:
+        st = (d / name).stat()
+        assert stat == [str(v) for v in (st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino, st.st_dev)]
+        assert digest == file_hash(d / name)
+
+
+def assert_same_samples(a, b):
+    assert [s.seq_id for s in a] == [s.seq_id for s in b]
+    for x, y in zip(a, b):
+        assert np.array_equal(x.series.data, y.series.data), x.seq_id
+
+
+def test_warm_load_with_a_current_index_hashes_and_writes_nothing(skel_dir, monkeypatch):
+    cold = load_pretrain_samples(skel_dir, seed=1)
+    assert_index_is_current(skel_dir)
+    settle_index(skel_dir)
+    cache = skel_dir / ".simcache"
+    index_before = index_state(skel_dir)
+    entries = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in cache.iterdir()}
+    calls = count_hashes(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warm = load_pretrain_samples(skel_dir, seed=1)
+    assert calls == []
+    assert index_state(skel_dir) == index_before
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in cache.iterdir()} == entries
+    assert sorted(entries) == sorted(p.name for p in cache.glob("*.tsb"))  # the index is not in .simcache
+    assert_same_samples(warm, cold)
+    # without the cache every file is hashed, and the index is neither read nor written
+    assert_same_samples(load_pretrain_samples(skel_dir, seed=1, cache=False), cold)
+    assert calls == ["s0.skel", "s1.skel", "s2.skel"]
+    assert index_state(skel_dir) == index_before
+
+
+def test_same_size_rewrite_with_restored_mtime_is_hashed_and_simulated_again(skel_dir, monkeypatch):
+    load_pretrain_samples(skel_dir, seed=1)
+    settle_index(skel_dir)
+    path = skel_dir / "s0.skel"
+    st = path.stat()
+    data = path.read_bytes()
+    start = data.index(b"\n") + 1  # the first joint's x position of the first frame
+    assert data[start : start + 4] == b"0.0 "
+    path.write_bytes(data[:start] + b"0.5" + data[start + 3 :])
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns, path.stat().st_ino) == (st.st_size, st.st_mtime_ns, st.st_ino)
+    calls = count_hashes(monkeypatch)
+    with pytest.warns(UserWarning, match="removed 1 entries"):  # the old content's entry
+        warm = load_pretrain_samples(skel_dir, seed=1)
+    assert calls == ["s0.skel"]
+    assert_same_samples(warm, load_pretrain_samples(skel_dir, seed=1, cache=False))
+    assert len(list((skel_dir / ".simcache").glob("*.tsb"))) == 3
+    assert_index_is_current(skel_dir)
+
+
+def test_index_not_newer_than_a_file_change_is_not_trusted_for_that_file(skel_dir, monkeypatch):
+    # git's racy-clean rule: a row counts only if the file last changed strictly
+    # before the index was written, since a later change in the same tick keeps its stat
+    load_pretrain_samples(skel_dir, seed=1)
+    ctimes = {p.name: p.stat().st_ctime_ns for p in skel_dir.glob("*.skel")}
+    newest = max(ctimes.values())
+    calls = count_hashes(monkeypatch)
+    settle_index(skel_dir, after_ns=1)
+    load_pretrain_samples(skel_dir, seed=1)
+    assert calls == []
+    settle_index(skel_dir, after_ns=0)
+    load_pretrain_samples(skel_dir, seed=1)
+    assert calls == sorted(name for name, ctime in ctimes.items() if ctime == newest)
+    assert index_state(skel_dir)[1] != newest  # rewritten, so that the next load may trust it
+    assert_index_is_current(skel_dir)
+
+
+def _random_bytes(text):
+    return np.random.default_rng(0).bytes(300)
+
+
+def _drop_digest_of_s0(text):
+    first, rest = text.split("\n", 1)
+    return first.rsplit("\t", 1)[0] + "\n" + rest
+
+
+def _non_numeric_size_of_s0(text):
+    name, size, rest = text.split("\t", 2)
+    return "\t".join((name, "x" + size, rest))
+
+
+def _row_for_a_vanished_file(text):
+    return text + text.split("\n")[0].replace("s0.skel", "gone.skel", 1) + "\n"
+
+
+@pytest.mark.parametrize(
+    "spoil, hashed",
+    [
+        (_random_bytes, ["s0.skel", "s1.skel", "s2.skel"]),
+        (_drop_digest_of_s0, ["s0.skel"]),
+        (_non_numeric_size_of_s0, ["s0.skel"]),
+        (_row_for_a_vanished_file, []),
+    ],
+    ids=["random-bytes", "field-count", "non-numeric", "vanished-file"],
+)
+def test_bad_index_rows_are_hashed_again_and_rewritten(skel_dir, monkeypatch, spoil, hashed):
+    cold = load_pretrain_samples(skel_dir, seed=1)
+    index = skel_dir / datasets.HASH_INDEX
+    spoiled = spoil(index.read_text())
+    index.write_bytes(spoiled if isinstance(spoiled, bytes) else spoiled.encode())
+    settle_index(skel_dir)
+    calls = count_hashes(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warm = load_pretrain_samples(skel_dir, seed=1)
+    assert calls == hashed
+    assert_same_samples(warm, cold)
+    assert_index_is_current(skel_dir)
+    assert len(list((skel_dir / ".simcache").iterdir())) == 3
+
+
+def test_torn_index_write_leaves_the_old_index_or_none(skel_dir):
+    index = skel_dir / datasets.HASH_INDEX
+    with torn_writes(), pytest.raises(OSError, match="killed midway"):
+        load_pretrain_samples(skel_dir, seed=1)
+    assert not index.exists()
+    load_pretrain_samples(skel_dir, seed=1)
+    old = index.read_bytes()
+    formats.write_skeleton_file(skel_dir / "a.skel", make_toy_sequence(1, np.random.default_rng(9), duration=0.5))
+    with torn_writes(), pytest.raises(OSError, match="killed midway"):
+        load_pretrain_samples(skel_dir, seed=1)
+    assert index.read_bytes() == old
+    assert not list(skel_dir.rglob("*.tmp"))
+    assert_same_samples(load_pretrain_samples(skel_dir, seed=1), load_pretrain_samples(skel_dir, seed=1, cache=False))
+    assert_index_is_current(skel_dir)
+
+
 def test_overflowing_simulation_is_a_located_error_and_not_cached(tmp_path):
     # a finite but huge position overflows the second derivative at 20 Hz
     d = tmp_path / "skel"
