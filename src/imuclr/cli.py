@@ -91,12 +91,6 @@ NONNEGATIVE_FLOAT = _checked(float, lambda v: 0 <= v < math.inf, "a finite numbe
 WIDTHS = _checked(str, lambda text: min(_widths(text), default=0) > 0, "comma-separated integers > 0")
 
 
-def _embedding_table(path, l2_normalize):
-    """The embedding file at path, each vector scaled to unit length if l2_normalize."""
-    table = formats.read_embedding_file(path)
-    return table.l2_normalized() if l2_normalize else table
-
-
 def _structure_from(args):
     if getattr(args, "structure", None):
         return formats.read_structure_file(args.structure)
@@ -137,7 +131,7 @@ def _encoder_config(args, embed_dim):
 
 def cmd_pretrain(args):
     _require(args.mask_max >= args.mask_min, "--mask-max must be >= --mask-min")
-    table = _embedding_table(args.embeddings, args.l2_normalize_text)
+    table = formats.read_embedding_file(args.embeddings)
     descriptions = formats.read_description_file(args.desc)
     structure = _structure_from(args)
     _require(args.mask_max <= structure.num_joints, "--mask-max exceeds the joint count")
@@ -154,8 +148,6 @@ def cmd_pretrain(args):
         mask_max=args.mask_max,
         seed=args.seed,
         rotation_augment=not args.no_rot_aug,
-        text_augment=not args.no_text_aug,
-        symmetric_loss=args.symmetric_loss,
     )
     _banner("pretrain", args)
     metrics_path = args.out + ".metrics.tsv"
@@ -209,10 +201,9 @@ def cmd_finetune(args):
 
 def cmd_eval(args):
     # the labels are read and checked against the checkpoint before the banner and the manifest
-    _require(args.labels or not args.l2_normalize_text, "--l2-normalize-text needs --labels")
     ckpt = load_checkpoint(args.model)
     if args.labels:
-        table = _embedding_table(args.labels, args.l2_normalize_text)
+        table = formats.read_embedding_file(args.labels)
         if table.dim != ckpt.config.embedding_dim:
             raise DimMismatch(
                 f"{args.labels}: label embeddings have dim {table.dim}, model emits {ckpt.config.embedding_dim}"
@@ -270,8 +261,6 @@ def build_parser():
     p.add_argument("--mask-min", type=_int_at_least(1), default=1, help="joints are 1..V")
     p.add_argument("--mask-max", type=int, default=5)
     p.add_argument("--no-rot-aug", action="store_true")
-    p.add_argument("--no-text-aug", action="store_true")
-    p.add_argument("--symmetric-loss", action="store_true")
     p.add_argument("--fs", type=POSITIVE_FLOAT, default=20.0)
     p.add_argument("--sigma-accel", type=NONNEGATIVE_FLOAT, default=0.05)
     p.add_argument("--sigma-gyro", type=NONNEGATIVE_FLOAT, default=0.005)
@@ -280,7 +269,6 @@ def build_parser():
     p.add_argument("--channels", type=WIDTHS, default="32,64", help="comma-separated block widths")
     p.add_argument("--kt", type=ODD_INT, default=9, help="temporal kernel size (odd)")
     p.add_argument("--partition", choices=("uniform", "distance"), default="distance")
-    p.add_argument("--l2-normalize-text", action="store_true")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="attach and train a linear classifier")
@@ -301,7 +289,6 @@ def build_parser():
     p.add_argument("--labels", help="label embeddings to score zero-shot against; without it, the classifier")
     p.add_argument("--window", type=NONNEGATIVE_INT, default=0, help="override evaluation window length")
     p.add_argument("--report", help="write metrics to a key-value file")
-    p.add_argument("--l2-normalize-text", action="store_true")
     p.set_defaults(func=cmd_eval)
     return parser
 

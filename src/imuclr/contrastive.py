@@ -2,10 +2,12 @@
 
 For every batch iteration: rotate each joint's channels by one fresh random
 rotation shared across the batch, mask all but a few random joints, crop to
-the shortest recording, encode, pair each sequence with one of its sampled
-descriptions, and minimize the softmax cross-entropy from each time-series
-embedding to its own text among the in-batch alternatives. The temperature
-is learned through its log inverse, clamped from above.
+the shortest recording, encode, pair each sequence with one description
+drawn from its originals and paraphrases together, and minimize the softmax
+cross-entropy from each time-series embedding to its own raw (unnormalized)
+text vector among the in-batch alternatives. The loss runs in that one
+direction only. The temperature is learned through its log inverse, clamped
+from above.
 
 The encoder trains as the same inference.Model that fine-tuning uses; the
 text side is a frozen TextEmbeddingTable, so zero-shot label vectors from
@@ -59,8 +61,6 @@ class TrainConfig:
     mask_max: int = 5
     seed: int = 0
     rotation_augment: bool = True
-    text_augment: bool = True
-    symmetric_loss: bool = False
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -77,23 +77,18 @@ class PretrainSample:
     series: MotionTimeSeries
 
 
-def contrastive_loss(series_emb, text_emb, temperature, symmetric=False):
+def contrastive_loss(series_emb, text_emb, temperature):
     """Softmax alignment loss from time-series rows to their paired text rows.
 
     loss = -(1/B) sum_i log softmax_k(<G_i, F_k>/gamma)[k=i], log-sum-exp
     stabilized. Gradients flow into series_emb, into text_emb when it is a
-    tracked tensor, and into the temperature always. symmetric=True averages
-    in the text->time-series direction as well.
+    tracked tensor, and into the temperature always.
     """
     g, f = ad.as_tensor(series_emb), ad.as_tensor(text_emb)
     if g.ndim != 2 or f.ndim != 2 or g.shape != f.shape:
         raise DimMismatch(f"paired embeddings must share (B, dim), got {g.shape} and {f.shape}")
     logits = ad.mul(ad.matmul(g, ad.transpose(f)), temperature.inv_gamma())
-    pairs = np.arange(g.shape[0])
-    loss = ad.softmax_cross_entropy(logits, pairs)
-    if symmetric:
-        rev = ad.softmax_cross_entropy(ad.transpose(logits), pairs)
-        loss = ad.mul(ad.add(loss, rev), ad.as_tensor(0.5))
+    loss = ad.softmax_cross_entropy(logits, np.arange(g.shape[0]))
     if not np.isfinite(loss.value):
         raise NonFinite("contrastive loss is not finite")
     return loss
@@ -192,8 +187,8 @@ def pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=
             chosen = [samples[i] for i in batch_idx]
             batch = _assemble_batch(chosen, cfg, rng_rot, rng_mask)
             g = model.embed_batch_tensor(batch)
-            ids = [sample_description(descriptions, s.seq_id, rng_desc, cfg.text_augment) for s in chosen]
-            loss = contrastive_loss(g, text.matrix(ids), temperature, symmetric=cfg.symmetric_loss)
+            ids = [sample_description(descriptions, s.seq_id, rng_desc) for s in chosen]
+            loss = contrastive_loss(g, text.matrix(ids), temperature)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()

@@ -48,14 +48,25 @@ def write_atomic(path, data):
         raise
 
 
-def _read_lines(path):
+def _read_bytes(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc}", path=path) from exc
+
+
+def _decoded(raw, path):
+    """raw as UTF-8 text; its splitlines() are the lines a text-mode read of the file gives."""
+    try:
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not valid UTF-8 text: {exc}", path=path) from exc
+
+
+def _read_lines(path):
+    # the bytes are freed before the split, so a file is never held three times over
+    return _decoded(_read_bytes(path), path).splitlines()
 
 
 def _floats(fields, path, line_no):
@@ -189,14 +200,8 @@ def write_timeseries_file(path, series, binary=False):
     write_atomic(path, "".join(lines).encode("utf-8"))
 
 
-def _parse_timeseries_binary(path):
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path=path) from exc
-    if raw[:4] != TIMESERIES_MAGIC:
-        raise ParseError("bad magic; not a binary time-series file", path=path)
+def _parse_timeseries_binary(raw, path):
+    """Data, mask and rate of the bytes of a binary time-series file, magic already checked."""
     version = int(np.frombuffer(raw[4:8], dtype="<u4")[0]) if len(raw) >= 8 else -1
     if version != TIMESERIES_BINARY_VERSION:
         raise ParseError(f"unsupported binary version {version}", path=path)
@@ -219,15 +224,11 @@ def _parse_timeseries_binary(path):
 
 
 def read_timeseries_file(path):
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(4)
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path=path) from exc
-    if head == TIMESERIES_MAGIC:
-        data, mask, fs = _parse_timeseries_binary(path)
+    raw = _read_bytes(path)  # read once: the magic picks the parser
+    if raw[:4] == TIMESERIES_MAGIC:
+        data, mask, fs = _parse_timeseries_binary(raw, path)
     else:
-        lines = _read_lines(path)
+        lines = _decoded(raw, path).splitlines()
         if len(lines) < 2:
             raise ParseError("file needs a header and a mask line", path=path, line=1)
         header = lines[0].split()
@@ -277,10 +278,12 @@ def read_embedding_file(path):
         key, text, value_str = parts
         if key in entries:
             raise DuplicateId(f"duplicate embedding id {key!r}", path=path, line=line_no)
-        values = _floats(value_str.split(), path, line_no)
+        values = np.array(_floats(value_str.split(), path, line_no))
         if len(values) != dim:
             raise DimMismatch(f"{path}:{line_no}: expected {dim} floats, got {len(values)}")
-        entries[key] = (text, np.array(values))
+        if not np.isfinite(values).all():
+            raise ParseError("embedding values must be finite", path=path, line=line_no)
+        entries[key] = (text, values)
     return TextEmbeddingTable(dim=dim, entries=entries)
 
 

@@ -1,9 +1,11 @@
 """The text side: a frozen table of description embeddings.
 
 The vectors are produced offline by any external text encoder and loaded
-from an embedding file; pre-training aligns the motion encoder to them and
-never changes them. Zero-shot evaluation scores against label vectors from
-the same text space, read from their own embedding file.
+from an embedding file; pre-training aligns the motion encoder to them as
+they are (no normalization) and never changes them. Each training pair
+draws its text uniformly from the sequence's original descriptions and
+their generated paraphrases together. Zero-shot evaluation scores against
+label vectors from the same text space, read from their own embedding file.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, EmptyText, PipelineError
+from .errors import DimMismatch, EmptyText
 
 
 @dataclass
@@ -43,15 +45,6 @@ class TextEmbeddingTable:
     def matrix(self, ids):
         return np.stack([self.vector(i) for i in ids])
 
-    def l2_normalized(self):
-        out = {}
-        for key, (text, vec) in self.entries.items():
-            n = np.linalg.norm(vec)
-            if n == 0:
-                raise PipelineError(f"cannot L2-normalize zero vector for id {key!r}")
-            out[key] = (text, vec / n)
-        return TextEmbeddingTable(self.dim, out)
-
     def state_snapshot(self):
         """Bit-exact copy of all vectors, for freeze-contract checks."""
         return {k: v.copy() for k, (_, v) in self.entries.items()}
@@ -75,9 +68,9 @@ class DescriptionSet:
         return ids
 
 
-def sample_description(descriptions, seq_id, rng, include_paraphrases=True):
-    """Uniform draw over a sequence's originals (plus paraphrases if enabled)."""
-    ids = descriptions.candidates(seq_id, include_paraphrases)
+def sample_description(descriptions, seq_id, rng):
+    """Uniform draw over a sequence's originals and paraphrases together."""
+    ids = descriptions.candidates(seq_id)
     if not ids:
         raise EmptyText(f"sequence {seq_id!r} has no descriptions")
     return ids[int(rng.integers(len(ids)))]

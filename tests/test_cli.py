@@ -149,8 +149,7 @@ def test_finetune_and_eval(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("l2", [[], ["--l2-normalize-text"]], ids=["raw", "l2"])
-def test_eval_with_labels_scores_a_finetuned_model_zero_shot(workspace, tmp_path, capsys, l2):
+def test_eval_with_labels_scores_a_finetuned_model_zero_shot(workspace, tmp_path, capsys):
     # --labels wins over the classifier head: the report is the zero-shot one,
     # here over three candidate labels where the classifier knows two
     assert main(pretrain_args(workspace)) == 0
@@ -162,10 +161,13 @@ def test_eval_with_labels_scores_a_finetuned_model_zero_shot(workspace, tmp_path
     labels_path = tmp_path / "labels.txt"
     formats.write_embedding_file(labels_path, table)
     report = tmp_path / "report.tsv"
-    assert main(["eval", "--model", str(tuned), *data, "--labels", str(labels_path), *l2, "--report", str(report)]) == 0
+    assert main(["eval", "--model", str(tuned), *data, "--labels", str(labels_path), "--report", str(report)]) == 0
     assert "confusion_2\t" in report.read_text()
-    assert main(["eval", "--model", str(tuned), *data, "--l2-normalize-text"]) == 1
-    assert "--l2-normalize-text needs --labels" in capsys.readouterr().err
+    capsys.readouterr()
+    # label vectors are scored as the file holds them: no flag normalizes them
+    assert main(["eval", "--model", str(tuned), *data, "--labels", str(labels_path), "--l2-normalize-text"]) == 1
+    out, err = capsys.readouterr()
+    assert "unrecognized arguments: --l2-normalize-text" in err and "run " not in out
 
 
 def test_torn_metrics_write_keeps_previous_file(workspace, capsys):
@@ -239,6 +241,29 @@ def test_eval_labels_repeating_a_text_is_located_data_error(workspace, capsys):
     assert main(args) == 2
     out, err = capsys.readouterr()
     assert f"{labels}: labels 'a' and 'c' share the text 'walk'" in err and "run eval" not in out
+
+
+@pytest.mark.parametrize("token", ["nan", "1e400"])
+@pytest.mark.parametrize("command", ["pretrain", "eval"])
+def test_non_finite_embedding_is_located_data_error_before_the_banner(workspace, capsys, command, token):
+    # a nan label vector would win every window's argmax, and the run would exit 0
+    if command == "eval":
+        assert main(pretrain_args(workspace)) == 0
+    path = workspace["root"] / "bad_embeddings.txt"
+    lines = workspace["emb"].read_text().splitlines()
+    key, text, values = lines[2].split("\t")
+    lines[2] = "\t".join([key, text, " ".join([token] + values.split()[1:])])
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    if command == "pretrain":
+        args = pretrain_args(workspace)
+        args[args.index("--embeddings") + 1] = str(path)
+    else:
+        args = ["eval", "--model", str(workspace["model"]), "--manifest", str(workspace["manifest"]),
+                "--labels", str(path)]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert f"{path}:3: embedding values must be finite" in err and "run " not in out
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -327,10 +352,16 @@ def test_config_file_naming_another_config_is_usage_error(workspace, tmp_path, c
 
 
 def test_config_file_unknown_key(workspace, capsys):
+    # the objective has no switches: their names are unknown keys like any other
     cfg = workspace["root"] / "run.cfg"
-    cfg.write_text("bogus = 1\n")
-    assert main(pretrain_args(workspace, ["--config", str(cfg)])) == 1
-    capsys.readouterr()
+    eval_args = ["eval", "--model", str(workspace["model"]), "--manifest", str(workspace["manifest"]),
+                 "--labels", str(workspace["emb"])]
+    cases = [(pretrain_args(workspace), key) for key in ("bogus", "symmetric-loss", "no-text-aug", "l2-normalize-text")]
+    for args, key in cases + [(eval_args, "l2-normalize-text")]:
+        cfg.write_text(f"{key} = 1\n")
+        assert main(args + ["--config", str(cfg)]) == 1, (args[0], key)
+        out, err = capsys.readouterr()
+        assert f"unknown flag {key!r}" in err and "run " not in out
 
 
 def test_config_file_bad_choice_is_usage_error_before_loading(workspace, capsys):
@@ -386,7 +417,7 @@ def test_mask_max_above_joint_count_is_usage_error_before_simulation(workspace, 
     assert not (workspace["skel_dir"] / ".simcache").exists()
 
 
-@pytest.mark.parametrize("extra", [[], ["--symmetric-loss"]], ids=["frozen-text", "symmetric"])
+@pytest.mark.parametrize("extra", [[], ["--no-rot-aug"]], ids=["frozen-text", "no-rot-aug"])
 def test_deterministic_pretrain_byte_identical(workspace, tmp_path, capsys, extra):
     m1, m2 = tmp_path / "m1.ckpt", tmp_path / "m2.ckpt"
     for out in (m1, m2):
@@ -412,10 +443,14 @@ def test_simulate_binary_output(workspace, tmp_path, capsys):
 
 def test_pretrain_flag_variants(workspace, capsys):
     # each optional switch must be accepted and produce a checkpoint
-    for extra in (["--no-rot-aug"], ["--no-text-aug"], ["--symmetric-loss"],
-                  ["--l2-normalize-text"], ["--partition", "uniform"]):
+    for extra in (["--no-rot-aug"], ["--partition", "uniform"]):
         assert main(pretrain_args(workspace, extra)) == 0, extra
     capsys.readouterr()
+    # the objective has one form: one-way loss, raw text vectors, paraphrases sampled
+    for flag in ("--symmetric-loss", "--no-text-aug", "--l2-normalize-text"):
+        assert main(pretrain_args(workspace, [flag])) == 1, flag
+        out, err = capsys.readouterr()
+        assert f"unrecognized arguments: {flag}" in err and "run " not in out
 
 
 def test_pretrain_flags_change_training(workspace, tmp_path, capsys):

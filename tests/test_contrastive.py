@@ -92,9 +92,8 @@ def test_loss_gradient_including_temperature():
     g = Parameter("G", rng.standard_normal((3, 4)))
     f = Parameter("F", rng.standard_normal((3, 4)))
     temp = Temperature.create(gamma=1.0)
-    for symmetric in (False, True):
-        err = grad_check(lambda: contrastive_loss(g, f, temp, symmetric=symmetric), [g, f, temp.log_inv_gamma])
-        assert err < 1e-6
+    err = grad_check(lambda: contrastive_loss(g, f, temp), [g, f, temp.log_inv_gamma])
+    assert err < 1e-6
 
 
 def test_loss_dim_mismatch():
@@ -245,17 +244,3 @@ def test_fewer_samples_than_batch_train_one_batch_per_epoch():
     losses = []
     pretrain(samples, ds, table, chain_structure(V), enc, cfg, on_epoch=lambda e, l, g: losses.append(l))
     assert len(losses) == 2 and all(np.isfinite(losses)) and losses[0] > 0
-
-
-def test_text_augment_flag_restricts_to_originals():
-    samples, ds, table, cfg, enc = tiny_setup()
-    for s in samples:
-        ds.add(s.seq_id, "t1", paraphrase=True)  # paraphrase pointing at t1
-    h_with, h_without = [], []
-    pretrain(samples, ds, table, chain_structure(V), enc,
-             TrainConfig(**{**cfg.__dict__, "text_augment": True}),
-             on_epoch=lambda e, l, g: h_with.append(l))
-    pretrain(samples, ds, table, chain_structure(V), enc,
-             TrainConfig(**{**cfg.__dict__, "text_augment": False}),
-             on_epoch=lambda e, l, g: h_without.append(l))
-    assert h_with != h_without

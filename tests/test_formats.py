@@ -381,13 +381,16 @@ READERS = [
         # non-finite unit scales, which would be multiplied into the accelerations
         (formats.read_manifest_file, "mapping m.txt\nsample\tr.ts\tw\twrist\t50\tnan\n"),
         (formats.read_manifest_file, "mapping m.txt\nsample\tr.ts\tw\twrist\t50\tinf\n"),
+        # non-finite embedding values, which would win or lose every score they enter
+        (formats.read_embedding_file, "2 3\na\talpha\t1 0 0\nb\tbeta\t0 nan 0\n"),
+        (formats.read_embedding_file, "2 3\na\talpha\t1 0 0\nb\tbeta\t0 1e400 0\n"),
         # a header of two numbers
         (formats.read_structure_file, "1 2\n0 root -1\n"),
         (formats.read_manifest_file, "mapping \nsample\tr.ts\tw\twrist\t50\t1\n"),
     ],
     ids=["skel-huge-V", "ts-huge-C", "mapping-superscript", "skel-fs-nan", "skel-fs-inf", "ts-fs-nan",
-         "ts-fs-inf", "manifest-fs-nan", "manifest-scale-nan", "manifest-scale-inf", "structure-two-field-header",
-         "manifest-empty-mapping"],
+         "ts-fs-inf", "manifest-fs-nan", "manifest-scale-nan", "manifest-scale-inf", "embedding-nan", "embedding-1e400",
+         "structure-two-field-header", "manifest-empty-mapping"],
 )
 def test_reader_rejects_header_and_field_values(tmp_path, reader, text):
     path = tmp_path / "f.txt"

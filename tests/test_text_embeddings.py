@@ -26,11 +26,6 @@ def test_table_matrix_and_vector():
     assert np.array_equal(t.matrix(["b", "a"]), [[0.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
 
 
-def test_l2_normalized():
-    t = small_table().l2_normalized()
-    assert np.allclose(np.linalg.norm(t.matrix(t.ids()), axis=1), 1.0)
-
-
 def test_snapshot_is_bit_exact_copy():
     t = small_table()
     snap = t.state_snapshot()
@@ -61,15 +56,6 @@ def test_sample_description_uniform():
         assert abs(counts[key] / n - 0.25) < 3 * sigma
 
 
-def test_sample_description_originals_only():
-    ds = DescriptionSet()
-    ds.add("s", "orig")
-    ds.add("s", "para", paraphrase=True)
-    rng = np.random.default_rng(2)
-    picks = {sample_description(ds, "s", rng, include_paraphrases=False) for _ in range(50)}
-    assert picks == {"orig"}
-
-
 def test_sample_description_deterministic():
     ds = DescriptionSet()
     for i in range(4):
@@ -91,5 +77,3 @@ def test_load_embeddings_wrapper(tmp_path):
     p.write_text("1 2\na\talpha\t3 4\n")
     table = read_embedding_file(p)
     assert np.array_equal(table.vector("a"), [3.0, 4.0])
-    unit = table.l2_normalized()
-    assert np.isclose(np.linalg.norm(unit.vector("a")), 1.0)
