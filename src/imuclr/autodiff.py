@@ -3,8 +3,14 @@
 Just enough machinery for the graph encoder and the contrastive/cross-entropy
 objectives: a taped Tensor, the primitives the model runs, each with a
 hand-written backward rule, a finite-difference gradient checker, and Adam.
-Everything runs in float64 by default so the gradient checker can use tight
-tolerances.
+
+Every op follows the dtype of its input: float32 values give float32 values,
+gradients and scratch buffers, float64 ones float64, through the same code.
+A Parameter keeps the float32 or float64 value it is given (anything else
+becomes float64), and Adam's moments take their parameter's dtype. The
+gradient checker runs in float64, so its tolerances stay tight; the
+contrastive pre-training casts its parameters, batches and text vectors to
+float32 once and trains in float32, where each GEMM is faster.
 
 The primitives: add, mul (both broadcasting), matmul, transpose, relu,
 exp, minimum_const and linear; softmax_cross_entropy for both training
@@ -123,7 +129,9 @@ class Parameter(Tensor):
     __slots__ = ("name",)
 
     def __init__(self, name, value):
-        super().__init__(np.array(value, dtype=np.float64), requires_grad=True)
+        value = np.asarray(value)
+        dtype = np.float32 if value.dtype == np.float32 else np.float64
+        super().__init__(np.array(value, dtype=dtype), requires_grad=True)
         self.name = name
 
     def zero_grad(self):
@@ -263,7 +271,7 @@ def softmax_cross_entropy(logits, targets):
 
     def backward(g):
         if a.requires_grad:
-            full = np.zeros(a.shape)
+            full = np.zeros(a.shape, dtype=a.value.dtype)
             full[rows, idx] = -float(g) / n
             a._accumulate(full - np.exp(log_probs) * full.sum(axis=1, keepdims=True))
 
@@ -279,13 +287,13 @@ def graph_conv(x, w, adj_norm):
     """Spatial graph convolution: sum_k Phi_k (x @ A_hat_k).
 
     x: (C,B,T,V) tensor; w: (K,O,C) weights; adj_norm: constant (K,V,V)
-    stack of symmetrically normalized adjacency matrices. The K products
-    x @ A_hat_k are stacked into one (K*C, B*T*V) operand, so the channel
-    mix of forward, dW and dx are one GEMM each; the stack is rebuilt in
-    backward rather than kept on the tape.
+    stack of symmetrically normalized adjacency matrices, cast to x's dtype.
+    The K products x @ A_hat_k are stacked into one (K*C, B*T*V) operand, so
+    the channel mix of forward, dW and dx are one GEMM each; the stack is
+    rebuilt in backward rather than kept on the tape.
     """
     x, w = as_tensor(x), as_tensor(w)
-    adj = np.asarray(adj_norm, dtype=np.float64)
+    adj = np.asarray(adj_norm, dtype=x.value.dtype)
     if x.ndim != 4 or w.ndim != 3 or adj.ndim != 3:
         raise ShapeMismatch("graph_conv expects x (C,B,T,V), w (K,O,C), adj (K,V,V)")
     k_s = adj.shape[0]
@@ -326,7 +334,7 @@ def _sample_cols(values, k):
     """
     c, b, t, v = values.shape
     pad = (k - 1) // 2
-    xp = np.zeros((c, t + k - 1, v))
+    xp = np.zeros((c, t + k - 1, v), dtype=values.dtype)
     win = np.lib.stride_tricks.as_strided(xp, (c, k, t * v), xp.strides, writeable=False)
     for i in range(b):
         xp[:, pad : pad + t] = values[:, i]
@@ -338,7 +346,7 @@ def _conv_same(values, kernel):
     _, b, t, v = values.shape
     o, c, k = kernel.shape
     flat = kernel.reshape(o, c * k)
-    out = np.empty((o, b, t * v))
+    out = np.empty((o, b, t * v), dtype=np.result_type(values, kernel))
     for i, cols in enumerate(_sample_cols(values, k)):
         np.matmul(flat, cols, out=out[:, i])
     return out.reshape(o, b, t, v)
@@ -365,9 +373,9 @@ def time_conv(x, w):
 
     def backward(g):
         w_flip = w.value[:, :, ::-1].transpose(1, 0, 2).reshape(c, o * k)
-        dx = np.empty((c, b, t * v)) if x.requires_grad else None
+        dx = np.empty((c, b, t * v), dtype=g.dtype) if x.requires_grad else None
         # row (o, K-1-k) of m is dW[o, :, k]: row (o, k') of G_i is g[o] shifted by k' - pad
-        m = np.zeros((o * k, c)) if w.requires_grad else None
+        m = np.zeros((o * k, c), dtype=g.dtype) if w.requires_grad else None
         for i, cols in enumerate(_sample_cols(g, k)):
             if dx is not None:
                 np.matmul(w_flip, cols, out=dx[:, i])
@@ -465,8 +473,8 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros(p.shape) for p in self.params]
-        self._v = [np.zeros(p.shape) for p in self.params]
+        self._m = [np.zeros_like(p.value) for p in self.params]
+        self._v = [np.zeros_like(p.value) for p in self.params]
 
     def zero_grad(self):
         for p in self.params:
@@ -477,7 +485,7 @@ class Adam:
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
         for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad if p.grad is not None else np.zeros(p.shape)
+            g = p.grad if p.grad is not None else np.zeros_like(p.value)
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2

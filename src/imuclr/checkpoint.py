@@ -13,10 +13,12 @@ Layout (all integers little-endian):
         float64 little-endian values (C order)
     crc     u32 CRC32 of every preceding byte
 
-Round-tripping save -> load -> save is byte-identical; parameter order and
-JSON key order are fixed. Saving goes through formats.write_atomic, so a
-crash leaves the old file or the new one. Loading verifies magic, version, CRC
-and that the stored skeleton hash matches the stored skeleton.
+Values are stored as float64 whatever dtype they trained in; pre-training
+runs in float32, so a pretrained checkpoint's values are float32 numbers held
+exactly. Round-tripping save -> load -> save is byte-identical; parameter
+order and JSON key order are fixed. Saving goes through formats.write_atomic,
+so a crash leaves the old file or the new one. Loading verifies magic,
+version, CRC and that the stored skeleton hash matches the stored skeleton.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class Checkpoint:
     config: EncoderConfig
     structure: SkeletonStructure
     sample_rate: float
-    params: dict  # name -> np.ndarray (float64)
+    params: dict  # name -> np.ndarray; saved and loaded as float64
     train_window: int | None = None
     label_names: tuple | None = None  # classifier column order, set by fine-tuning
 

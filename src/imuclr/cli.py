@@ -133,6 +133,12 @@ def cmd_pretrain(args):
     _require(args.mask_max >= args.mask_min, "--mask-max must be >= --mask-min")
     table = formats.read_embedding_file(args.embeddings)
     descriptions = formats.read_description_file(args.desc)
+    # every row's text id is checked here, before the banner and any simulation
+    for seq_id in {**descriptions.originals, **descriptions.paraphrases}:
+        for text_id in descriptions.candidates(seq_id):
+            if text_id not in table.entries:
+                raise ParseError(f"sequence {seq_id!r} names text id {text_id!r}, which {args.embeddings} lacks",
+                                 path=args.desc)
     structure = _structure_from(args)
     _require(args.mask_max <= structure.num_joints, "--mask-max exceeds the joint count")
     noise = NoiseParams(sigma_accel=args.sigma_accel, sigma_gyro=args.sigma_gyro)

@@ -11,7 +11,9 @@ from above.
 
 The encoder trains as the same inference.Model that fine-tuning uses; the
 text side is a frozen TextEmbeddingTable, so zero-shot label vectors from
-the same text space score against the trained encoder.
+the same text space score against the trained encoder. Training runs in
+float32: the live parameters, each batch and the text vectors are cast once,
+and the returned checkpoint holds the trained values as float64 arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import Adam, Parameter
 from .augment import rotate_joints, sample_joint_mask, sample_joint_rotations
 from .checkpoint import Checkpoint
-from .errors import BadRange, DimMismatch, EmptyDataset, NonFinite
+from .errors import BadRange, DimMismatch, EmptyDataset, EmptyText, NonFinite
 from .graph_encoder import init_encoder_params
 from .inference import Model
 from .simulate import MotionTimeSeries
@@ -141,8 +143,10 @@ def pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=
     (epoch, mean_loss, inv_gamma) after every epoch.
 
     The encoder trains as an inference.Model around a fresh Checkpoint of
-    the initial encoder parameters and log(1/gamma); the returned checkpoint
-    holds exactly those, trained.
+    the initial encoder parameters and log(1/gamma), rounded to float32; the
+    returned checkpoint holds exactly those, trained, as float64 arrays whose
+    values are float32 numbers. A description id that the text table lacks
+    is an EmptyText error before the first step.
 
     Randomness is split into independent per-stage streams derived from
     cfg.seed (initialization, batch order, rotations, masks, descriptions),
@@ -160,14 +164,20 @@ def pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=
     rates = {s.series.sample_rate for s in samples}
     if len(rates) != 1:
         raise DimMismatch(f"samples carry mixed sample rates: {sorted(rates)}")
+    vectors = {}  # the frozen text side, in the encoder's float32
     for s in samples:
         if s.series.num_joints != structure.num_joints:
             raise DimMismatch(
                 f"sequence {s.seq_id!r} has {s.series.num_joints} joints, "
                 f"skeleton has {structure.num_joints}"
             )
-        if not descriptions.candidates(s.seq_id):
+        text_ids = descriptions.candidates(s.seq_id)
+        if not text_ids:
             raise EmptyDataset(f"sequence {s.seq_id!r} has no descriptions")
+        for text_id in text_ids:
+            if text_id not in text.entries:
+                raise EmptyText(f"sequence {s.seq_id!r}: description {text_id!r} has no text embedding")
+            vectors[text_id] = text.vector(text_id).astype(np.float32)
 
     seed_seq = np.random.SeedSequence(cfg.seed)
     rng_init, rng_batch, rng_rot, rng_mask, rng_desc = (
@@ -176,6 +186,7 @@ def pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=
 
     params = {name: p.value for name, p in init_encoder_params(encoder_cfg, rng_init).items()}
     params["log_inv_gamma"] = np.log(1.0 / DEFAULT_GAMMA)
+    params = {name: np.asarray(value, dtype=np.float32) for name, value in params.items()}
     window = int(np.median([s.series.num_frames for s in samples]))
     model = Model(Checkpoint(encoder_cfg, structure, rates.pop(), params, train_window=window))
     temperature = Temperature(model.params["log_inv_gamma"])
@@ -188,7 +199,7 @@ def pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=
             batch = _assemble_batch(chosen, cfg, rng_rot, rng_mask)
             g = model.embed_batch_tensor(batch)
             ids = [sample_description(descriptions, s.seq_id, rng_desc) for s in chosen]
-            loss = contrastive_loss(g, text.matrix(ids), temperature)
+            loss = contrastive_loss(g, np.stack([vectors[i] for i in ids]), temperature)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()

@@ -146,10 +146,11 @@ def encoder_param_names(cfg):
 def encode_batch(x, adj, params, cfg):
     """Embed a constant (B, 6, T, V) ndarray batch; returns a (B, embedding_dim) Tensor.
 
-    The batch is transposed once to the channel-major (6, B, T, V) layout of
-    the encoder ops. adj is an AdjacencySet or its normalized (K_s, V, V) stack.
+    The batch is cast to the parameters' dtype, so the whole pass runs in it,
+    and transposed once to the channel-major (6, B, T, V) layout of the
+    encoder ops. adj is an AdjacencySet or its normalized (K_s, V, V) stack.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params["block0.spatial"].value.dtype)
     if x.ndim != 4:
         raise ShapeMismatch(f"expected (B, C, T, V) input, got {x.shape}")
     if x.shape[1] != cfg.blocks[0][0]:

@@ -178,7 +178,8 @@ class Model:
         return emb @ self.params["classifier.weight"].value + self.params["classifier.bias"].value
 
     def to_checkpoint(self):
-        return replace(self.ckpt, params={name: p.value.copy() for name, p in self.params.items()})
+        """A new Checkpoint of the live parameters, as float64 arrays whatever dtype they train in."""
+        return replace(self.ckpt, params={name: p.value.astype(np.float64) for name, p in self.params.items()})
 
 
 def zero_shot_classify(series, model, labels):

@@ -35,9 +35,10 @@ def contract(t, seed=0):
     """Scalar <t, W> for W = cotangent(t.shape, seed), as one tracked node.
 
     Its gradient with respect to t is exactly W, so a gradient check through
-    it weighs every output coordinate differently, unlike a plain sum.
+    it weighs every output coordinate differently, unlike a plain sum. W
+    takes t's dtype, so the contraction keeps it.
     """
-    w = cotangent(t.shape, seed)
+    w = cotangent(t.shape, seed).astype(t.value.dtype)
 
     def backward(g):
         t._accumulate(g * w)

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from conftest import contract, cotangent
 from imuclr import autodiff as ad
 from imuclr.autodiff import Adam, Parameter, Tensor, grad_check
+from imuclr.contrastive import TrainConfig, pretrain
 from imuclr.errors import NonFinite, PipelineError, ShapeMismatch
-from imuclr.graph_encoder import build_adjacency
+from imuclr.graph_encoder import EncoderConfig, build_adjacency
+from imuclr.inference import Model
 from imuclr.skeleton import body22
+from imuclr.toy import make_toy_pretrain_data, toy_text_assets
 
 
 def test_matmul_identity():
@@ -366,6 +369,101 @@ def test_shape_mismatches():
         ad.channel_affine(x, Tensor(np.ones(2)), Tensor(np.zeros(2)))
     with pytest.raises(ShapeMismatch):
         ad.softmax_cross_entropy(Tensor(np.zeros((2, 3))), [0])
+
+
+# ---------------------------------------------------------------------------
+# dtype: every op follows its input, so pre-training runs in float32
+# ---------------------------------------------------------------------------
+
+ADJ = build_adjacency(body22(), "distance").normalized()  # float64, as Model keeps it
+
+DTYPE_CASES = {
+    "add": ([(3, 4), (4,)], ad.add),
+    "mul": ([(3, 4), (4,)], ad.mul),
+    "matmul": ([(3, 4), (4, 5)], ad.matmul),
+    "transpose": ([(3, 4)], ad.transpose),
+    "relu": ([(3, 4)], ad.relu),
+    "exp": ([(3, 4)], ad.exp),
+    "minimum_const": ([(3, 4)], lambda a: ad.minimum_const(a, 0.5)),
+    "softmax_cross_entropy": ([(3, 5)], lambda a: ad.softmax_cross_entropy(a, [2, 0, 2])),
+    "graph_conv": ([(3, 2, 6, 22), (2, 5, 3)], lambda x, w: ad.graph_conv(x, w, ADJ)),
+    "time_conv": ([(3, 2, 6, 4), (5, 3, 3)], ad.time_conv),
+    "channel_affine": ([(3, 2, 4, 5), (3,), (3,)], ad.channel_affine),
+    "pool_time_joints": ([(3, 2, 5, 4)], ad.pool_time_joints),
+    "linear": ([(2, 3), (3, 4), (4,)], ad.linear),
+}
+
+
+def _run_in(dtype, values, op):
+    """op on Parameters of dtype holding values: its output value and each input's gradient."""
+    params = [Parameter(f"p{i}", v.astype(dtype)) for i, v in enumerate(values)]
+    out = op(*params)
+    contract(out).backward()
+    return [out.value] + [p.grad for p in params]
+
+
+@pytest.mark.parametrize("name", sorted(DTYPE_CASES))
+def test_op_follows_float32_input(name):
+    # the same float32 numbers through the float64 run: only the arithmetic's
+    # precision differs, so each array agrees to rtol 1e-5 of its largest entry
+    shapes, op = DTYPE_CASES[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    values = [rng.standard_normal(shape).astype(np.float32) for shape in shapes]
+    single, double = _run_in(np.float32, values, op), _run_in(np.float64, values, op)
+    for a32, a64 in zip(single, double):
+        assert a32.dtype == np.float32 and a64.dtype == np.float64
+        np.testing.assert_allclose(a32, a64, rtol=1e-5, atol=1e-5 * np.abs(a64).max())
+
+
+def test_adam_follows_float32_parameters():
+    p = Parameter("p", np.float32([1.0, -2.0, 0.5]))
+    q = Parameter("q", np.float32([3.0]))  # no gradient: the zero gradient keeps the dtype too
+    p.grad = np.float32([0.1, 0.2, -0.3])
+    opt = Adam([p, q], lr=1e-2)
+    opt.step()
+    assert p.value.dtype == q.value.dtype == np.float32
+    assert all(m.dtype == np.float32 for m in opt._m + opt._v)
+
+
+def _toy_pretrain(epochs):
+    """One pretrain() step per epoch: six toy samples in one batch."""
+    samples, descriptions = make_toy_pretrain_data(2, seed=3, duration=1.0)
+    table, _ = toy_text_assets(dim=9)
+    encoder = EncoderConfig(blocks=((6, 4, 3), (4, 8, 3)), embedding_dim=9)
+    cfg = TrainConfig(batch_size=6, epochs=epochs, lr=1e-2, mask_min=1, mask_max=5, seed=5)
+    return pretrain(samples, descriptions, table, body22(), encoder, cfg)
+
+
+def test_pretrain_step_tracks_no_float64_node(monkeypatch):
+    # a float64 operand anywhere (an uncast text matrix, batch or constant)
+    # would show as a float64 node, parent or gradient
+    seen = []
+    tracked = ad._tracked
+
+    def spy(value, parents, backward):
+        seen.extend(p.value.dtype for p in parents)
+
+        def logged(g):
+            seen.append(g.dtype)
+            backward(g)
+
+        node = tracked(value, parents, None if backward is None else logged)
+        seen.append(node.value.dtype)
+        return node
+
+    monkeypatch.setattr(ad, "_tracked", spy)
+    _toy_pretrain(epochs=1)
+    assert len(seen) > 50 and set(seen) == {np.dtype(np.float32)}
+
+
+def test_pretrain_returns_float64_holding_float32_values():
+    ckpt = _toy_pretrain(epochs=2)
+    for name, value in ckpt.params.items():
+        assert value.dtype == np.float64, name
+        assert np.array_equal(value.astype(np.float32).astype(np.float64), value), name
+    # inference on the checkpoint runs in float64
+    model = Model(ckpt)
+    assert model.embed_batch_tensor(np.zeros((1, 6, 5, 22))).value.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------

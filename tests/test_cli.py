@@ -284,6 +284,17 @@ def test_missing_file_is_data_error(workspace, capsys):
     capsys.readouterr()
 
 
+def test_description_id_missing_from_embeddings_is_located_data_error(workspace, capsys):
+    # checked before the banner and before any skeleton is simulated
+    with open(workspace["desc"], "a", encoding="utf-8") as fh:
+        fh.write("seq1\tpara\tt9\n")
+    assert main(pretrain_args(workspace)) == 2
+    out, err = capsys.readouterr()
+    assert f"{workspace['desc']}: sequence 'seq1' names text id 't9', which {workspace['emb']} lacks" in err
+    assert "run " not in out
+    assert not (workspace["skel_dir"] / ".simcache").exists()
+
+
 def test_corrupt_model_is_data_error(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"garbage")

@@ -14,7 +14,7 @@ from imuclr.contrastive import (
     contrastive_loss,
     pretrain,
 )
-from imuclr.errors import BadRange, DimMismatch, EmptyDataset, NonFinite
+from imuclr.errors import BadRange, DimMismatch, EmptyDataset, EmptyText, NonFinite
 from imuclr.graph_encoder import (
     EncoderConfig,
     build_adjacency,
@@ -178,9 +178,11 @@ def test_zero_epochs_equals_initialization():
     seed_seq = np.random.SeedSequence(cfg.seed)
     rng_init = np.random.default_rng(seed_seq.spawn(5)[0])
     fresh = init_encoder_params(enc, rng_init)
+    # training runs in float32: the initialization is rounded once, then handed back as float64
     for name, p in fresh.items():
-        assert np.array_equal(ckpt.params[name], p.value)
-    assert np.isclose(ckpt.params["log_inv_gamma"], np.log(1 / 0.07))
+        assert ckpt.params[name].dtype == np.float64
+        assert np.array_equal(ckpt.params[name], p.value.astype(np.float32))
+    assert ckpt.params["log_inv_gamma"] == np.float32(np.log(1 / 0.07))
 
 
 def test_identical_seeds_identical_curves():
@@ -229,6 +231,17 @@ def test_pretrain_validations():
     orphan = DescriptionSet()
     with pytest.raises(EmptyDataset):
         pretrain(samples, orphan, table, chain_structure(V), enc, cfg)
+
+
+def test_description_without_text_embedding_fails_before_the_first_step(monkeypatch):
+    # a paraphrase id the table lacks is named up front, not a KeyError when first drawn
+    samples, ds, table, cfg, enc = tiny_setup()
+    ds.add("s3", "t9", paraphrase=True)
+    steps = []
+    monkeypatch.setattr(contrastive.Adam, "step", lambda self: steps.append(self))
+    with pytest.raises(EmptyText, match="'s3'.*'t9'"):
+        pretrain(samples, ds, table, chain_structure(V), enc, cfg)
+    assert steps == []
 
 
 def test_single_sample_rejected():

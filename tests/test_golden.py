@@ -6,7 +6,8 @@ whole pipeline computes: toy simulation, resampling, rotation and mask
 augmentation, the encoder's forward and backward passes, the one-way InfoNCE
 loss against the raw frozen text table, with descriptions drawn from
 originals and paraphrases, the learned temperature, Adam, and the
-classifier's cross-entropy.
+classifier's cross-entropy. Pre-training runs in float32 and fine-tuning
+and the embedding in float64.
 """
 
 import numpy as np
@@ -41,26 +42,26 @@ def golden_run():
 
 
 GOLDEN = (
-    [-0.44601273235581684, -0.22405474420384344, -0.003841623763862597,
-     -0.8534654969671474, -0.3985450207722369, -0.09091547425392625,
-     0.31621197267972684, 0.28351053036938434, 0.07634698490090479],
-    [[2.024265168162027, 14.143569054855385],
-     [1.61925888222403, 14.016644173268041],
-     [1.282099944393112, 13.916523812346549]],
+    [-0.44601265791667416, -0.2240548568167808, -0.0038417162723046183,
+     -0.8534654992444608, -0.39854500595671544, -0.0909155275914505,
+     0.3162119386539497, 0.28351051487541995, 0.07634705050294727],
+    [[2.0242652893066406, 14.143568992614746],
+     [1.619258999824524, 14.016643524169922],
+     [1.282099962234497, 13.916524887084961]],
 )
 
 
 GOLDEN_FINETUNE = (
-    [[0.15193693513934264, 0.28168300777693167, 0.06442044067381851],
-     [-0.43764487567193655, 0.30754623841735773, 0.1594566741784003],
-     [-0.18707144180983523, 0.1596715009008287, 0.168407353500956],
-     [0.10226353565498826, 0.021220395243309813, 0.17251852596301567],
-     [-0.23468131486474422, -0.044933153473131794, -0.17050090665141984],
-     [0.18887774918091466, 0.06284608916372468, -0.09849579866649057],
-     [-0.2540472792549364, -0.09929282996770508, 0.006206933870647795],
-     [-0.10412232463175543, 0.41843990929036473, 0.35156959072029226],
-     [-0.8696445141203754, -0.6160358043355504, -0.09498029577526676]],
-    [0.0010989372647081364, -0.003549959824451175, -0.005970720566367346],
+    [[0.15193694627024723, 0.2816830040307799, 0.06442043764420083],
+     [-0.43764487565375126, 0.30754623943147474, 0.15945667080304943],
+     [-0.18707145544146125, 0.15967150050491358, 0.16840736113858015],
+     [0.10226353759797417, 0.02122039290103817, 0.1725185280697069],
+     [-0.23468131196084296, -0.044933156758064606, -0.17050090451092056],
+     [0.18887776102000325, 0.06284608163579525, -0.09849581119960617],
+     [-0.2540472812470911, -0.09929282830436614, 0.0062069326721819066],
+     [-0.10412232985574628, 0.418439911762142, 0.3515695903471461],
+     [-0.8696445228210159, -0.6160358343052922, -0.09498028095366012]],
+    [0.001098934231560577, -0.0035499569445448676, -0.005970720494425897],
 )
 
 
