@@ -1,7 +1,7 @@
 """Command-line surface for the whole pipeline.
 
-Subcommands: simulate, pretrain, finetune, eval. eval is the one scoring
-command: zero-shot against the label embeddings of --labels, or through the
+Subcommands: pretrain, finetune, eval. eval is the one scoring command:
+zero-shot against the label embeddings of --labels, or through the
 classifier that finetune attached. Every run prints a banner with the seed,
 a hash of the resolved options and the hash of any checkpoint read or
 written, which together pin down every reported number.
@@ -18,13 +18,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
-import os
 import sys
 
 from . import formats
 from .checkpoint import load_checkpoint, save_checkpoint
 from .contrastive import TrainConfig, pretrain
-from .datasets import SKELETON_EXT, file_hash, load_eval_dataset, load_pretrain_samples, simulate_skeleton_dir
+from .datasets import file_hash, load_eval_dataset, load_pretrain_samples
 from .errors import DimMismatch, ParseError, PipelineError
 from .graph_encoder import EncoderConfig
 from .inference import FinetuneConfig, LabelSet, Model, evaluate, finetune
@@ -95,25 +94,6 @@ def _structure_from(args):
     if getattr(args, "structure", None):
         return formats.read_structure_file(args.structure)
     return body22()
-
-
-# ---------------------------------------------------------------------------
-# simulate
-# ---------------------------------------------------------------------------
-
-
-def cmd_simulate(args):
-    _banner("simulate", args)
-    if not any(n.endswith(SKELETON_EXT) for n in os.listdir(args.skeleton_dir)):
-        raise PipelineError(f"no {SKELETON_EXT} files in {args.skeleton_dir}")
-    noise = NoiseParams(sigma_accel=args.sigma_accel, sigma_gyro=args.sigma_gyro)
-    os.makedirs(args.out, exist_ok=True)
-    ext = ".tsb" if args.binary else ".ts"
-    for s in simulate_skeleton_dir(args.skeleton_dir, args.fs, noise, args.seed, args.gravity, cache=False):
-        out_path = os.path.join(args.out, s.seq_id + ext)
-        formats.write_timeseries_file(out_path, s.series, binary=args.binary)
-        print(f"{s.seq_id}{SKELETON_EXT} -> {out_path} (T={s.series.num_frames} @ {s.series.sample_rate} Hz)")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -244,20 +224,9 @@ def build_parser():
         p.add_argument("--config", help="flat key=value file pre-setting any flag")
         p.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
 
-    p = sub.add_parser("simulate", help="synthesize sensor recordings from skeleton files")
-    common(p)
-    p.add_argument("--skeleton-dir", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--fs", type=POSITIVE_FLOAT, default=20.0)
-    p.add_argument("--sigma-accel", type=NONNEGATIVE_FLOAT, default=0.05)
-    p.add_argument("--sigma-gyro", type=NONNEGATIVE_FLOAT, default=0.005)
-    p.add_argument("--gravity", action="store_true")
-    p.add_argument("--binary", action="store_true")
-    p.set_defaults(func=cmd_simulate)
-
     p = sub.add_parser("pretrain", help="contrastive pre-training against text embeddings")
     common(p)
-    p.add_argument("--data", required=True, help="directory of .skel or simulated .ts/.tsb files")
+    p.add_argument("--data", required=True, help="directory of .skel skeleton files")
     p.add_argument("--desc", required=True, help="description assignment file")
     p.add_argument("--embeddings", required=True, help="text embedding file")
     p.add_argument("--out", required=True, help="checkpoint output path")

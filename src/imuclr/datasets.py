@@ -1,11 +1,10 @@
 """Disk-backed dataset assembly for the command-line pipeline.
 
-Pre-training data comes either from a directory of skeleton motion files
-(simulated on first use, each from its own content, and cached under
-.simcache keyed by simulator version, content hash, rate, noise levels, seed
-and gravity; the content hashes are kept in .simcache.index, re-used while a
-file's stat is unchanged) or from a directory of already simulated
-time-series files.
+Pre-training data is a directory of skeleton motion files, simulated on
+first use, each from its own content, and cached under .simcache keyed by
+simulator version, content hash, rate, noise levels, seed and gravity; the
+content hashes are kept in .simcache.index, re-used while a file's stat is
+unchanged.
 Evaluation data is described by a manifest referencing per-device
 recordings, which are unit-scaled, resampled to the model rate, assigned to
 skeleton joints and cut into windows; a warning reports the tail frames the
@@ -27,7 +26,6 @@ from .inference import assign_to_joints, windows
 from .simulate import ACCEL, GYRO, MotionTimeSeries, NoiseParams, resample_series, simulate_sequence
 
 SKELETON_EXT = ".skel"
-TIMESERIES_EXTS = (".ts", ".tsb")
 SIM_VERSION = 1  # heads every .simcache key; bump it when simulate.py changes its output
 HASH_INDEX = ".simcache.index"  # beside .simcache, which holds only its entries
 
@@ -86,41 +84,25 @@ def _indexed_hashes(data_dir, names):
 
 
 def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, cache=True):
-    """PretrainSamples from a directory, simulating skeleton files as needed.
+    """One PretrainSample per skeleton file of data_dir, in sorted name order.
 
-    A directory with any skeleton file yields those (see
-    simulate_skeleton_dir); otherwise its time-series files are read as
-    they are.
+    A directory with no skeleton file is a ParseError naming it, raised
+    before anything is written. A file's noise is seeded with the run seed
+    and the file's content hash, so its simulation depends on that file
+    alone. With cache set, results are kept under data_dir/.simcache, keyed
+    by exactly the simulation's inputs: SIM_VERSION, content hash, rate,
+    noise levels, seed and gravity. Entries that do not start with
+    SIM_VERSION and a current file's hash are deleted, with one warning
+    giving their count. With cache set, the content hashes come from
+    data_dir/.simcache.index, so a file whose stat is unchanged since it was
+    last hashed is not read again (see _indexed_hashes); without it, every
+    file is hashed.
     """
     if noise is None:
         noise = NoiseParams()
-    names = sorted(os.listdir(data_dir))
-    if any(n.endswith(SKELETON_EXT) for n in names):
-        return list(simulate_skeleton_dir(data_dir, fs, noise, seed, gravity, cache))
-    ts_files = [n for n in names if n.endswith(TIMESERIES_EXTS)]
-    if not ts_files:
-        raise ParseError(f"no {SKELETON_EXT} or time-series files in {data_dir}", path=data_dir)
-    samples = []
-    for name in ts_files:
-        series = formats.read_timeseries_file(os.path.join(data_dir, name))
-        samples.append(PretrainSample(seq_id=name.rsplit(".", 1)[0], series=series))
-    return samples
-
-
-def simulate_skeleton_dir(data_dir, fs, noise, seed, gravity, cache):
-    """One PretrainSample per skeleton file of data_dir, yielded in sorted name order.
-
-    A file's noise is seeded with the run seed and the file's content hash,
-    so its simulation depends on that file alone. With cache set, results
-    are kept under data_dir/.simcache, keyed by exactly the simulation's
-    inputs: SIM_VERSION, content hash, rate, noise levels, seed and gravity.
-    Entries that do not start with SIM_VERSION and a current file's hash are
-    deleted, with one warning giving their count. With cache set, the content
-    hashes come from data_dir/.simcache.index, so a file whose stat is
-    unchanged since it was last hashed is not read again (see _indexed_hashes);
-    without it, every file is hashed.
-    """
     skel_files = sorted(n for n in os.listdir(data_dir) if n.endswith(SKELETON_EXT))
+    if not skel_files:
+        raise ParseError(f"no {SKELETON_EXT} files", path=data_dir)
     cache_dir = os.path.join(data_dir, ".simcache")
     if not cache:
         hashes = [file_hash(os.path.join(data_dir, name)) for name in skel_files]
@@ -137,6 +119,7 @@ def simulate_skeleton_dir(data_dir, fs, noise, seed, gravity, cache):
                 stacklevel=2,
             )
     inputs = f"fs{fs!r}_sa{noise.sigma_accel!r}_sg{noise.sigma_gyro!r}_seed{seed}_g{int(gravity)}.tsb"
+    samples = []
     for name, digest in zip(skel_files, hashes):
         cache_path = os.path.join(cache_dir, f"v{SIM_VERSION}_{digest}_{inputs}")
         if cache and os.path.exists(cache_path):
@@ -155,7 +138,8 @@ def simulate_skeleton_dir(data_dir, fs, noise, seed, gravity, cache):
                 raise ParseError(str(exc), path=path) from None
             if cache:
                 formats.write_timeseries_file(cache_path, series, binary=True)
-        yield PretrainSample(seq_id=name[: -len(SKELETON_EXT)], series=series)
+        samples.append(PretrainSample(seq_id=name[: -len(SKELETON_EXT)], series=series))
+    return samples
 
 
 def _device_series_to_mapping_input(series, locations):

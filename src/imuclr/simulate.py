@@ -90,10 +90,6 @@ class MotionTimeSeries:
             raise ShapeMismatch("masked joints must be all-zero")
 
     @property
-    def num_channels(self):
-        return self.data.shape[0]
-
-    @property
     def num_frames(self):
         return self.data.shape[1]
 

@@ -2,6 +2,7 @@ import contextlib
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from imuclr import autodiff as ad
 from imuclr.simulate import MotionTimeSeries
@@ -79,3 +80,9 @@ def torn_writes():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(formats, "open", torn_open, raising=False)
         yield
+
+
+# a mutation position in [0, 1): integers scattered by the golden ratio, since
+# hypothesis draws floats, and integers too, so close to 0 that most swaps would
+# hit a file's header and few non-finite tokens would reach a later line
+position = st.integers(0, 999).map(lambda k: k * 0.6180339887498949 % 1.0)

@@ -74,22 +74,33 @@ def pretrain_args(ws, extra=()):
     ]
 
 
-def test_simulate_command(workspace, tmp_path, capsys):
-    out_dir = tmp_path / "sim"
-    code = main([
-        "simulate",
-        "--skeleton-dir", str(workspace["skel_dir"]),
-        "--out", str(out_dir),
-        "--fs", "20",
-        "--seed", "1",
-    ])
-    assert code == 0
-    produced = sorted(p.name for p in out_dir.glob("*.ts"))
-    assert produced == ["seq0.ts", "seq1.ts", "seq2.ts", "seq3.ts"]
-    series = formats.read_timeseries_file(out_dir / "seq0.ts")
-    assert series.num_joints == 22
-    banner = capsys.readouterr().out
-    assert "seed=1" in banner and "config_hash=" in banner
+def assert_nothing_written(ws):
+    """No checkpoint and no .simcache: the run stopped before loading the data."""
+    assert not ws["model"].exists() and not (ws["skel_dir"] / ".simcache").exists()
+
+
+def test_simulate_command_is_gone(workspace, tmp_path, capsys):
+    # pretrain simulates and caches skeleton files itself; no command exports recordings
+    assert main(["simulate", "--skeleton-dir", str(workspace["skel_dir"]), "--out", str(tmp_path / "sim")]) == 1
+    out, err = capsys.readouterr()
+    assert "usage error" in err and "'simulate'" in err and "run " not in out
+    assert not (tmp_path / "sim").exists()
+
+
+def test_pretrain_on_recordings_without_skeletons_is_located_data_error(workspace, tmp_path, capsys):
+    # already simulated recordings are not pretraining input: --fs, --gravity and the
+    # noise levels would have no effect on them. Refused before the banner and any write
+    data = tmp_path / "recordings"
+    data.mkdir()
+    series = MotionTimeSeries(np.zeros((6, 12, 22)), np.ones(22, dtype=bool), 20.0)
+    formats.write_timeseries_file(data / "seq0.ts", series)
+    formats.write_timeseries_file(data / "seq1.tsb", series, binary=True)
+    args = pretrain_args(workspace)
+    args[args.index("--data") + 1] = str(data)
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert f"{data}: no .skel files" in err and "run " not in out
+    assert not workspace["model"].exists() and sorted(p.name for p in data.iterdir()) == ["seq0.ts", "seq1.tsb"]
 
 
 def test_pretrain_and_zero_shot_roundtrip(workspace, capsys):
@@ -323,13 +334,15 @@ def test_config_file_defaults_and_override(workspace, capsys):
 
 
 @pytest.mark.parametrize("spelling", [["--config={}"], ["--conf", "{}"]])
-def test_config_file_alternate_spellings(workspace, tmp_path, capsys, spelling):
-    cfg = workspace["root"] / "sim.cfg"
-    cfg.write_text("seed = 3\n")
+def test_config_file_alternate_spellings(workspace, capsys, spelling):
+    cfg = workspace["root"] / "run.cfg"
+    cfg.write_text("seed = 5\n")
     flags = [part.format(cfg) for part in spelling]
-    args = ["simulate", "--skeleton-dir", str(workspace["skel_dir"]), "--out", str(tmp_path / "sim")]
+    args = pretrain_args(workspace)
+    seed = args.index("--seed")
+    del args[seed:seed + 2]
     assert main(args + flags) == 0
-    assert "seed=3" in capsys.readouterr().out
+    assert "seed=5" in capsys.readouterr().out
     cfg.write_text("bogus = 1\n")
     assert main(args + flags) == 1
     assert "bogus" in capsys.readouterr().err
@@ -337,29 +350,27 @@ def test_config_file_alternate_spellings(workspace, tmp_path, capsys, spelling):
 
 @pytest.mark.parametrize("lines", ["seed = 3\nseed = 5\n", "sigma-accel = 0.1\nsigma_accel = 0.2\n"],
                          ids=["same-spelling", "dash-and-underscore"])
-def test_config_file_repeated_flag_is_usage_error(workspace, tmp_path, capsys, lines):
+def test_config_file_repeated_flag_is_usage_error(workspace, capsys, lines):
     # a second key for a flag the file already set is refused, not read as "the last one wins"
-    cfg = workspace["root"] / "sim.cfg"
+    cfg = workspace["root"] / "run.cfg"
     cfg.write_text(lines)
-    args = ["simulate", "--skeleton-dir", str(workspace["skel_dir"]), "--out", str(tmp_path / "sim")]
-    assert main(args + ["--config", str(cfg)]) == 1
+    assert main(pretrain_args(workspace, ["--config", str(cfg)])) == 1
     out, err = capsys.readouterr()
     second_key = lines.splitlines()[1].split("=")[0].strip()
     assert "usage error" in err and repr(second_key) in err and "run " not in out
-    assert not (tmp_path / "sim").exists()
+    assert_nothing_written(workspace)
 
 
-def test_config_file_naming_another_config_is_usage_error(workspace, tmp_path, capsys):
+def test_config_file_naming_another_config_is_usage_error(workspace, capsys):
     # the nested file would never be read, so its settings would be silently dropped
     inner = workspace["root"] / "inner.cfg"
     inner.write_text("seed = 9\n")
     cfg = workspace["root"] / "outer.cfg"
     cfg.write_text(f"config = {inner}\n")
-    args = ["simulate", "--skeleton-dir", str(workspace["skel_dir"]), "--out", str(tmp_path / "sim")]
-    assert main(args + ["--config", str(cfg)]) == 1
+    assert main(pretrain_args(workspace, ["--config", str(cfg)])) == 1
     out, err = capsys.readouterr()
     assert "usage error" in err and "'config'" in err and "run " not in out
-    assert not (tmp_path / "sim").exists()
+    assert_nothing_written(workspace)
 
 
 def test_config_file_unknown_key(workspace, capsys):
@@ -385,20 +396,21 @@ def test_config_file_bad_choice_is_usage_error_before_loading(workspace, capsys)
 
 
 def test_config_file_switch_values(workspace, tmp_path, capsys):
-    cfg = workspace["root"] / "sim.cfg"
-    base = ["simulate", "--skeleton-dir", str(workspace["skel_dir"])]
+    cfg = workspace["root"] / "run.cfg"
     cfg.write_text("gravity = maybe\n")
-    assert main(base + ["--out", str(tmp_path / "bad"), "--config", str(cfg)]) == 1
+    assert main(pretrain_args(workspace, ["--config", str(cfg)])) == 1
     assert "gravity" in capsys.readouterr().err
-    assert not (tmp_path / "bad").exists()
+    assert_nothing_written(workspace)
     cfg.write_text("gravity = Yes\n")
-    assert main(base + ["--out", str(tmp_path / "file"), "--config", str(cfg)]) == 0
-    assert main(base + ["--out", str(tmp_path / "flag"), "--gravity"]) == 0
-    assert main(base + ["--out", str(tmp_path / "off")]) == 0
+    ckpts = {}
+    for name, extra in (("file", ["--config", str(cfg)]), ("flag", ["--gravity"]), ("off", [])):
+        ckpts[name] = tmp_path / f"{name}.ckpt"
+        args = pretrain_args(workspace, extra)
+        args[args.index("--out") + 1] = str(ckpts[name])
+        assert main(args) == 0
     capsys.readouterr()
-    name = "seq0.ts"
-    assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
-    assert (tmp_path / "file" / name).read_bytes() != (tmp_path / "off" / name).read_bytes()
+    assert ckpts["file"].read_bytes() == ckpts["flag"].read_bytes()
+    assert ckpts["file"].read_bytes() != ckpts["off"].read_bytes()
 
 
 def test_config_file_setting_deterministic_is_usage_error(workspace, capsys):
@@ -436,19 +448,6 @@ def test_deterministic_pretrain_byte_identical(workspace, tmp_path, capsys, extr
         args[args.index("--out") + 1] = str(out)
         assert main(args) == 0
     assert m1.read_bytes() == m2.read_bytes()
-    capsys.readouterr()
-
-
-def test_simulate_binary_output(workspace, tmp_path, capsys):
-    out_dir = tmp_path / "simb"
-    code = main([
-        "simulate", "--skeleton-dir", str(workspace["skel_dir"]),
-        "--out", str(out_dir), "--binary", "--seed", "2",
-    ])
-    assert code == 0
-    files = sorted(out_dir.glob("*.tsb"))
-    assert len(files) == 4
-    assert files[0].read_bytes()[:4] == b"UMTS"
     capsys.readouterr()
 
 
@@ -512,14 +511,17 @@ def test_zero_shot_window_flag(workspace, capsys):
 
 
 def test_config_file_supplies_required_flags(workspace, tmp_path, capsys):
-    cfg = workspace["root"] / "sim.cfg"
-    cfg.write_text(f"skeleton-dir = {workspace['skel_dir']}\nout = {tmp_path / 'file'}\nseed = 2\n")
-    assert main(["simulate", "--config", str(cfg)]) == 0
-    flags = ["simulate", "--skeleton-dir", str(workspace["skel_dir"]), "--out", str(tmp_path / "flag")]
-    assert main(flags + ["--seed", "2"]) == 0
+    cfg = workspace["root"] / "run.cfg"
+    cfg.write_text(
+        f"data = {workspace['skel_dir']}\ndesc = {workspace['desc']}\n"
+        f"embeddings = {workspace['emb']}\nout = {tmp_path / 'file.ckpt'}\n"
+    )
+    flags = pretrain_args(workspace)
+    flags[flags.index("--out") + 1] = str(tmp_path / "flag.ckpt")
+    assert main(["pretrain", "--config", str(cfg), *flags[flags.index("--epochs"):]]) == 0
+    assert main(flags) == 0
     capsys.readouterr()
-    for name in ("seq0.ts", "seq3.ts"):
-        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+    assert (tmp_path / "file.ckpt").read_bytes() == (tmp_path / "flag.ckpt").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -530,8 +532,7 @@ def test_config_file_supplies_required_flags(workspace, tmp_path, capsys):
         ("pretrain", "kt", "-1"),
         ("pretrain", "fs", "inf"),
         ("pretrain", "seed", "-1"),
-        ("simulate", "seed", "-1"),
-        ("simulate", "sigma-accel", "inf"),
+        ("pretrain", "sigma-accel", "inf"),
         ("eval", "window", "-1"),
     ],
 )
@@ -540,8 +541,6 @@ def test_bad_flag_values_are_usage_errors(workspace, tmp_path, capsys, command, 
     # checked where the flag is declared: exit 1 before the banner and before any file is read
     if command == "pretrain":
         args = pretrain_args(workspace)
-    elif command == "simulate":
-        args = ["simulate", "--skeleton-dir", str(workspace["skel_dir"]), "--out", str(tmp_path / "sim")]
     else:
         args = ["eval", "--model", str(tmp_path / "absent.ckpt"), "--manifest", str(workspace["manifest"]),
                 "--labels", str(workspace["emb"])]
@@ -554,4 +553,4 @@ def test_bad_flag_values_are_usage_errors(workspace, tmp_path, capsys, command, 
     assert main(args) == 1
     out, err = capsys.readouterr()
     assert f"--{flag}" in err and "run " not in out
-    assert not (workspace["skel_dir"] / ".simcache").exists() and not (tmp_path / "sim").exists()
+    assert_nothing_written(workspace)

@@ -283,15 +283,17 @@ def test_overflowing_simulation_is_a_located_error_and_not_cached(tmp_path):
     assert not list((d / ".simcache").iterdir())
 
 
-def test_load_from_timeseries_dir(tmp_path, rng):
+def test_dir_of_recordings_without_skeletons_is_located_error(tmp_path, rng):
+    # already simulated recordings are not pretraining input; nothing is written
     d = tmp_path / "sim"
     d.mkdir()
-    for i in range(2):
-        series = MotionTimeSeries(rng.standard_normal((6, 5, 3)), np.ones(3, dtype=bool), 20.0)
-        formats.write_timeseries_file(d / f"r{i}.ts", series)
-    samples = load_pretrain_samples(d)
-    assert [s.seq_id for s in samples] == ["r0", "r1"]
-    assert samples[0].series.num_joints == 3
+    series = MotionTimeSeries(rng.standard_normal((6, 5, 3)), np.ones(3, dtype=bool), 20.0)
+    formats.write_timeseries_file(d / "r0.ts", series)
+    formats.write_timeseries_file(d / "r1.tsb", series, binary=True)
+    with pytest.raises(ParseError, match="no .skel files") as caught:
+        load_pretrain_samples(d)
+    assert caught.value.path == d
+    assert sorted(os.listdir(d)) == ["r0.ts", "r1.tsb"]
 
 
 def test_empty_dir_rejected(tmp_path):

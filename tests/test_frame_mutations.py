@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import position
 from imuclr import formats
 from imuclr.errors import BadQuaternion, ParseError, PipelineError
 from imuclr.simulate import MotionTimeSeries, SkeletonSequence
@@ -197,10 +198,6 @@ def check_against_reference(path, raw, mutant, read, ref_read):
         assert got[0] == "error" and got[1] is ParseError
 
 
-# positions from integers, scattered over [0, 1) by the golden ratio: hypothesis
-# draws floats, and integers too, so close to 0 that most swaps would hit the
-# header, and few non-finite tokens would reach a frame line
-position = st.integers(0, 999).map(lambda k: k * 0.6180339887498949 % 1.0)
 mutations = st.tuples(
     st.sampled_from(["bitflip", "truncate", "delete", "duplicate", "blank", "swap"]),
     position,

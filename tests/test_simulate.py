@@ -238,7 +238,7 @@ def stationary_sequence(v=3, t=10, fs=20.0):
 def test_stationary_sequence_zero_output():
     out = simulate_sequence(stationary_sequence(), NoiseParams(0.0, 0.0), 20.0)
     assert np.all(out.data == 0.0)
-    assert out.num_channels == 6
+    assert out.data.shape[0] == 6
     assert out.sample_rate == 20.0
     assert np.all(out.mask)
 

@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import position
 from imuclr import formats
 from imuclr.errors import ParseError, PipelineError
 from imuclr.text_embeddings import DescriptionSet, TextEmbeddingTable
@@ -89,9 +90,6 @@ def read_or_error(read, path, mutant):
     return result
 
 
-# positions from integers: hypothesis draws floats near 0 so often that most
-# swaps would hit the header's first token
-position = st.integers(0, 999).map(lambda k: k / 1000)
 mutations = st.tuples(
     st.sampled_from(["bitflip", "truncate", "delete", "duplicate", "blank", "swap"]),
     position,
