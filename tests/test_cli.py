@@ -533,6 +533,7 @@ def test_config_file_supplies_required_flags(workspace, tmp_path, capsys):
         ("pretrain", "fs", "inf"),
         ("pretrain", "seed", "-1"),
         ("pretrain", "sigma-accel", "inf"),
+        ("eval", "seed", "-1"),
         ("eval", "window", "-1"),
     ],
 )
