@@ -8,9 +8,6 @@ written, which together pin down every reported number.
 
 Exit codes: 0 success, 1 usage error (bad flags or flag values), 2 data
 error (unreadable or malformed files, corrupt checkpoints).
-
-A flat key=value config file can pre-set any flag of a subcommand via
---config; explicit command-line flags win over file values.
 """
 
 from __future__ import annotations
@@ -90,12 +87,6 @@ NONNEGATIVE_FLOAT = _checked(float, lambda v: 0 <= v < math.inf, "a finite numbe
 WIDTHS = _checked(str, lambda text: min(_widths(text), default=0) > 0, "comma-separated integers > 0")
 
 
-def _structure_from(args):
-    if getattr(args, "structure", None):
-        return formats.read_structure_file(args.structure)
-    return body22()
-
-
 # ---------------------------------------------------------------------------
 # pretrain
 # ---------------------------------------------------------------------------
@@ -119,7 +110,7 @@ def cmd_pretrain(args):
             if text_id not in table.entries:
                 raise ParseError(f"sequence {seq_id!r} names text id {text_id!r}, which {args.embeddings} lacks",
                                  path=args.desc)
-    structure = _structure_from(args)
+    structure = body22()
     _require(args.mask_max <= structure.num_joints, "--mask-max exceeds the joint count")
     noise = NoiseParams(sigma_accel=args.sigma_accel, sigma_gyro=args.sigma_gyro)
     samples = load_pretrain_samples(
@@ -221,7 +212,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="flat key=value file pre-setting any flag")
         p.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
 
     p = sub.add_parser("pretrain", help="contrastive pre-training against text embeddings")
@@ -240,7 +230,6 @@ def build_parser():
     p.add_argument("--sigma-accel", type=NONNEGATIVE_FLOAT, default=0.05)
     p.add_argument("--sigma-gyro", type=NONNEGATIVE_FLOAT, default=0.005)
     p.add_argument("--gravity", action="store_true")
-    p.add_argument("--structure", help="skeleton structure override file")
     p.add_argument("--channels", type=WIDTHS, default="32,64", help="comma-separated block widths")
     p.add_argument("--kt", type=ODD_INT, default=9, help="temporal kernel size (odd)")
     p.add_argument("--partition", choices=("uniform", "distance"), default="distance")
@@ -268,44 +257,9 @@ def build_parser():
     return parser
 
 
-def _config_tokens(subparser, path):
-    """The key=value lines of the config file at path as flags of subparser."""
-    tokens, seen = [], set()
-    for key, raw in formats.read_config_file(path):
-        dest = key.replace("-", "_")
-        action = next((a for a in subparser._actions if a.dest == dest), None)
-        if action is None:
-            raise UsageError(f"config file sets unknown flag {key!r}")
-        if dest == "config":
-            raise UsageError(f"config file sets {key!r}: a config file cannot name another")
-        flag = action.option_strings[-1]
-        if dest in seen:
-            raise UsageError(f"config file sets {flag} a second time, as {key!r}")
-        seen.add(dest)
-        if not isinstance(action, argparse._StoreTrueAction):
-            tokens.append(f"{flag}={raw}")
-        elif raw.lower() in ("1", "true", "yes", "on"):
-            tokens.append(flag)
-        elif raw.lower() not in ("0", "false", "no", "off"):
-            raise UsageError(f"config value {key}={raw!r} is not one of 1/true/yes/on or 0/false/no/off")
-    return tokens
-
-
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    # knows only --config, so the file is found (also as --config=f or --conf f)
-    # before any flag it may supply is required
-    config_parser = Parser(add_help=False)
-    config_parser.add_argument("--config")
     try:
-        config = config_parser.parse_known_args(argv)[0].config
-        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        if config and argv[0] in subparsers.choices:
-            # file values go right after the subcommand, so argparse checks them
-            # like typed flags and the command line's own flags still win
-            argv = argv[:1] + _config_tokens(subparsers.choices[argv[0]], config) + argv[1:]
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

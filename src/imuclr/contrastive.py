@@ -146,7 +146,8 @@ def pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=
     the initial encoder parameters and log(1/gamma), rounded to float32; the
     returned checkpoint holds exactly those, trained, as float64 arrays whose
     values are float32 numbers. A description id that the text table lacks
-    is an EmptyText error before the first step.
+    is an EmptyText error before the first step. A NonFinite error from a
+    step is re-raised with its epoch and step index (both from 0).
 
     Randomness is split into independent per-stage streams derived from
     cfg.seed (initialization, batch order, rotations, masks, descriptions),
@@ -194,15 +195,18 @@ def pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=
 
     for epoch in range(cfg.epochs):
         losses = []
-        for batch_idx in _batch_indices(len(samples), cfg.batch_size, rng_batch):
+        for step, batch_idx in enumerate(_batch_indices(len(samples), cfg.batch_size, rng_batch)):
             chosen = [samples[i] for i in batch_idx]
             batch = _assemble_batch(chosen, cfg, rng_rot, rng_mask)
-            g = model.embed_batch_tensor(batch)
-            ids = [sample_description(descriptions, s.seq_id, rng_desc) for s in chosen]
-            loss = contrastive_loss(g, np.stack([vectors[i] for i in ids]), temperature)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
+            try:
+                g = model.embed_batch_tensor(batch)
+                ids = [sample_description(descriptions, s.seq_id, rng_desc) for s in chosen]
+                loss = contrastive_loss(g, np.stack([vectors[i] for i in ids]), temperature)
+                optimizer.zero_grad()
+                loss.backward()
+                optimizer.step()
+            except NonFinite as exc:
+                raise NonFinite(f"epoch {epoch}, step {step}: {exc}") from exc
             losses.append(float(loss.value))
         if on_epoch is not None:
             on_epoch(epoch, float(np.mean(losses)), temperature.inv_gamma_value())

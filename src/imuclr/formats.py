@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DimMismatch, DuplicateId, BadQuaternion, ParseError
 from .inference import DeviceMapping
 from .simulate import MotionTimeSeries, SkeletonSequence
-from .skeleton import SkeletonStructure
 from .text_embeddings import DescriptionSet, TextEmbeddingTable
 
 TIMESERIES_MAGIC = b"UMTS"
@@ -323,39 +322,6 @@ def write_description_file(path, ds):
 
 
 # ---------------------------------------------------------------------------
-# Structure files: header V, then V lines "index name parent" (-1 = root).
-# ---------------------------------------------------------------------------
-
-
-def read_structure_file(path):
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError("empty structure file", path=path, line=1)
-    header = lines[0].split()
-    if len(header) != 1:
-        raise ParseError(f"header must be 'V', got {lines[0]!r}", path=path, line=1)
-    (v,) = _ints(header, path, 1)
-    if v < 1 or len(lines) < 1 + v:
-        raise ParseError(f"expected {v} joint lines", path=path, line=1)
-    names = [None] * v
-    parents = [None] * v
-    for i in range(v):
-        line_no = 2 + i
-        parts = lines[1 + i].split()
-        if len(parts) != 3:
-            raise ParseError("joint line must be 'index name parent'", path=path, line=line_no)
-        idx, parent = _ints([parts[0], parts[2]], path, line_no)
-        if not (0 <= idx < v) or names[idx] is not None:
-            raise ParseError(f"bad or repeated joint index {idx}", path=path, line=line_no)
-        names[idx] = parts[1]
-        parents[idx] = parent
-    try:
-        return SkeletonStructure(names=tuple(names), parents=tuple(parents))
-    except Exception as exc:
-        raise ParseError(f"invalid skeleton tree: {exc}", path=path) from exc
-
-
-# ---------------------------------------------------------------------------
 # Device mapping files: "location joint_name_or_index" per line.
 # ---------------------------------------------------------------------------
 
@@ -444,20 +410,3 @@ def read_manifest_file(path):
         raise ParseError("manifest has no samples", path=path)
     return Manifest(mapping_path=mapping_path, samples=samples)
 
-
-# ---------------------------------------------------------------------------
-# Flat key=value config files mirroring CLI flags.
-# ---------------------------------------------------------------------------
-
-
-def read_config_file(path):
-    """(key, value) pairs in file order; a repeated key is kept, for the caller to reject."""
-    out = []
-    for line_no, line in enumerate(_read_lines(path), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParseError("config line must be 'key = value'", path=path, line=line_no)
-        key, value = line.split("=", 1)
-        out.append((key.strip(), value.strip()))
-    return out

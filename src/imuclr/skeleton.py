@@ -1,8 +1,8 @@
 """Skeleton graph structure and the built-in 22-joint body tree.
 
-The default structure is the 22-joint body tree (pelvis root, spine chain,
-two legs, two arms) that large mocap corpora use. A custom tree can be
-supplied through a structure file (see formats.read_structure_file).
+The built-in structure, the one pretraining builds, is the 22-joint body
+tree (pelvis root, spine chain, two legs, two arms) that large mocap
+corpora use. A checkpoint stores the tree its encoder was built on.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ from conftest import torn_writes
 from imuclr import formats
 from imuclr.checkpoint import load_checkpoint
 from imuclr.cli import main
-from imuclr.simulate import MotionTimeSeries
+from imuclr.simulate import MotionTimeSeries, SkeletonSequence
 from imuclr.text_embeddings import DescriptionSet, TextEmbeddingTable
 from imuclr.toy import make_toy_sequence
 
@@ -315,122 +315,40 @@ def test_corrupt_model_is_data_error(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_config_file_defaults_and_override(workspace, capsys):
-    cfg = workspace["root"] / "run.cfg"
-    cfg.write_text("epochs = 2\nbatch = 2\nchannels = 3\nkt = 3\nseed = 3\n")
-    args = [
-        "pretrain",
-        "--config", str(cfg),
-        "--data", str(workspace["skel_dir"]),
-        "--desc", str(workspace["desc"]),
-        "--embeddings", str(workspace["emb"]),
-        "--out", str(workspace["model"]),
-        "--epochs", "1",  # explicit flag beats the config file
-    ]
-    assert main(args) == 0
-    metrics = (workspace["model"].parent / (workspace["model"].name + ".metrics.tsv")).read_text()
-    assert len(metrics.splitlines()) == 1
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("spelling", [["--config={}"], ["--conf", "{}"]])
-def test_config_file_alternate_spellings(workspace, capsys, spelling):
-    cfg = workspace["root"] / "run.cfg"
-    cfg.write_text("seed = 5\n")
-    flags = [part.format(cfg) for part in spelling]
-    args = pretrain_args(workspace)
-    seed = args.index("--seed")
-    del args[seed:seed + 2]
-    assert main(args + flags) == 0
-    assert "seed=5" in capsys.readouterr().out
-    cfg.write_text("bogus = 1\n")
-    assert main(args + flags) == 1
-    assert "bogus" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("lines", ["seed = 3\nseed = 5\n", "sigma-accel = 0.1\nsigma_accel = 0.2\n"],
-                         ids=["same-spelling", "dash-and-underscore"])
-def test_config_file_repeated_flag_is_usage_error(workspace, capsys, lines):
-    # a second key for a flag the file already set is refused, not read as "the last one wins"
-    cfg = workspace["root"] / "run.cfg"
-    cfg.write_text(lines)
-    assert main(pretrain_args(workspace, ["--config", str(cfg)])) == 1
-    out, err = capsys.readouterr()
-    second_key = lines.splitlines()[1].split("=")[0].strip()
-    assert "usage error" in err and repr(second_key) in err and "run " not in out
-    assert_nothing_written(workspace)
-
-
-def test_config_file_naming_another_config_is_usage_error(workspace, capsys):
-    # the nested file would never be read, so its settings would be silently dropped
-    inner = workspace["root"] / "inner.cfg"
-    inner.write_text("seed = 9\n")
-    cfg = workspace["root"] / "outer.cfg"
-    cfg.write_text(f"config = {inner}\n")
-    assert main(pretrain_args(workspace, ["--config", str(cfg)])) == 1
-    out, err = capsys.readouterr()
-    assert "usage error" in err and "'config'" in err and "run " not in out
-    assert_nothing_written(workspace)
-
-
-def test_config_file_unknown_key(workspace, capsys):
-    # the objective has no switches: their names are unknown keys like any other
-    cfg = workspace["root"] / "run.cfg"
-    eval_args = ["eval", "--model", str(workspace["model"]), "--manifest", str(workspace["manifest"]),
-                 "--labels", str(workspace["emb"])]
-    cases = [(pretrain_args(workspace), key) for key in ("bogus", "symmetric-loss", "no-text-aug", "l2-normalize-text")]
-    for args, key in cases + [(eval_args, "l2-normalize-text")]:
-        cfg.write_text(f"{key} = 1\n")
-        assert main(args + ["--config", str(cfg)]) == 1, (args[0], key)
-        out, err = capsys.readouterr()
-        assert f"unknown flag {key!r}" in err and "run " not in out
-
-
-def test_config_file_bad_choice_is_usage_error_before_loading(workspace, capsys):
-    # checked like --partition bogus: exit 1 before the data is simulated and cached
-    cfg = workspace["root"] / "run.cfg"
-    cfg.write_text("partition = bogus\n")
-    assert main(pretrain_args(workspace, ["--config", str(cfg)])) == 1
+def test_bad_partition_is_usage_error_before_loading(workspace, capsys):
+    # a bad choice is exit 1 before the data is simulated and cached
+    assert main(pretrain_args(workspace, ["--partition", "bogus"])) == 1
     assert "partition" in capsys.readouterr().err
     assert not (workspace["skel_dir"] / ".simcache").exists()
 
 
-def test_config_file_switch_values(workspace, tmp_path, capsys):
-    cfg = workspace["root"] / "run.cfg"
-    cfg.write_text("gravity = maybe\n")
-    assert main(pretrain_args(workspace, ["--config", str(cfg)])) == 1
-    assert "gravity" in capsys.readouterr().err
-    assert_nothing_written(workspace)
-    cfg.write_text("gravity = Yes\n")
-    ckpts = {}
-    for name, extra in (("file", ["--config", str(cfg)]), ("flag", ["--gravity"]), ("off", [])):
-        ckpts[name] = tmp_path / f"{name}.ckpt"
-        args = pretrain_args(workspace, extra)
-        args[args.index("--out") + 1] = str(ckpts[name])
-        assert main(args) == 0
-    capsys.readouterr()
-    assert ckpts["file"].read_bytes() == ckpts["flag"].read_bytes()
-    assert ckpts["file"].read_bytes() != ckpts["off"].read_bytes()
-
-
-def test_config_file_setting_deterministic_is_usage_error(workspace, capsys):
-    # determinism is unconditional; the flag that claimed to switch it is gone
-    cfg = workspace["root"] / "run.cfg"
-    cfg.write_text("deterministic = true\n")
-    assert main(pretrain_args(workspace, ["--config", str(cfg)])) == 1
-    assert "deterministic" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_trainable_text_is_usage_error(workspace, capsys, source):
+def test_trainable_text_is_usage_error(workspace, capsys):
     # no flag trains the text side: zero-shot labels live in the frozen table's space
-    extra = ["--trainable-text"]
-    if source == "config":
-        cfg = workspace["root"] / "run.cfg"
-        cfg.write_text("trainable-text = true\n")
-        extra = ["--config", str(cfg)]
-    assert main(pretrain_args(workspace, extra)) == 1
+    assert main(pretrain_args(workspace, ["--trainable-text"])) == 1
     assert "trainable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [("pretrain", "--config"), ("finetune", "--config"), ("eval", "--config"),
+                                           ("pretrain", "--structure")])
+def test_config_and_structure_files_are_usage_errors(workspace, tmp_path, capsys, command, flag):
+    # flags are the one way to set a run, and pretraining builds the built-in body22 tree
+    path = tmp_path / "settings.txt"
+    if flag == "--config":
+        path.write_text("seed = 3\n")
+    else:
+        path.write_text("22\n0 node0 -1\n" + "".join(f"{i} node{i} {i - 1}\n" for i in range(1, 22)))
+    outputs = {"pretrain": workspace["model"], "finetune": tmp_path / "tuned.ckpt", "eval": tmp_path / "report.tsv"}
+    data = ["--model", str(workspace["model"]), "--manifest", str(workspace["manifest"])]
+    args = {
+        "pretrain": pretrain_args(workspace),
+        "finetune": ["finetune", *data, "--out", str(outputs["finetune"])],
+        "eval": ["eval", *data, "--labels", str(workspace["emb"]), "--report", str(outputs["eval"])],
+    }[command]
+    assert main(args + [flag, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert f"unrecognized arguments: {flag} {path}" in err and "run " not in out
+    assert_nothing_written(workspace)
+    assert not outputs[command].exists()
 
 
 def test_mask_max_above_joint_count_is_usage_error_before_simulation(workspace, capsys):
@@ -440,7 +358,7 @@ def test_mask_max_above_joint_count_is_usage_error_before_simulation(workspace, 
     assert not (workspace["skel_dir"] / ".simcache").exists()
 
 
-@pytest.mark.parametrize("extra", [[], ["--no-rot-aug"]], ids=["frozen-text", "no-rot-aug"])
+@pytest.mark.parametrize("extra", [[], ["--no-rot-aug"], ["--gravity"]], ids=["frozen-text", "no-rot-aug", "gravity"])
 def test_deterministic_pretrain_byte_identical(workspace, tmp_path, capsys, extra):
     m1, m2 = tmp_path / "m1.ckpt", tmp_path / "m2.ckpt"
     for out in (m1, m2):
@@ -456,46 +374,39 @@ def test_pretrain_flag_variants(workspace, capsys):
     for extra in (["--no-rot-aug"], ["--partition", "uniform"]):
         assert main(pretrain_args(workspace, extra)) == 0, extra
     capsys.readouterr()
-    # the objective has one form: one-way loss, raw text vectors, paraphrases sampled
-    for flag in ("--symmetric-loss", "--no-text-aug", "--l2-normalize-text"):
+    # the objective has one form: one-way loss, raw text vectors, paraphrases sampled;
+    # and determinism is unconditional
+    for flag in ("--symmetric-loss", "--no-text-aug", "--l2-normalize-text", "--deterministic"):
         assert main(pretrain_args(workspace, [flag])) == 1, flag
         out, err = capsys.readouterr()
         assert f"unrecognized arguments: {flag}" in err and "run " not in out
 
 
 def test_pretrain_flags_change_training(workspace, tmp_path, capsys):
-    base, variant = tmp_path / "base.ckpt", tmp_path / "variant.ckpt"
-    args = pretrain_args(workspace)
-    args[args.index("--out") + 1] = str(base)
-    assert main(args) == 0
-    args = pretrain_args(workspace, ["--no-rot-aug"])
-    args[args.index("--out") + 1] = str(variant)
-    assert main(args) == 0
-    assert base.read_bytes() != variant.read_bytes()
+    ckpts = {}
+    for name, extra in (("base", []), ("no-rot-aug", ["--no-rot-aug"]), ("gravity", ["--gravity"])):
+        ckpts[name] = tmp_path / f"{name}.ckpt"
+        args = pretrain_args(workspace, extra)
+        args[args.index("--out") + 1] = str(ckpts[name])
+        assert main(args) == 0
     capsys.readouterr()
-
-
-def test_structure_override(workspace, tmp_path, capsys):
-    # a custom 22-joint structure file (different tree) is accepted
-    lines = ["22"] + [f"{i} node{i} {i - 1}" for i in range(22)]
-    lines[1] = "0 node0 -1"
-    structure_path = tmp_path / "structure.txt"
-    structure_path.write_text("\n".join(lines) + "\n")
-    assert main(pretrain_args(workspace, ["--structure", str(structure_path)])) == 0
-    from imuclr.checkpoint import load_checkpoint
-
-    ckpt = load_checkpoint(workspace["model"])
-    assert ckpt.structure.names[3] == "node3"
-    capsys.readouterr()
+    assert len({path.read_bytes() for path in ckpts.values()}) == 3
 
 
 def test_structure_joint_count_mismatch_is_data_error(workspace, tmp_path, capsys):
-    # a 3-joint tree against 22-joint recordings; --mask-max fits the tree
-    structure_path = tmp_path / "three.txt"
-    structure_path.write_text("3\n0 a -1\n1 b 0\n2 c 1\n")
-    args = pretrain_args(workspace, ["--structure", str(structure_path), "--mask-max", "2"])
+    # pretraining builds the 22-joint body tree; 3-joint skeletons do not fit it
+    data = tmp_path / "three"
+    data.mkdir()
+    for i in range(2):
+        positions = np.zeros((3, 4, 3))
+        positions[:, :, 0] = np.arange(4) * 0.1 * (i + 1)
+        orientations = np.tile([1.0, 0.0, 0.0, 0.0], (3, 4, 1))
+        formats.write_skeleton_file(data / f"seq{i}.skel", SkeletonSequence(positions, orientations, 20.0))
+    args = pretrain_args(workspace)
+    args[args.index("--data") + 1] = str(data)
     assert main(args) == 2
-    assert re.search(r"22 joints.*skeleton has 3", capsys.readouterr().err)
+    assert re.search(r"sequence 'seq\d' has 3 joints, skeleton has 22", capsys.readouterr().err)
+    assert not workspace["model"].exists()
 
 
 def test_zero_shot_window_flag(workspace, capsys):
@@ -508,20 +419,6 @@ def test_zero_shot_window_flag(workspace, capsys):
     ])
     assert code == 0
     capsys.readouterr()
-
-
-def test_config_file_supplies_required_flags(workspace, tmp_path, capsys):
-    cfg = workspace["root"] / "run.cfg"
-    cfg.write_text(
-        f"data = {workspace['skel_dir']}\ndesc = {workspace['desc']}\n"
-        f"embeddings = {workspace['emb']}\nout = {tmp_path / 'file.ckpt'}\n"
-    )
-    flags = pretrain_args(workspace)
-    flags[flags.index("--out") + 1] = str(tmp_path / "flag.ckpt")
-    assert main(["pretrain", "--config", str(cfg), *flags[flags.index("--epochs"):]]) == 0
-    assert main(flags) == 0
-    capsys.readouterr()
-    assert (tmp_path / "file.ckpt").read_bytes() == (tmp_path / "flag.ckpt").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -537,21 +434,14 @@ def test_config_file_supplies_required_flags(workspace, tmp_path, capsys):
         ("eval", "window", "-1"),
     ],
 )
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_bad_flag_values_are_usage_errors(workspace, tmp_path, capsys, command, flag, value, source):
+def test_bad_flag_values_are_usage_errors(workspace, tmp_path, capsys, command, flag, value):
     # checked where the flag is declared: exit 1 before the banner and before any file is read
     if command == "pretrain":
         args = pretrain_args(workspace)
     else:
         args = ["eval", "--model", str(tmp_path / "absent.ckpt"), "--manifest", str(workspace["manifest"]),
                 "--labels", str(workspace["emb"])]
-    if source == "flag":
-        args += [f"--{flag}", value]
-    else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{flag} = {value}\n")
-        args += ["--config", str(cfg)]
-    assert main(args) == 1
+    assert main(args + [f"--{flag}", value]) == 1
     out, err = capsys.readouterr()
     assert f"--{flag}" in err and "run " not in out
     assert_nothing_written(workspace)

@@ -257,3 +257,21 @@ def test_fewer_samples_than_batch_train_one_batch_per_epoch():
     losses = []
     pretrain(samples, ds, table, chain_structure(V), enc, cfg, on_epoch=lambda e, l, g: losses.append(l))
     assert len(losses) == 2 and all(np.isfinite(losses)) and losses[0] > 0
+
+
+def test_non_finite_step_names_its_epoch_and_step(monkeypatch):
+    # 4 samples in batches of 2 make 2 steps an epoch, so the third loss is epoch 1, step 0
+    samples, ds, table, _, enc = tiny_setup(n=4)
+    cfg = TrainConfig(batch_size=2, epochs=2, lr=1e-3, mask_min=1, mask_max=2, seed=5)
+    calls = []
+
+    def loss_failing_third(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise NonFinite("contrastive loss is not finite")
+        return contrastive_loss(*args)
+
+    monkeypatch.setattr(contrastive, "contrastive_loss", loss_failing_third)
+    with pytest.raises(NonFinite, match=r"^epoch 1, step 0: contrastive loss is not finite$"):
+        pretrain(samples, ds, table, chain_structure(V), enc, cfg)
+    assert len(calls) == 3

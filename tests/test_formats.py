@@ -225,7 +225,7 @@ def test_embedding_roundtrip(tmp_path, rng):
 
 
 # ---------------------------------------------------------------------------
-# descriptions, structures, mappings, manifests, config
+# descriptions, mappings, manifests
 # ---------------------------------------------------------------------------
 
 
@@ -246,21 +246,6 @@ def test_description_bad_kind(tmp_path):
     p.write_text("s\tweird\tt0\n")
     with pytest.raises(ParseError):
         formats.read_description_file(p)
-
-
-def test_structure_file(tmp_path):
-    p = tmp_path / "s.txt"
-    p.write_text("3\n0 root -1\n1 mid 0\n2 tip 1\n")
-    s = formats.read_structure_file(p)
-    assert s.names == ("root", "mid", "tip")
-    assert s.parents == (-1, 0, 1)
-
-
-def test_structure_file_bad_tree(tmp_path):
-    p = tmp_path / "s.txt"
-    p.write_text("2\n0 a 1\n1 b 0\n")  # cycle, no root
-    with pytest.raises(ParseError):
-        formats.read_structure_file(p)
 
 
 def test_mapping_file_names_and_indices(tmp_path):
@@ -302,15 +287,6 @@ def test_manifest_requires_mapping_and_samples(tmp_path):
     p.write_text("mapping m.txt\n")
     with pytest.raises(ParseError):
         formats.read_manifest_file(p)
-
-
-def test_config_file(tmp_path):
-    p = tmp_path / "c.cfg"
-    p.write_text("# comment\nepochs = 5\nlr=0.001\n\n")
-    assert formats.read_config_file(p) == [("epochs", "5"), ("lr", "0.001")]
-    p.write_text("no equals sign\n")
-    with pytest.raises(ParseError):
-        formats.read_config_file(p)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +335,6 @@ READERS = [
     formats.read_embedding_file,
     formats.read_description_file,
     formats.read_manifest_file,
-    formats.read_config_file,
-    formats.read_structure_file,
     lambda path: formats.read_mapping_file(path, body22()),
 ]
 
@@ -384,13 +358,11 @@ READERS = [
         # non-finite embedding values, which would win or lose every score they enter
         (formats.read_embedding_file, "2 3\na\talpha\t1 0 0\nb\tbeta\t0 nan 0\n"),
         (formats.read_embedding_file, "2 3\na\talpha\t1 0 0\nb\tbeta\t0 1e400 0\n"),
-        # a header of two numbers
-        (formats.read_structure_file, "1 2\n0 root -1\n"),
         (formats.read_manifest_file, "mapping \nsample\tr.ts\tw\twrist\t50\t1\n"),
     ],
     ids=["skel-huge-V", "ts-huge-C", "mapping-superscript", "skel-fs-nan", "skel-fs-inf", "ts-fs-nan",
          "ts-fs-inf", "manifest-fs-nan", "manifest-scale-nan", "manifest-scale-inf", "embedding-nan", "embedding-1e400",
-         "structure-two-field-header", "manifest-empty-mapping"],
+         "manifest-empty-mapping"],
 )
 def test_reader_rejects_header_and_field_values(tmp_path, reader, text):
     path = tmp_path / "f.txt"

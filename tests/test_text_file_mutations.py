@@ -1,12 +1,16 @@
-"""Mutation fuzzing of the embedding and description readers.
+"""Mutation fuzzing of the embedding, description, device mapping and
+manifest readers.
 
 Valid files are built, then damaged the way real files get damaged: a bit
 flip, truncation at a byte, a line deleted, duplicated or blanked, or one
 token (a field between tabs or spaces) swapped for a value that float() takes
-and is not finite, one that numpy or int() reads differently, or one that
-nothing takes. Each reader must return or raise a PipelineError; an
-embedding table that comes back holds only finite float64 vectors of its
-dimension, and a file that is not UTF-8 is a ParseError.
+and is not finite, one that numpy or int() reads differently, a number at or
+past the edge of a joint index or a rate, or one that nothing takes. Each
+reader must return or raise a PipelineError, and a file that is not UTF-8 is
+a ParseError. What comes back holds only valid values: an embedding table
+only finite float64 vectors of its dimension, a mapping only joint indices
+of the skeleton, and a manifest at least one sample, each with a device
+location, a finite rate > 0 and a finite unit scale.
 """
 
 import re
@@ -18,9 +22,10 @@ from hypothesis import strategies as st
 from conftest import position
 from imuclr import formats
 from imuclr.errors import ParseError, PipelineError
+from imuclr.skeleton import body22
 from imuclr.text_embeddings import DescriptionSet, TextEmbeddingTable
 
-SWAP_TOKENS = ["nan", "-nan", "1e400", "-inf", "1_0", "１", "٣", "#", "x", "", "orig", "para"]
+SWAP_TOKENS = ["nan", "-nan", "1e400", "-inf", "1_0", "１", "٣", "0", "-1", "22", "#", "x", "", "orig", "para"]
 
 
 def _token(x, style):
@@ -44,6 +49,26 @@ def description_text(rng, n_seq, per_seq):
             lines.append(f"seq{s}\t{kind}\tt{int(rng.integers(0, 9))}")
         if rng.random() < 0.3:
             lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def mapping_text(rng, n):
+    names = body22().names
+    lines = ["# location joint"]
+    for i in range(n):
+        j = int(rng.integers(len(names)))
+        lines.append(f"loc{i} {names[j] if rng.random() < 0.5 else j}")
+        if rng.random() < 0.3:
+            lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def manifest_text(rng, n, style):
+    lines = ["# manifest", "mapping devices.txt"]
+    for i in range(n):
+        locations = ",".join(["wrist", "hip", "ankle"][: int(rng.integers(1, 4))])
+        fs, scale = _token(rng.uniform(1.0, 200.0), style), _token(rng.uniform(-10.0, 10.0), style)
+        lines.append(f"sample\trec{i}.ts\tlabel {i % 2}\t{locations}\t{fs}\t{scale}")
     return "\n".join(lines) + "\n"
 
 
@@ -140,3 +165,40 @@ def test_mutated_description_file_reads_or_fails(tmp_path_factory, seed, n_seq, 
         for bucket in (ds.originals, ds.paraphrases):
             for seq_id, ids in bucket.items():
                 assert ids and all(isinstance(i, str) for i in [seq_id, *ids])
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), mutation=mutations)
+# loc0's joint swapped for the first index past body22
+@example(seed=0, n=1, mutation=("swap", 0.5, 0.9, "22"))
+@settings(max_examples=400, deadline=None)
+def test_mutated_mapping_file_reads_joint_indices_or_fails(tmp_path_factory, seed, n, mutation):
+    raw = mapping_text(np.random.default_rng(seed), n).encode("utf-8")
+    path = tmp_path_factory.mktemp("mut") / "m.txt"
+    path.write_bytes(raw)
+
+    def read(p):
+        return formats.read_mapping_file(p, body22())
+
+    assert len(read(path).joint_for) == n
+    mapping = read_or_error(read, path, mutate(raw, *mutation))
+    if mapping is not None:
+        for location, idx in mapping.joint_for.items():
+            assert location and type(idx) is int and 0 <= idx < 22
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), style=st.integers(0, 2), mutation=mutations)
+# the one sample's locations swapped for none, then its rate for 0
+@example(seed=0, n=1, style=0, mutation=("swap", 0.9, 0.6, ""))
+@example(seed=0, n=1, style=0, mutation=("swap", 0.9, 0.75, "0"))
+@settings(max_examples=400, deadline=None)
+def test_mutated_manifest_file_reads_valid_samples_or_fails(tmp_path_factory, seed, n, style, mutation):
+    raw = manifest_text(np.random.default_rng(seed), n, style).encode("utf-8")
+    path = tmp_path_factory.mktemp("mut") / "manifest.tsv"
+    path.write_bytes(raw)
+    assert len(formats.read_manifest_file(path).samples) == n
+    manifest = read_or_error(formats.read_manifest_file, path, mutate(raw, *mutation))
+    if manifest is not None:
+        assert manifest.mapping_path and manifest.samples
+        for sample in manifest.samples:
+            assert sample.locations and all(sample.locations)
+            assert np.isfinite(sample.native_fs) and sample.native_fs > 0 and np.isfinite(sample.unit_scale)
