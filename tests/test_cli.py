@@ -374,12 +374,19 @@ def test_pretrain_flag_variants(workspace, capsys):
     for extra in (["--no-rot-aug"], ["--partition", "uniform"]):
         assert main(pretrain_args(workspace, extra)) == 0, extra
     capsys.readouterr()
-    # the objective has one form: one-way loss, raw text vectors, paraphrases sampled;
-    # and determinism is unconditional
-    for flag in ("--symmetric-loss", "--no-text-aug", "--l2-normalize-text", "--deterministic"):
+    # the objective has one form: one-way loss, raw text vectors, paraphrases sampled
+    for flag in ("--symmetric-loss", "--no-text-aug", "--l2-normalize-text"):
         assert main(pretrain_args(workspace, [flag])) == 1, flag
         out, err = capsys.readouterr()
         assert f"unrecognized arguments: {flag}" in err and "run " not in out
+
+
+def test_config_file_setting_deterministic_is_usage_error(workspace, capsys):
+    # determinism is unconditional; no flag or file switches it, so the name is refused
+    assert main(pretrain_args(workspace, ["--deterministic"])) == 1
+    out, err = capsys.readouterr()
+    assert "unrecognized arguments: --deterministic" in err and "run " not in out
+    assert not workspace["model"].exists()
 
 
 def test_pretrain_flags_change_training(workspace, tmp_path, capsys):
