@@ -231,7 +231,7 @@ def exp(a):
     with np.errstate(over="ignore"):
         out_val = np.exp(a.value)
     if not np.all(np.isfinite(out_val)):
-        raise NonFinite("exp overflow")
+        raise NonFinite(f"exp overflow in a tensor of shape {a.shape}")
 
     def backward(g):
         if a.requires_grad:
@@ -263,7 +263,7 @@ def softmax_cross_entropy(logits, targets):
     if a.ndim != 2 or idx.shape != (a.shape[0],):
         raise ShapeMismatch(f"softmax_cross_entropy expects (N, D) logits and N targets, got {a.shape}")
     if not np.all(np.isfinite(a.value)):
-        raise NonFinite("softmax_cross_entropy input contains NaN or Inf")
+        raise NonFinite(f"softmax_cross_entropy input of shape {a.shape} contains NaN or Inf")
     n = a.shape[0]
     rows = np.arange(n)
     shifted = a.value - a.value.max(axis=1, keepdims=True)

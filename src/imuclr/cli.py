@@ -114,7 +114,7 @@ def cmd_pretrain(args):
     _require(args.mask_max <= structure.num_joints, "--mask-max exceeds the joint count")
     noise = NoiseParams(sigma_accel=args.sigma_accel, sigma_gyro=args.sigma_gyro)
     samples = load_pretrain_samples(
-        args.data, fs=args.fs, noise=noise, seed=args.seed, gravity=args.gravity
+        args.data, fs=args.fs, noise=noise, seed=args.seed, gravity=args.gravity, num_joints=structure.num_joints
     )
     encoder_cfg = _encoder_config(args, table.dim)
     cfg = TrainConfig(

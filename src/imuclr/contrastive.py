@@ -92,7 +92,7 @@ def contrastive_loss(series_emb, text_emb, temperature):
     logits = ad.mul(ad.matmul(g, ad.transpose(f)), temperature.inv_gamma())
     loss = ad.softmax_cross_entropy(logits, np.arange(g.shape[0]))
     if not np.isfinite(loss.value):
-        raise NonFinite("contrastive loss is not finite")
+        raise NonFinite(f"contrastive loss over embeddings of shape {g.shape} is not finite")
     return loss
 
 

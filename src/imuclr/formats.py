@@ -121,8 +121,8 @@ def _frames(lines, width, path, first_line_no):
 # ---------------------------------------------------------------------------
 
 
-def read_skeleton_file(path):
-    lines = _read_lines(path)
+def _skeleton_header(lines, path):
+    """(V, T, fs) of the header line, the first of lines."""
     if not lines:
         raise ParseError("empty skeleton file", path=path, line=1)
     header = lines[0].split()
@@ -132,6 +132,23 @@ def read_skeleton_file(path):
     (fs,) = _floats(header[2:], path, 1)
     if v < 1 or t < 3 or not 0 < fs < np.inf:
         raise ParseError(f"invalid header values V={v} T={t} fs={fs}", path=path, line=1)
+    return v, t, fs
+
+
+def read_skeleton_header(path):
+    """(V, T, fs) of a skeleton file, read from its first line alone and checked as read_skeleton_file checks it."""
+    try:
+        with open(path, "rb") as fh:
+            first = fh.readline()
+    except OSError as exc:
+        raise ParseError(f"cannot read file: {exc}", path=path) from exc
+    # the first line by splitlines(), as read_skeleton_file splits the whole file
+    return _skeleton_header(_decoded(first, path).splitlines(), path)
+
+
+def read_skeleton_file(path):
+    lines = _read_lines(path)
+    v, t, fs = _skeleton_header(lines, path)
     if len(lines) < 1 + t:
         raise ParseError(f"expected {t} frame lines, file has {len(lines) - 1}", path=path, line=len(lines))
     frames = _frames(lines[1 : 1 + t], 7 * v, path, 2).reshape(t, v, 7)

@@ -347,9 +347,10 @@ def test_backward_requires_scalar():
 
 
 def test_exp_overflow_raises():
-    with pytest.raises(NonFinite):
-        ad.exp(Tensor(np.array([1000.0])))
-    with pytest.raises(NonFinite):
+    # the message names the shape of the tensor that went non-finite
+    with pytest.raises(NonFinite, match=r"^exp overflow in a tensor of shape \(2, 1\)$"):
+        ad.exp(Tensor(np.array([[1.0], [1000.0]])))
+    with pytest.raises(NonFinite, match=r"^softmax_cross_entropy input of shape \(1, 2\) contains NaN or Inf$"):
         ad.softmax_cross_entropy(Tensor(np.array([[0.0, np.inf]])), [0])
 
 

@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -401,7 +402,9 @@ def test_pretrain_flags_change_training(workspace, tmp_path, capsys):
 
 
 def test_structure_joint_count_mismatch_is_data_error(workspace, tmp_path, capsys):
-    # pretraining builds the 22-joint body tree; 3-joint skeletons do not fit it
+    # pretraining builds the 22-joint body tree; 3-joint skeletons do not fit it. The
+    # headers are checked before the banner, any simulation and any cache write, so
+    # the fitting file that sorts first is not simulated either
     data = tmp_path / "three"
     data.mkdir()
     for i in range(2):
@@ -409,11 +412,15 @@ def test_structure_joint_count_mismatch_is_data_error(workspace, tmp_path, capsy
         positions[:, :, 0] = np.arange(4) * 0.1 * (i + 1)
         orientations = np.tile([1.0, 0.0, 0.0, 0.0], (3, 4, 1))
         formats.write_skeleton_file(data / f"seq{i}.skel", SkeletonSequence(positions, orientations, 20.0))
+    (data / "a.skel").write_bytes((workspace["skel_dir"] / "seq0.skel").read_bytes())
     args = pretrain_args(workspace)
     args[args.index("--data") + 1] = str(data)
     assert main(args) == 2
-    assert re.search(r"sequence 'seq\d' has 3 joints, skeleton has 22", capsys.readouterr().err)
+    out, err = capsys.readouterr()
+    assert f"{data / 'seq0.skel'}: sequence 'seq0' has 3 joints, skeleton has 22" in err
+    assert "run " not in out
     assert not workspace["model"].exists()
+    assert sorted(os.listdir(data)) == ["a.skel", "seq0.skel", "seq1.skel"]  # no .simcache, no index
 
 
 def test_zero_shot_window_flag(workspace, capsys):

@@ -40,6 +40,14 @@ def test_nan_reading_reaches_the_loss_check():
         contrastive_loss(emb, Tensor(rng.standard_normal((3, 4))), Temperature.create())
 
 
+def test_non_finite_loss_names_the_embedding_shape(monkeypatch):
+    # finite logits whose loss overflows; the stand-in skips the overflow warning of a real one
+    monkeypatch.setattr(contrastive.ad, "softmax_cross_entropy", lambda logits, targets: Tensor(np.array(np.inf)))
+    rng = np.random.default_rng(0)
+    with pytest.raises(NonFinite, match=r"^contrastive loss over embeddings of shape \(3, 4\) is not finite$"):
+        contrastive_loss(Tensor(rng.standard_normal((3, 4))), rng.standard_normal((3, 4)), Temperature.create())
+
+
 def test_loss_single_pair_is_zero():
     g = np.random.default_rng(0).standard_normal((1, 4))
     loss = contrastive_loss(Tensor(g), Tensor(g.copy()), Temperature.create())
@@ -267,11 +275,11 @@ def test_non_finite_step_names_its_epoch_and_step(monkeypatch):
 
     def loss_failing_third(*args):
         calls.append(args)
-        if len(calls) == 3:
-            raise NonFinite("contrastive loss is not finite")
+        if len(calls) == 3:  # a NaN embedding batch, so the loss's own check names the logits' shape
+            args = (Tensor(np.full(args[0].shape, np.nan)),) + args[1:]
         return contrastive_loss(*args)
 
     monkeypatch.setattr(contrastive, "contrastive_loss", loss_failing_third)
-    with pytest.raises(NonFinite, match=r"^epoch 1, step 0: contrastive loss is not finite$"):
+    with pytest.raises(NonFinite, match=r"^epoch 1, step 0: softmax_cross_entropy input of shape \(2, 2\) contains"):
         pretrain(samples, ds, table, chain_structure(V), enc, cfg)
     assert len(calls) == 3

@@ -110,9 +110,9 @@ def test_interrupted_cache_write_leaves_no_entry(skel_dir):
         assert np.array_equal(a.series.data, b.series.data)
 
 
-def settle_index(d, after_ns=10**10):
-    """Date d's hash index after_ns past the newest skeleton file's ctime, as if written well after it."""
-    stamp = max(p.stat().st_ctime_ns for p in d.glob("*.skel")) + after_ns
+def settle_index(d, after_ns=10**10, pattern="*.skel"):
+    """Date d's hash index after_ns past the newest ctime of d's files matching pattern, as if written well after it."""
+    stamp = max(p.stat().st_ctime_ns for p in d.glob(pattern)) + after_ns
     os.utime(d / datasets.HASH_INDEX, ns=(stamp, stamp))
 
 
@@ -269,6 +269,24 @@ def test_torn_index_write_leaves_the_old_index_or_none(skel_dir):
     assert_index_is_current(skel_dir)
 
 
+def test_joint_counts_are_checked_from_the_headers_of_files_to_simulate(skel_dir, monkeypatch):
+    calls = []
+    real = formats.read_skeleton_header
+    def counting(path):
+        calls.append(os.path.basename(path))
+        return real(path)
+
+    monkeypatch.setattr(formats, "read_skeleton_header", counting)
+    cold = load_pretrain_samples(skel_dir, seed=1, num_joints=22)
+    assert calls == ["s0.skel", "s1.skel", "s2.skel"]
+    warm = load_pretrain_samples(skel_dir, seed=1, num_joints=22)  # served from .simcache: no header is read
+    assert calls == ["s0.skel", "s1.skel", "s2.skel"]
+    assert_same_samples(warm, cold)
+    with pytest.raises(ParseError, match="sequence 's0' has 22 joints, skeleton has 5") as caught:
+        load_pretrain_samples(skel_dir, seed=2, num_joints=5)
+    assert caught.value.path == str(skel_dir / "s0.skel")
+
+
 def test_overflowing_simulation_is_a_located_error_and_not_cached(tmp_path):
     # a finite but huge position overflows the second derivative at 20 Hz
     d = tmp_path / "skel"
@@ -369,3 +387,236 @@ def test_eval_dataset_device_count_mismatch(manifest_dir):
     (d / "manifest.tsv").write_text("mapping map.txt\nsample\trec.ts\twalk\twrist\t40\t1.0\n")
     with pytest.raises(ShapeMismatch):
         load_eval_dataset(d / "manifest.tsv", chain_structure(4), model_fs=20.0)
+
+
+# ---------------------------------------------------------------------------
+# the .tscache of parsed evaluation recordings
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def rec_dir(tmp_path, rng):
+    """Four 2-device text recordings at 40 Hz, a mapping, and manifests over all of them and over each half."""
+    d = tmp_path / "recs"
+    d.mkdir()
+    (d / "map.txt").write_text("wrist 2\nhip 0\n")
+    rows = []
+    for i in range(4):
+        mask = np.array([True, i != 3])  # the last recording's hip device is off
+        series = MotionTimeSeries(rng.standard_normal((6, 9 + 4 * i, 2)) * mask, mask, 40.0)
+        formats.write_timeseries_file(d / f"r{i}.ts", series)
+        rows.append(f"sample\tr{i}.ts\tc{i % 2}\twrist,hip\t40\t9.81\n")
+    for name, chosen in (("all", rows), ("first", rows[:2]), ("second", rows[2:])):
+        (d / f"{name}.tsv").write_text("mapping map.txt\n" + "".join(chosen))
+    return d
+
+
+def windows_of(manifest):
+    return load_eval_dataset(manifest, chain_structure(4), model_fs=20.0)
+
+
+def load_eval(manifest):
+    """windows_of(manifest), with any warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return windows_of(manifest)
+
+
+def parsed(manifest, monkeypatch):
+    """load_eval_dataset with no recording cache: every recording parsed, nothing written."""
+    with monkeypatch.context() as mp:
+        mp.setattr(datasets, "_recording_entries", lambda paths, failures: {})
+        return load_eval(manifest)
+
+
+def assert_same_windows(a, b):
+    assert len(a) == len(b)
+    for (x, label_x), (y, label_y) in zip(a, b):
+        assert label_x == label_y and x.sample_rate == y.sample_rate
+        for u, v in ((x.data, y.data), (x.mask, y.mask)):
+            assert (u.shape, u.dtype, u.flags.c_contiguous) == (v.shape, v.dtype, v.flags.c_contiguous)
+            assert u.tobytes() == v.tobytes()
+
+
+def entry_state(d):
+    cache = d / datasets.RECORDING_CACHE
+    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in cache.iterdir()} if cache.exists() else {}
+
+
+def count_reads(monkeypatch):
+    """The paths formats.read_timeseries_file is called on from now on."""
+    calls = []
+    real = formats.read_timeseries_file
+
+    def counting(path):
+        calls.append(str(path))
+        return real(path)
+
+    monkeypatch.setattr(formats, "read_timeseries_file", counting)
+    return calls
+
+
+def test_recording_cache_serves_the_parse_byte_for_byte(rec_dir, monkeypatch):
+    manifest = rec_dir / "all.tsv"
+    expected = parsed(manifest, monkeypatch)
+    assert not (rec_dir / datasets.RECORDING_CACHE).exists() and not (rec_dir / datasets.HASH_INDEX).exists()
+    cold = load_eval(manifest)
+    entries = entry_state(rec_dir)
+    digests = [file_hash(rec_dir / f"r{i}.ts") for i in range(4)]
+    assert sorted(entries) == sorted(f"v{datasets.READER_VERSION}_{d}.tsb" for d in digests)
+    for i, digest in enumerate(digests):  # an entry is the binary form of its recording
+        text = formats.read_timeseries_file(rec_dir / f"r{i}.ts")
+        formats.write_timeseries_file(rec_dir / "x.tsb", text, binary=True)
+        assert entries[f"v{datasets.READER_VERSION}_{digest}.tsb"][0] == (rec_dir / "x.tsb").read_bytes()
+    os.remove(rec_dir / "x.tsb")
+    settle_index(rec_dir, pattern="*.ts")
+    index_before = index_state(rec_dir)
+    hashes, reads = count_hashes(monkeypatch), count_reads(monkeypatch)
+    warm = load_eval(manifest)
+    assert hashes == []
+    assert reads == [str(rec_dir / datasets.RECORDING_CACHE / f"v{datasets.READER_VERSION}_{d}.tsb") for d in digests]
+    assert index_state(rec_dir) == index_before and entry_state(rec_dir) == entries
+    assert_same_windows(cold, expected)
+    assert_same_windows(warm, expected)
+
+
+def test_binary_recordings_get_no_entry(rec_dir, monkeypatch):
+    for i in range(4):
+        formats.write_timeseries_file(rec_dir / f"r{i}.tsb", formats.read_timeseries_file(rec_dir / f"r{i}.ts"),
+                                      binary=True)
+        os.remove(rec_dir / f"r{i}.ts")
+    manifest = rec_dir / "all.tsv"
+    manifest.write_text(manifest.read_text().replace(".ts\t", ".tsb\t"))
+    expected = parsed(manifest, monkeypatch)
+    hashes = count_hashes(monkeypatch)
+    assert_same_windows(load_eval(manifest), expected)
+    assert_same_windows(load_eval(manifest), expected)
+    assert hashes == []
+    assert not (rec_dir / datasets.RECORDING_CACHE).exists() and not (rec_dir / datasets.HASH_INDEX).exists()
+
+
+def test_recording_rewritten_with_restored_stat_is_parsed_again(rec_dir, monkeypatch):
+    manifest = rec_dir / "all.tsv"
+    load_eval(manifest)
+    settle_index(rec_dir, pattern="*.ts")
+    path = rec_dir / "r1.ts"
+    st = path.stat()
+    data = path.read_bytes()
+    start = data.index(b"\n", data.index(b"\n") + 1) + 1  # the first frame value
+    digit = data.index(b"1", start)
+    path.write_bytes(data[:digit] + b"2" + data[digit + 1 :])
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns, path.stat().st_ino) == (st.st_size, st.st_mtime_ns, st.st_ino)
+    hashes, reads = count_hashes(monkeypatch), count_reads(monkeypatch)
+    with pytest.warns(UserWarning, match="removed 1 entries that no current recording maps to"):
+        warm = windows_of(manifest)
+    assert hashes == ["r1.ts"] and str(path) in reads
+    assert_same_windows(warm, parsed(manifest, monkeypatch))
+    assert f"v{datasets.READER_VERSION}_{file_hash(path)}.tsb" in entry_state(rec_dir)
+    assert len(entry_state(rec_dir)) == 4
+
+
+def test_recording_cache_serves_no_entry_of_another_reader_version(rec_dir, monkeypatch):
+    manifest = rec_dir / "all.tsv"
+    load_eval(manifest)
+    old = entry_state(rec_dir)
+    monkeypatch.setattr(datasets, "READER_VERSION", datasets.READER_VERSION + 1)
+    reads = count_reads(monkeypatch)
+    with pytest.warns(UserWarning, match="removed 4 entries"):
+        again = windows_of(manifest)
+    assert sorted(reads) == sorted(str(rec_dir / f"r{i}.ts") for i in range(4))
+    new = entry_state(rec_dir)
+    assert len(new) == 4 and not set(new) & set(old)
+    assert all(name.startswith(f"v{datasets.READER_VERSION}_") for name in new)
+    assert_same_windows(again, parsed(manifest, monkeypatch))
+
+
+def test_two_manifests_over_one_directory_evict_nothing_of_each_other(rec_dir, monkeypatch):
+    first, second = rec_dir / "first.tsv", rec_dir / "second.tsv"
+    load_eval(first)
+    load_eval(second)
+    entries = entry_state(rec_dir)
+    assert len(entries) == 4
+    settle_index(rec_dir, pattern="*.ts")
+    index_before = index_state(rec_dir)
+    hashes = count_hashes(monkeypatch)
+    for manifest in (first, second, first):
+        load_eval(manifest)  # warnings are errors: no eviction
+    assert hashes == [] and entry_state(rec_dir) == entries and index_state(rec_dir) == index_before
+
+
+def test_orphaned_recording_entries_are_removed(rec_dir):
+    manifest = rec_dir / "first.tsv"
+    load_eval(rec_dir / "all.tsv")
+    cache = rec_dir / datasets.RECORDING_CACHE
+    gone = f"v{datasets.READER_VERSION}_{file_hash(rec_dir / 'r3.ts')}.tsb"
+    os.remove(rec_dir / "r3.ts")
+    (cache / f"v0_{file_hash(rec_dir / 'r0.ts')}.tsb").write_bytes(b"UMTS")  # another reader version
+    (cache / "stray.tmp").write_bytes(b"")  # not an entry: kept
+    with pytest.warns(UserWarning, match="removed 2 entries that no current recording maps to") as caught:
+        windows_of(manifest)
+    assert len(caught) == 1
+    names = set(os.listdir(cache))
+    assert gone not in names and "stray.tmp" in names and len(names) == 4  # r2, which still exists, keeps its entry
+
+
+def refuse_write(*args, **kwargs):
+    raise PermissionError(13, "Permission denied")
+
+
+@pytest.mark.parametrize("how", ["no-cache-dir", "no-writes"])
+def test_unwritable_recording_cache_still_loads_with_one_warning(rec_dir, monkeypatch, how):
+    manifest = rec_dir / "all.tsv"
+    expected = parsed(manifest, monkeypatch)
+    if how == "no-cache-dir":
+        monkeypatch.setattr(datasets.os, "mkdir", refuse_write)
+    else:
+        (rec_dir / datasets.RECORDING_CACHE).mkdir()
+        (rec_dir / datasets.RECORDING_CACHE / "v0_000000000000.tsb").write_bytes(b"")  # an orphan it cannot remove
+        monkeypatch.setattr(formats, "write_atomic", refuse_write)
+        monkeypatch.setattr(datasets.os, "remove", refuse_write)
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="cannot write the recording cache") as caught:
+            out = windows_of(manifest)
+        assert len([w for w in caught if "recording cache" in str(w.message)]) == 1
+        assert_same_windows(out, expected)
+    assert not (rec_dir / datasets.HASH_INDEX).exists()
+    left = [p.name for p in rec_dir.glob(".tscache/*.tsb")]
+    assert left == ([] if how == "no-cache-dir" else ["v0_000000000000.tsb"])
+
+
+@pytest.mark.parametrize("cache", [".simcache", datasets.RECORDING_CACHE])
+def test_unreadable_cache_entry_is_a_located_error(skel_dir, rec_dir, cache):
+    # both caches: an entry that fails to read is a ParseError naming it, to be deleted by hand
+    if cache == ".simcache":
+        load = lambda: load_pretrain_samples(skel_dir, seed=1)  # noqa: E731
+        directory = skel_dir
+    else:
+        load = lambda: load_eval(rec_dir / "all.tsv")  # noqa: E731
+        directory = rec_dir
+    load()
+    entry = sorted((directory / cache).glob("*.tsb"))[0]
+    entry.write_bytes(entry.read_bytes()[:-3])
+    with pytest.raises(ParseError) as caught:
+        load()
+    assert caught.value.path == str(entry)
+
+
+def test_skeleton_and_recording_loaders_keep_each_others_rows_and_entries(skel_dir, rec_dir, monkeypatch):
+    for p in rec_dir.iterdir():
+        shutil.move(p, skel_dir / p.name)
+    manifest = skel_dir / "all.tsv"
+    load_pretrain_samples(skel_dir, seed=1)
+    load_eval(manifest)
+    rows = [row.split("\t")[0] for row in (skel_dir / datasets.HASH_INDEX).read_text().splitlines()]
+    assert rows == sorted([f"r{i}.ts" for i in range(4)] + ["s0.skel", "s1.skel", "s2.skel"])
+    settle_index(skel_dir, pattern="*")
+    state = index_state(skel_dir), entry_state(skel_dir), sorted(os.listdir(skel_dir / ".simcache"))
+    hashes = count_hashes(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        load_pretrain_samples(skel_dir, seed=1)
+    load_eval(manifest)
+    load_pretrain_samples(skel_dir, seed=1)
+    assert hashes == []
+    assert (index_state(skel_dir), entry_state(skel_dir), sorted(os.listdir(skel_dir / ".simcache"))) == state

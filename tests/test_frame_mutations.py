@@ -1,12 +1,18 @@
-"""Mutation fuzzing of the `.skel` and `.ts` text readers.
+"""Mutation fuzzing of the `.skel` and `.ts` text readers and the `.tsb` binary reader.
 
 Valid files are built, then damaged the way real files get damaged: a bit
 flip, truncation at a byte, a frame line deleted, duplicated or blanked, or
 one token swapped for something that float() takes and numpy may not, or
-that nothing takes. The readers must return or raise a PipelineError, and
-must agree with the per-line readers below: the same arrays byte for byte
-and the same warnings, or the same exception class, message and line.
+that nothing takes. The text readers must return or raise a PipelineError,
+and must agree with the per-line readers below: the same arrays byte for
+byte and the same warnings, or the same exception class, message and line.
+A `.tsb` file (also what the recording cache holds) gets a bit flip,
+truncation, two bytes swapped or one float64 overwritten; it must read to
+finite data whose invisible joints are zero, or raise a ParseError naming
+the path.
 """
+
+import struct
 
 import warnings
 
@@ -218,6 +224,19 @@ def test_mutated_skeleton_matches_per_line_reader(tmp_path_factory, seed, v, t, 
     raw = skeleton_text(np.random.default_rng(seed), v, t, style).encode("utf-8")
     path = tmp_path_factory.mktemp("mut") / "f.skel"
     check_against_reference(path, raw, mutate(raw, *mutation), formats.read_skeleton_file, ref_read_skeleton)
+    # the header alone, as pretraining checks joint counts: it fails as the whole read fails
+    # on line 1, and takes no header the whole read refuses
+    got = outcome(formats.read_skeleton_file, path)
+    try:
+        header = formats.read_skeleton_header(path)
+    except ParseError as exc:
+        assert got[0] == "error" and (type(exc), str(exc), exc.line) == got[1:]
+        return
+    if got[0] == "ok":
+        v_read, t_read, _ = got[1][0][0]  # the shape of the positions read
+        assert header == (v_read, t_read, got[2])
+    else:  # a later fault; a missing frame line is reported on the last line, which may be line 1
+        assert got[3] != 1 or "frame lines" in got[2]
 
 
 @given(
@@ -233,3 +252,53 @@ def test_mutated_timeseries_matches_per_line_reader(tmp_path_factory, seed, v, t
     raw = timeseries_text(np.random.default_rng(seed), v, t, c, style).encode("utf-8")
     path = tmp_path_factory.mktemp("mut") / "f.ts"
     check_against_reference(path, raw, mutate(raw, *mutation), formats.read_timeseries_file, ref_read_timeseries)
+
+
+# ---------------------------------------------------------------------------
+# the binary .tsb reader
+# ---------------------------------------------------------------------------
+
+SWAP_VALUES = [float("nan"), float("inf"), -0.0, 0.5, 1e-320, 1e308, 2.0**53, -3.0]
+
+
+def mutate_binary(raw, kind, a, b, value):
+    """raw with one fault; a, b in [0, 1) pick the bytes, bit or float64 slot."""
+    i, j = int(a * len(raw)), int(b * len(raw))
+    if kind == "bitflip":
+        return raw[:i] + bytes([raw[i] ^ (1 << int(b * 8))]) + raw[i + 1 :]
+    if kind == "truncate":
+        return raw[:i]
+    if kind == "byteswap":
+        out = bytearray(raw)
+        out[i], out[j] = raw[j], raw[i]
+        return bytes(out)
+    k = 8 + 8 * int(a * ((len(raw) - 8) // 8))  # a float64 after the magic and version
+    return raw[:k] + struct.pack("<d", value) + raw[k + 8 :]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    v=st.integers(1, 3),
+    t=st.integers(1, 5),
+    c=st.integers(1, 6),
+    mutation=st.tuples(
+        st.sampled_from(["bitflip", "truncate", "byteswap", "value"]), position, position, st.sampled_from(SWAP_VALUES)
+    ),
+)
+@settings(max_examples=500, deadline=None)
+def test_mutated_binary_timeseries_reads_valid_or_raises_located(tmp_path_factory, seed, v, t, c, mutation):
+    rng = np.random.default_rng(seed)
+    mask = rng.random(v) < 0.8
+    series = MotionTimeSeries(rng.standard_normal((c, t, v)) * mask, mask, float(rng.choice([20.0, 50.0])))
+    path = tmp_path_factory.mktemp("mut") / "f.tsb"
+    formats.write_timeseries_file(path, series, binary=True)
+    path.write_bytes(mutate_binary(path.read_bytes(), *mutation))
+    try:
+        got = formats.read_timeseries_file(path)
+    except ParseError as exc:
+        assert exc.path == path
+        return
+    c2, t2, v2 = got.data.shape
+    assert got.data.dtype == np.float64 and got.mask.shape == (v2,) and got.mask.dtype == bool
+    assert np.isfinite(got.data).all() and 0 < got.sample_rate < np.inf
+    assert not got.data[:, :, ~got.mask].any()
