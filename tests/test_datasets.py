@@ -1,3 +1,4 @@
+import functools
 import os
 import shutil
 import warnings
@@ -589,11 +590,9 @@ def test_unwritable_recording_cache_still_loads_with_one_warning(rec_dir, monkey
 def test_unreadable_cache_entry_is_a_located_error(skel_dir, rec_dir, cache):
     # both caches: an entry that fails to read is a ParseError naming it, to be deleted by hand
     if cache == ".simcache":
-        load = lambda: load_pretrain_samples(skel_dir, seed=1)  # noqa: E731
-        directory = skel_dir
+        directory, load = skel_dir, functools.partial(load_pretrain_samples, skel_dir, seed=1)
     else:
-        load = lambda: load_eval(rec_dir / "all.tsv")  # noqa: E731
-        directory = rec_dir
+        directory, load = rec_dir, functools.partial(load_eval, rec_dir / "all.tsv")
     load()
     entry = sorted((directory / cache).glob("*.tsb"))[0]
     entry.write_bytes(entry.read_bytes()[:-3])
@@ -614,9 +613,9 @@ def test_skeleton_and_recording_loaders_keep_each_others_rows_and_entries(skel_d
     state = index_state(skel_dir), entry_state(skel_dir), sorted(os.listdir(skel_dir / ".simcache"))
     hashes = count_hashes(monkeypatch)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")
+        warnings.simplefilter("error")  # neither loader evicts the other's entries
         load_pretrain_samples(skel_dir, seed=1)
-    load_eval(manifest)
-    load_pretrain_samples(skel_dir, seed=1)
+        load_eval(manifest)
+        load_pretrain_samples(skel_dir, seed=1)
     assert hashes == []
     assert (index_state(skel_dir), entry_state(skel_dir), sorted(os.listdir(skel_dir / ".simcache"))) == state
