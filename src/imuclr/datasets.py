@@ -1,15 +1,17 @@
 """Disk-backed dataset assembly for the command-line pipeline.
 
 Pre-training data is a directory of skeleton motion files, simulated on
-first use, each from its own content, and cached under .simcache keyed by
-simulator version, content hash, rate, noise levels, seed and gravity.
-Evaluation data is described by a manifest referencing per-device
-recordings. Each text recording is parsed once and kept as a binary entry
-under .tscache beside it, keyed by reader version and content hash; the
-recordings are then unit-scaled, resampled to the model rate, assigned to
-skeleton joints and cut into windows, and a warning reports the tail frames
-the windows leave out. Both caches take the content hashes from their
-directory's .simcache.index, re-used while a file's stat is unchanged.
+first use, each from its own content. Evaluation data is described by a
+manifest referencing per-device recordings, which are parsed, unit-scaled,
+resampled to the model rate, assigned to skeleton joints and cut into
+windows; a warning reports the tail frames the windows leave out.
+
+Both loaders keep what they derive from a file in one cache, .simcache in
+the file's directory: a simulation under CACHE_VERSION, the file's content
+hash and the simulation's inputs, a parsed text recording under
+CACHE_VERSION and its content hash. The hashes come from the directory's
+.simcache.index, re-used while a file's stat is unchanged. Both evict and
+handle a cache they cannot write the same way (see _open_cache, _cached).
 """
 
 from __future__ import annotations
@@ -27,11 +29,9 @@ from .inference import assign_to_joints, windows
 from .simulate import ACCEL, GYRO, MotionTimeSeries, NoiseParams, resample_series, simulate_sequence
 
 SKELETON_EXT = ".skel"
-BINARY_EXT = ".tsb"  # a recording named so is read as it is, without a .tscache entry
-SIM_VERSION = 1  # heads every .simcache key; bump it when simulate.py changes its output
-READER_VERSION = 1  # heads every .tscache key; bump it when read_timeseries_file changes its output
-RECORDING_CACHE = ".tscache"
-HASH_INDEX = ".simcache.index"  # beside .simcache and .tscache, which hold only their entries
+BINARY_EXT = ".tsb"  # a recording named so is read as it is, without a cache entry
+CACHE_VERSION = 1  # heads every entry's name; bump it when simulate.py or read_timeseries_file changes its output
+HASH_INDEX = ".simcache.index"  # beside .simcache, which holds only entries
 
 
 def file_hash(path):
@@ -41,7 +41,7 @@ def file_hash(path):
 
 
 def _indexed_hashes(data_dir, names, present):
-    """(digests, rows, changed) of the named files of data_dir.
+    """(digests, rows, index) of the named files of data_dir.
 
     digests holds each file's file_hash, re-used from data_dir/.simcache.index
     where a row is trusted. A row (name, st_size, st_mtime_ns, st_ctime_ns,
@@ -54,9 +54,10 @@ def _indexed_hashes(data_dir, names, present):
     rows maps a name to its row without the name: the named files' rows as
     checked now, and the index's rows of the other names of present (the
     directory's names), so loaders of different files of one directory keep
-    each other's rows. changed says whether a file was hashed or the rows
-    differ from the index, which _write_index then rewrites; a load that
-    hashes nothing of an unchanged directory writes nothing.
+    each other's rows. index is the bytes of the new index when a file was
+    hashed or the rows differ from the old one, for _open_cache to write,
+    and None otherwise: a load that hashes nothing of an unchanged
+    directory writes nothing.
     """
     path = os.path.join(data_dir, HASH_INDEX)
     old_text, written, rows = "", 0, {}
@@ -89,28 +90,68 @@ def _indexed_hashes(data_dir, names, present):
         digests.append(digest)
         if "\t" not in name and "\n" not in name:  # such a name cannot be a row; it is hashed every load
             rows[name] = signature + digest
-    return digests, rows, hashed or _index_text(rows) != old_text
+    text = "".join(f"{name}\t{rows[name]}\n" for name in sorted(rows))
+    return digests, rows, text.encode("utf-8", "surrogateescape") if hashed or text != old_text else None
 
 
-def _index_text(rows):
-    return "".join(f"{name}\t{rows[name]}\n" for name in sorted(rows))
+def _entry(data_dir, digest, suffix):
+    """The cache entry of data_dir named by CACHE_VERSION, a content hash and suffix."""
+    return os.path.join(data_dir, ".simcache", f"v{CACHE_VERSION}_{digest}{suffix}")
 
 
-def _write_index(data_dir, rows):
-    """Write rows as data_dir/.simcache.index, atomically."""
-    formats.write_atomic(os.path.join(data_dir, HASH_INDEX), _index_text(rows).encode("utf-8", "surrogateescape"))
+def _open_cache(data_dir, rows, index, digests, failures):
+    """Create data_dir/.simcache, write index unless None and delete the entries no current file maps to.
+
+    An entry is kept when it starts with v<CACHE_VERSION>_<digest> for the
+    digest of a row (rows, from _indexed_hashes) or of this load (digests,
+    names with no row included), so loaders of different files of one
+    directory keep each other's entries; one warning counts the deleted.
+    An OSError goes to failures; if the cache cannot be created, that is all.
+    """
+    cache_dir = os.path.join(data_dir, ".simcache")
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+    except OSError as exc:
+        failures.append(exc)
+        return
+    head = f"v{CACHE_VERSION}_"
+    live = {head + d for d in digests} | {head + rest[-12:] for rest in rows.values()}
+    removed = 0
+    try:
+        if index is not None:
+            formats.write_atomic(os.path.join(data_dir, HASH_INDEX), index)
+        for name in os.listdir(cache_dir):
+            if name.endswith(BINARY_EXT) and name[: len(head) + 12] not in live:
+                os.remove(os.path.join(cache_dir, name))
+                removed += 1
+    except OSError as exc:
+        failures.append(exc)
+    if removed:
+        warnings.warn(f"{cache_dir}: removed {removed} entries that no current file maps to", stacklevel=3)
 
 
-def _evict(cache_dir, live, sources):
-    """Delete the .tsb entries of cache_dir that start with none of the prefixes live; warn once with their count."""
-    orphans = [n for n in os.listdir(cache_dir) if n.endswith(".tsb") and not n.startswith(live)]
-    for name in orphans:
-        os.remove(os.path.join(cache_dir, name))
-    if orphans:
-        warnings.warn(f"{cache_dir}: removed {len(orphans)} entries that no current {sources} maps to", stacklevel=3)
+def _cached(entry, build, failures):
+    """The series of entry when it exists, else build()'s, written as entry unless None; OSErrors go to failures."""
+    if entry is not None and os.path.exists(entry):
+        return formats.read_timeseries_file(entry)
+    series = build()
+    if entry is not None:
+        try:
+            formats.write_timeseries_file(entry, series, binary=True)
+        except OSError as exc:
+            failures.append(exc)
+    return series
 
 
-def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, cache=True, num_joints=None):
+def _warn_unwritable(source, failures):
+    if failures:
+        warnings.warn(
+            f"{source}: cannot write the cache ({failures[0]}); entries it lacks are rebuilt on every load",
+            stacklevel=3,
+        )
+
+
+def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, num_joints=None):
     """One PretrainSample per skeleton file of data_dir, in sorted name order.
 
     A directory with no skeleton file is a ParseError naming it, raised
@@ -118,14 +159,11 @@ def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, 
     whose header gives another joint count is a ParseError naming it, found
     from the headers alone before any simulation and any write. A file's
     noise is seeded with the run seed and the file's content hash, so its
-    simulation depends on that file alone. With cache set, results are kept
-    under data_dir/.simcache, keyed by exactly the simulation's inputs:
-    SIM_VERSION, content hash, rate, noise levels, seed and gravity. Entries
-    that do not start with SIM_VERSION and a current file's hash are
-    deleted, with one warning giving their count. With cache set, the
-    content hashes come from data_dir/.simcache.index, so a file whose stat
-    is unchanged since it was last hashed is not read again (see
-    _indexed_hashes); without it, every file is hashed.
+    simulation depends on that file alone. Results are kept under
+    data_dir/.simcache, keyed by exactly the simulation's inputs:
+    CACHE_VERSION, content hash, rate, noise levels, seed and gravity (see
+    _open_cache for eviction). When the cache cannot be written, the load
+    goes on, with one warning.
     """
     if noise is None:
         noise = NoiseParams()
@@ -133,46 +171,33 @@ def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, 
     skel_files = sorted(n for n in present if n.endswith(SKELETON_EXT))
     if not skel_files:
         raise ParseError(f"no {SKELETON_EXT} files", path=data_dir)
-    cache_dir = os.path.join(data_dir, ".simcache")
-    if cache:
-        hashes, rows, changed = _indexed_hashes(data_dir, skel_files, set(present))
-    else:
-        hashes = [file_hash(os.path.join(data_dir, name)) for name in skel_files]
-    inputs = f"fs{fs!r}_sa{noise.sigma_accel!r}_sg{noise.sigma_gyro!r}_seed{seed}_g{int(gravity)}.tsb"
-    entries = [os.path.join(cache_dir, f"v{SIM_VERSION}_{digest}_{inputs}") for digest in hashes]
-    hits = [cache and os.path.exists(entry) for entry in entries]
-    for name, hit in zip(skel_files, hits):
-        if num_joints is None or hit:
+    digests, rows, index = _indexed_hashes(data_dir, skel_files, set(present))
+    inputs = f"_fs{fs!r}_sa{noise.sigma_accel!r}_sg{noise.sigma_gyro!r}_seed{seed}_g{int(gravity)}{BINARY_EXT}"
+    entries = [_entry(data_dir, digest, inputs) for digest in digests]
+    for name, entry in zip(skel_files, entries):
+        if num_joints is None or os.path.exists(entry):
             continue
         path = os.path.join(data_dir, name)
         v = formats.read_skeleton_header(path)[0]
         if v != num_joints:
             raise ParseError(f"sequence {name[: -len(SKELETON_EXT)]!r} has {v} joints, skeleton has {num_joints}",
                              path=path)
-    if cache:
-        os.makedirs(cache_dir, exist_ok=True)
-        if changed:
-            _write_index(data_dir, rows)
-        _evict(cache_dir, tuple(f"v{SIM_VERSION}_{digest}_" for digest in hashes), f"{SKELETON_EXT} file")
+    failures = []
+    _open_cache(data_dir, rows, index, digests, failures)
     samples = []
-    for name, digest, entry, hit in zip(skel_files, hashes, entries, hits):
-        if hit:
-            series = formats.read_timeseries_file(entry)
-        else:
-            path = os.path.join(data_dir, name)
+    for name, digest, entry in zip(skel_files, digests, entries):
+        path = os.path.join(data_dir, name)
+
+        def simulate():
             try:
-                series = simulate_sequence(
-                    formats.read_skeleton_file(path),
-                    noise=noise,
-                    target_fs=fs,
-                    rng=np.random.default_rng([seed, int(digest, 16)]),
-                    gravity=gravity,
-                )
+                seq = formats.read_skeleton_file(path)
+                rng = np.random.default_rng([seed, int(digest, 16)])
+                return simulate_sequence(seq, noise=noise, target_fs=fs, rng=rng, gravity=gravity)
             except NonFinite as exc:
                 raise ParseError(str(exc), path=path) from None
-            if cache:
-                formats.write_timeseries_file(entry, series, binary=True)
-        samples.append(PretrainSample(seq_id=name[: -len(SKELETON_EXT)], series=series))
+
+        samples.append(PretrainSample(seq_id=name[: -len(SKELETON_EXT)], series=_cached(entry, simulate, failures)))
+    _warn_unwritable(data_dir, failures)
     return samples
 
 
@@ -191,16 +216,11 @@ def _device_series_to_mapping_input(series, locations):
 
 
 def _recording_entries(paths, failures):
-    """{path: its .tscache entry} of the text recordings among paths; a name ending in .tsb is binary and gets none.
+    """{path: its cache entry} of the text recordings among paths; a name ending in .tsb is binary and gets none.
 
-    Per directory, the content hashes come from its .simcache.index, which
-    is rewritten when it changed, and the entries of its .tscache that no
-    file with a row in that index maps to are deleted, with one warning
-    giving their count, so a load of one manifest keeps the entries of
-    other manifests' recordings in the directory. An OSError of listing the
-    directory, creating the cache or writing to it goes to failures. One of
-    the first two, or of stat'ing or reading a recording (which its parse
-    then reports), leaves that directory without entries.
+    An OSError of listing a directory, or of stat'ing or reading a recording
+    (which its parse then reports), goes to failures and leaves that
+    directory without entries.
     """
     by_dir = {}
     for path in paths:
@@ -208,26 +228,16 @@ def _recording_entries(paths, failures):
             by_dir.setdefault(os.path.dirname(path), set()).add(os.path.basename(path))
     entries = {}
     for data_dir, names in by_dir.items():
-        cache_dir = os.path.join(data_dir, RECORDING_CACHE)
         try:
-            present = set(os.listdir(data_dir))  # first, so that a missing data_dir is not created
-            os.makedirs(cache_dir, exist_ok=True)
+            present = set(os.listdir(data_dir))
+            names = sorted(names & present)
+            digests, rows, index = _indexed_hashes(data_dir, names, present)
         except OSError as exc:
             failures.append(exc)
             continue
-        names = sorted(names & present)
-        try:
-            digests, rows, changed = _indexed_hashes(data_dir, names, present)
-        except OSError:
-            continue
-        try:
-            if changed:
-                _write_index(data_dir, rows)
-            _evict(cache_dir, tuple(f"v{READER_VERSION}_{rest[-12:]}." for rest in rows.values()), "recording")
-        except OSError as exc:
-            failures.append(exc)
+        _open_cache(data_dir, rows, index, digests, failures)
         for name, digest in zip(names, digests):
-            entries[os.path.join(data_dir, name)] = os.path.join(cache_dir, f"v{READER_VERSION}_{digest}{BINARY_EXT}")
+            entries[os.path.join(data_dir, name)] = _entry(data_dir, digest, BINARY_EXT)
     return entries
 
 
@@ -235,10 +245,10 @@ def load_eval_dataset(manifest_path, structure, model_fs, window=None):
     """(MotionTimeSeries, label_name) pairs from a manifest.
 
     A text recording is parsed on its first load and kept, byte for byte,
-    as a binary entry of .tscache in its directory, named by READER_VERSION
+    as a binary entry of .simcache in its directory, named by CACHE_VERSION
     and its content hash (see _recording_entries); later loads read the
-    entry. When the cache cannot be created or written, the load goes on
-    from the parse, with one warning per call. Accelerometer channels are
+    entry. When the cache cannot be written, the load goes on from the
+    parse, with one warning per call. Accelerometer channels are
     multiplied by the per-sample unit scale, everything is resampled to the
     model rate, devices are assigned to their mapped joints and long
     recordings are cut into non-overlapping windows (see inference.windows).
@@ -254,16 +264,7 @@ def load_eval_dataset(manifest_path, structure, model_fs, window=None):
     dataset = []
     dropped_frames = cut_recordings = 0
     for item, path in zip(manifest.samples, paths):
-        entry = entries.get(path)
-        if entry is not None and os.path.exists(entry):
-            series = formats.read_timeseries_file(entry)
-        else:
-            series = formats.read_timeseries_file(path)
-            if entry is not None:
-                try:
-                    formats.write_timeseries_file(entry, series, binary=True)
-                except OSError as exc:
-                    failures.append(exc)
+        series = _cached(entries.get(path), lambda: formats.read_timeseries_file(path), failures)
         if abs(series.sample_rate - item.native_fs) > 1e-9:
             raise ParseError(
                 f"file says {series.sample_rate} Hz but manifest says {item.native_fs} Hz",
@@ -282,12 +283,7 @@ def load_eval_dataset(manifest_path, structure, model_fs, window=None):
             dropped_frames += dropped
             cut_recordings += 1
         dataset += [(piece, item.label) for piece in pieces]
-    if failures:
-        warnings.warn(
-            f"{manifest_path}: cannot write the recording cache ({failures[0]}); "
-            f"recordings missing from it are parsed on every load",
-            stacklevel=2,
-        )
+    _warn_unwritable(manifest_path, failures)
     if dropped_frames:
         warnings.warn(
             f"{manifest_path}: dropped {dropped_frames} tail frames from {cut_recordings} of "

@@ -97,9 +97,6 @@ class MotionTimeSeries:
     def num_joints(self):
         return self.data.shape[2]
 
-    def copy(self):
-        return MotionTimeSeries(self.data.copy(), self.mask.copy(), self.sample_rate)
-
 
 @dataclass
 class NoiseParams:
@@ -160,11 +157,6 @@ def resample(x, fs_in, fs_out):
     if fs_in <= 0 or fs_out <= 0:
         raise BadRate(f"rates must be positive, got fs_in={fs_in}, fs_out={fs_out}")
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-        squeeze = True
-    else:
-        squeeze = False
     t = x.shape[0]
     if t < 2:
         raise TooShort(f"need at least 2 samples to resample, got {t}")
@@ -177,7 +169,7 @@ def resample(x, fs_in, fs_out):
         out = np.empty((t_out, x.shape[1]))
         for k in range(x.shape[1]):
             out[:, k] = np.interp(grid_out, grid_in, x[:, k])
-    return out[:, 0] if squeeze else out
+    return out
 
 
 def resample_series(series, fs_out):

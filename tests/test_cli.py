@@ -193,6 +193,23 @@ def test_torn_metrics_write_keeps_previous_file(workspace, capsys):
     assert not list(workspace["root"].glob("*.tmp"))
 
 
+def test_pretrain_on_an_unwritable_data_directory_trains_with_one_warning(workspace, monkeypatch, capsys):
+    # chmod does not stop root, so writes into the data directory are refused by a patch
+    real = formats.write_atomic
+
+    def refuse_in_data(path, data):
+        if str(path).startswith(str(workspace["skel_dir"])):
+            raise PermissionError(13, "Permission denied", str(path))
+        return real(path, data)
+
+    monkeypatch.setattr(formats, "write_atomic", refuse_in_data)
+    with pytest.warns(UserWarning, match="cannot write the cache") as caught:
+        assert main(pretrain_args(workspace)) == 0
+    assert len([w for w in caught if "cannot write" in str(w.message)]) == 1
+    assert workspace["model"].exists()
+    assert os.listdir(workspace["skel_dir"] / ".simcache") == []
+
+
 def test_torn_report_write_keeps_previous_file(workspace, capsys):
     assert main(pretrain_args(workspace)) == 0
     report = workspace["root"] / "report.tsv"

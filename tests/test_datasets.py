@@ -1,6 +1,8 @@
 import functools
 import os
 import shutil
+import tempfile
+import types
 import warnings
 
 import numpy as np
@@ -22,6 +24,14 @@ def skel_dir(tmp_path):
     for i in range(3):
         formats.write_skeleton_file(d / f"s{i}.skel", make_toy_sequence(i % 2, rng, duration=0.5))
     return d
+
+
+def fresh_load(skel_dir, **kwargs):
+    """load_pretrain_samples of copies of skel_dir's .skel files in a new directory: each file hashed and simulated."""
+    fresh = tempfile.mkdtemp(dir=skel_dir.parent)
+    for path in skel_dir.glob("*.skel"):
+        shutil.copyfile(path, os.path.join(fresh, path.name))
+    return load_pretrain_samples(fresh, **kwargs)
 
 
 def test_load_from_skeletons_and_cache(skel_dir):
@@ -47,7 +57,7 @@ def test_noise_stream_is_per_file_content(skel_dir):
     # noise is seeded with the run seed and the content hash: a copy under another
     # name gets the same noise and shares its cache entry, other files do not
     shutil.copyfile(skel_dir / "s1.skel", skel_dir / "copy.skel")
-    fresh = load_pretrain_samples(skel_dir, fs=20.0, noise=NoiseParams(0.5, 0.0), seed=0, cache=False)
+    fresh = fresh_load(skel_dir, fs=20.0, noise=NoiseParams(0.5, 0.0), seed=0)
     assert [s.seq_id for s in fresh] == ["copy", "s0", "s1", "s2"]
     assert np.array_equal(fresh[0].series.data, fresh[2].series.data)
     assert not np.array_equal(fresh[1].series.data, fresh[2].series.data)
@@ -74,41 +84,13 @@ def test_adding_a_file_leaves_other_files_alone(skel_dir):
     assert len(list(cache.glob("*.tsb"))) == 4
 
 
-def test_orphaned_cache_entries_are_removed(skel_dir):
-    cache = skel_dir / ".simcache"
-    load_pretrain_samples(skel_dir, seed=1)
-    load_pretrain_samples(skel_dir, fs=10.0, seed=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a current file's entries at another rate are not orphans
-        load_pretrain_samples(skel_dir, seed=1)
-    assert len(list(cache.glob("*.tsb"))) == 6
-    # an entry named by content hash and sorted index, with no SIM_VERSION head, is an orphan too
-    digest = file_hash(skel_dir / "s0.skel")
-    (cache / f"{digest}_i0_fs20.0_sa0.05_sg0.005_seed1_g0.tsb").write_bytes(b"UMTS")
-    os.remove(skel_dir / "s1.skel")
-    with pytest.warns(UserWarning, match="removed 3 entries"):
-        load_pretrain_samples(skel_dir, seed=1)
-    assert len(list(cache.glob("*.tsb"))) == 4
-
-
-def test_cache_serves_no_entry_of_another_simulator_version(skel_dir, monkeypatch):
-    first = load_pretrain_samples(skel_dir, seed=1)
-    monkeypatch.setattr(datasets, "SIM_VERSION", datasets.SIM_VERSION + 1)
-    with pytest.warns(UserWarning, match="removed 3 entries"):
-        again = load_pretrain_samples(skel_dir, seed=1)
-    assert len(list((skel_dir / ".simcache").glob("*.tsb"))) == 3
-    for a, b in zip(first, again):
-        assert np.array_equal(a.series.data, b.series.data)
-
-
 def test_interrupted_cache_write_leaves_no_entry(skel_dir):
-    with torn_writes(), pytest.raises(OSError, match="killed midway"):
-        load_pretrain_samples(skel_dir, seed=1)
+    with torn_writes(), pytest.warns(UserWarning, match="killed midway"):
+        torn = load_pretrain_samples(skel_dir, seed=1)
     assert os.listdir(skel_dir / ".simcache") == []
-    loaded = load_pretrain_samples(skel_dir, seed=1)
-    fresh = load_pretrain_samples(skel_dir, seed=1, cache=False)
-    for a, b in zip(loaded, fresh):
-        assert np.array_equal(a.series.data, b.series.data)
+    fresh = fresh_load(skel_dir, seed=1)
+    assert_same_samples(torn, fresh)
+    assert_same_samples(load_pretrain_samples(skel_dir, seed=1), fresh)
 
 
 def settle_index(d, after_ns=10**10, pattern="*.skel"):
@@ -167,8 +149,8 @@ def test_warm_load_with_a_current_index_hashes_and_writes_nothing(skel_dir, monk
     assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in cache.iterdir()} == entries
     assert sorted(entries) == sorted(p.name for p in cache.glob("*.tsb"))  # the index is not in .simcache
     assert_same_samples(warm, cold)
-    # without the cache every file is hashed, and the index is neither read nor written
-    assert_same_samples(load_pretrain_samples(skel_dir, seed=1, cache=False), cold)
+    # copies in a new directory are each hashed, and this directory's index is neither read nor written
+    assert_same_samples(fresh_load(skel_dir, seed=1), cold)
     assert calls == ["s0.skel", "s1.skel", "s2.skel"]
     assert index_state(skel_dir) == index_before
 
@@ -188,7 +170,7 @@ def test_same_size_rewrite_with_restored_mtime_is_hashed_and_simulated_again(ske
     with pytest.warns(UserWarning, match="removed 1 entries"):  # the old content's entry
         warm = load_pretrain_samples(skel_dir, seed=1)
     assert calls == ["s0.skel"]
-    assert_same_samples(warm, load_pretrain_samples(skel_dir, seed=1, cache=False))
+    assert_same_samples(warm, fresh_load(skel_dir, seed=1))
     assert len(list((skel_dir / ".simcache").glob("*.tsb"))) == 3
     assert_index_is_current(skel_dir)
 
@@ -256,17 +238,17 @@ def test_bad_index_rows_are_hashed_again_and_rewritten(skel_dir, monkeypatch, sp
 
 def test_torn_index_write_leaves_the_old_index_or_none(skel_dir):
     index = skel_dir / datasets.HASH_INDEX
-    with torn_writes(), pytest.raises(OSError, match="killed midway"):
+    with torn_writes(), pytest.warns(UserWarning, match="killed midway"):
         load_pretrain_samples(skel_dir, seed=1)
     assert not index.exists()
     load_pretrain_samples(skel_dir, seed=1)
     old = index.read_bytes()
     formats.write_skeleton_file(skel_dir / "a.skel", make_toy_sequence(1, np.random.default_rng(9), duration=0.5))
-    with torn_writes(), pytest.raises(OSError, match="killed midway"):
+    with torn_writes(), pytest.warns(UserWarning, match="killed midway"):
         load_pretrain_samples(skel_dir, seed=1)
     assert index.read_bytes() == old
     assert not list(skel_dir.rglob("*.tmp"))
-    assert_same_samples(load_pretrain_samples(skel_dir, seed=1), load_pretrain_samples(skel_dir, seed=1, cache=False))
+    assert_same_samples(load_pretrain_samples(skel_dir, seed=1), fresh_load(skel_dir, seed=1))
     assert_index_is_current(skel_dir)
 
 
@@ -391,7 +373,7 @@ def test_eval_dataset_device_count_mismatch(manifest_dir):
 
 
 # ---------------------------------------------------------------------------
-# the .tscache of parsed evaluation recordings
+# the .simcache entries of parsed evaluation recordings
 # ---------------------------------------------------------------------------
 
 
@@ -424,7 +406,7 @@ def load_eval(manifest):
 
 
 def parsed(manifest, monkeypatch):
-    """load_eval_dataset with no recording cache: every recording parsed, nothing written."""
+    """load_eval_dataset with no cache: every recording parsed, nothing written."""
     with monkeypatch.context() as mp:
         mp.setattr(datasets, "_recording_entries", lambda paths, failures: {})
         return load_eval(manifest)
@@ -440,7 +422,7 @@ def assert_same_windows(a, b):
 
 
 def entry_state(d):
-    cache = d / datasets.RECORDING_CACHE
+    cache = d / ".simcache"
     return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in cache.iterdir()} if cache.exists() else {}
 
 
@@ -460,22 +442,22 @@ def count_reads(monkeypatch):
 def test_recording_cache_serves_the_parse_byte_for_byte(rec_dir, monkeypatch):
     manifest = rec_dir / "all.tsv"
     expected = parsed(manifest, monkeypatch)
-    assert not (rec_dir / datasets.RECORDING_CACHE).exists() and not (rec_dir / datasets.HASH_INDEX).exists()
+    assert not (rec_dir / ".simcache").exists() and not (rec_dir / datasets.HASH_INDEX).exists()
     cold = load_eval(manifest)
     entries = entry_state(rec_dir)
     digests = [file_hash(rec_dir / f"r{i}.ts") for i in range(4)]
-    assert sorted(entries) == sorted(f"v{datasets.READER_VERSION}_{d}.tsb" for d in digests)
+    assert sorted(entries) == sorted(f"v{datasets.CACHE_VERSION}_{d}.tsb" for d in digests)
     for i, digest in enumerate(digests):  # an entry is the binary form of its recording
         text = formats.read_timeseries_file(rec_dir / f"r{i}.ts")
         formats.write_timeseries_file(rec_dir / "x.tsb", text, binary=True)
-        assert entries[f"v{datasets.READER_VERSION}_{digest}.tsb"][0] == (rec_dir / "x.tsb").read_bytes()
+        assert entries[f"v{datasets.CACHE_VERSION}_{digest}.tsb"][0] == (rec_dir / "x.tsb").read_bytes()
     os.remove(rec_dir / "x.tsb")
     settle_index(rec_dir, pattern="*.ts")
     index_before = index_state(rec_dir)
     hashes, reads = count_hashes(monkeypatch), count_reads(monkeypatch)
     warm = load_eval(manifest)
     assert hashes == []
-    assert reads == [str(rec_dir / datasets.RECORDING_CACHE / f"v{datasets.READER_VERSION}_{d}.tsb") for d in digests]
+    assert reads == [str(rec_dir / ".simcache" / f"v{datasets.CACHE_VERSION}_{d}.tsb") for d in digests]
     assert index_state(rec_dir) == index_before and entry_state(rec_dir) == entries
     assert_same_windows(cold, expected)
     assert_same_windows(warm, expected)
@@ -493,7 +475,7 @@ def test_binary_recordings_get_no_entry(rec_dir, monkeypatch):
     assert_same_windows(load_eval(manifest), expected)
     assert_same_windows(load_eval(manifest), expected)
     assert hashes == []
-    assert not (rec_dir / datasets.RECORDING_CACHE).exists() and not (rec_dir / datasets.HASH_INDEX).exists()
+    assert not (rec_dir / ".simcache").exists() and not (rec_dir / datasets.HASH_INDEX).exists()
 
 
 def test_recording_rewritten_with_restored_stat_is_parsed_again(rec_dir, monkeypatch):
@@ -509,27 +491,12 @@ def test_recording_rewritten_with_restored_stat_is_parsed_again(rec_dir, monkeyp
     os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
     assert (path.stat().st_size, path.stat().st_mtime_ns, path.stat().st_ino) == (st.st_size, st.st_mtime_ns, st.st_ino)
     hashes, reads = count_hashes(monkeypatch), count_reads(monkeypatch)
-    with pytest.warns(UserWarning, match="removed 1 entries that no current recording maps to"):
+    with pytest.warns(UserWarning, match="removed 1 entries that no current file maps to"):
         warm = windows_of(manifest)
     assert hashes == ["r1.ts"] and str(path) in reads
     assert_same_windows(warm, parsed(manifest, monkeypatch))
-    assert f"v{datasets.READER_VERSION}_{file_hash(path)}.tsb" in entry_state(rec_dir)
+    assert f"v{datasets.CACHE_VERSION}_{file_hash(path)}.tsb" in entry_state(rec_dir)
     assert len(entry_state(rec_dir)) == 4
-
-
-def test_recording_cache_serves_no_entry_of_another_reader_version(rec_dir, monkeypatch):
-    manifest = rec_dir / "all.tsv"
-    load_eval(manifest)
-    old = entry_state(rec_dir)
-    monkeypatch.setattr(datasets, "READER_VERSION", datasets.READER_VERSION + 1)
-    reads = count_reads(monkeypatch)
-    with pytest.warns(UserWarning, match="removed 4 entries"):
-        again = windows_of(manifest)
-    assert sorted(reads) == sorted(str(rec_dir / f"r{i}.ts") for i in range(4))
-    new = entry_state(rec_dir)
-    assert len(new) == 4 and not set(new) & set(old)
-    assert all(name.startswith(f"v{datasets.READER_VERSION}_") for name in new)
-    assert_same_windows(again, parsed(manifest, monkeypatch))
 
 
 def test_two_manifests_over_one_directory_evict_nothing_of_each_other(rec_dir, monkeypatch):
@@ -546,19 +513,82 @@ def test_two_manifests_over_one_directory_evict_nothing_of_each_other(rec_dir, m
     assert hashes == [] and entry_state(rec_dir) == entries and index_state(rec_dir) == index_before
 
 
-def test_orphaned_recording_entries_are_removed(rec_dir):
-    manifest = rec_dir / "first.tsv"
-    load_eval(rec_dir / "all.tsv")
-    cache = rec_dir / datasets.RECORDING_CACHE
-    gone = f"v{datasets.READER_VERSION}_{file_hash(rec_dir / 'r3.ts')}.tsb"
-    os.remove(rec_dir / "r3.ts")
-    (cache / f"v0_{file_hash(rec_dir / 'r0.ts')}.tsb").write_bytes(b"UMTS")  # another reader version
+# ---------------------------------------------------------------------------
+# both loaders: one cache, one eviction rule, one write-failure policy
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(params=["skeletons", "recordings"])
+def loader(request, skel_dir, rec_dir, monkeypatch):
+    """One loader over its directory of sources.
+
+    load() reads through the cache, reference() gives the same result
+    without it, other() loads some of the same files in another way (the
+    skeletons at another rate; the first half of the recordings), and
+    same(a, b) asserts two results equal.
+    """
+    if request.param == "skeletons":
+        return types.SimpleNamespace(
+            dir=skel_dir, pattern="*.skel", same=assert_same_samples,
+            load=functools.partial(load_pretrain_samples, skel_dir, seed=1),
+            reference=functools.partial(fresh_load, skel_dir, seed=1),
+            other=functools.partial(load_pretrain_samples, skel_dir, fs=10.0, seed=1),
+        )
+    return types.SimpleNamespace(
+        dir=rec_dir, pattern="*.ts", same=assert_same_windows,
+        load=functools.partial(windows_of, rec_dir / "all.tsv"),
+        reference=lambda: parsed(rec_dir / "all.tsv", monkeypatch),
+        other=functools.partial(windows_of, rec_dir / "first.tsv"),
+    )
+
+
+def test_cache_serves_no_entry_of_another_version(loader, monkeypatch):
+    loader.load()
+    old = set(os.listdir(loader.dir / ".simcache"))
+    monkeypatch.setattr(datasets, "CACHE_VERSION", datasets.CACHE_VERSION + 1)
+    reads = count_reads(monkeypatch)
+    with pytest.warns(UserWarning, match=f"removed {len(old)} entries that no current file maps to"):
+        again = loader.load()
+    assert not [path for path in reads if ".simcache" in path]
+    new = set(os.listdir(loader.dir / ".simcache"))
+    assert len(new) == len(old) and not new & old
+    assert all(name.startswith(f"v{datasets.CACHE_VERSION}_") for name in new)
+    loader.same(again, loader.reference())
+
+
+def test_orphaned_entries_are_removed(loader):
+    cache = loader.dir / ".simcache"
+    loader.load()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a current file's entries under other inputs, or outside this load, stay
+        loader.other()
+    first, *_, last = sorted(loader.dir.glob(loader.pattern))
+    gone = {name for name in os.listdir(cache) if name.startswith(f"v{datasets.CACHE_VERSION}_{file_hash(last)}")}
+    kept = set(os.listdir(cache)) - gone
+    assert gone and kept
+    os.remove(last)
+    digest = file_hash(first)
+    (cache / f"v0_{digest}.tsb").write_bytes(b"UMTS")  # another version
+    (cache / f"{digest}_i0_fs20.0_sa0.05_sg0.005_seed1_g0.tsb").write_bytes(b"UMTS")  # no version head
     (cache / "stray.tmp").write_bytes(b"")  # not an entry: kept
-    with pytest.warns(UserWarning, match="removed 2 entries that no current recording maps to") as caught:
-        windows_of(manifest)
+    with pytest.warns(UserWarning, match=f"removed {len(gone) + 2} entries that no current file maps to") as caught:
+        loader.other()
     assert len(caught) == 1
-    names = set(os.listdir(cache))
-    assert gone not in names and "stray.tmp" in names and len(names) == 4  # r2, which still exists, keeps its entry
+    assert set(os.listdir(cache)) == kept | {"stray.tmp"}
+
+
+def test_file_named_with_a_tab_keeps_its_entry(skel_dir):
+    # such a name can have no index row: its entry is kept for the digest this load computed
+    os.rename(skel_dir / "s1.skel", skel_dir / "a\tb.skel")
+    cold = load_pretrain_samples(skel_dir, seed=1)
+    entries = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in (skel_dir / ".simcache").iterdir()}
+    assert len(entries) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            assert_same_samples(load_pretrain_samples(skel_dir, seed=1), cold)
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in (skel_dir / ".simcache").iterdir()} == entries
+    assert "a\tb" not in (skel_dir / datasets.HASH_INDEX).read_text()
 
 
 def refuse_write(*args, **kwargs):
@@ -566,38 +596,34 @@ def refuse_write(*args, **kwargs):
 
 
 @pytest.mark.parametrize("how", ["no-cache-dir", "no-writes"])
-def test_unwritable_recording_cache_still_loads_with_one_warning(rec_dir, monkeypatch, how):
-    manifest = rec_dir / "all.tsv"
-    expected = parsed(manifest, monkeypatch)
+def test_unwritable_cache_still_loads_with_one_warning(loader, monkeypatch, how):
+    # chmod does not stop root, so the refusals are patched in
+    expected = loader.reference()
+    cache = loader.dir / ".simcache"
     if how == "no-cache-dir":
         monkeypatch.setattr(datasets.os, "mkdir", refuse_write)
     else:
-        (rec_dir / datasets.RECORDING_CACHE).mkdir()
-        (rec_dir / datasets.RECORDING_CACHE / "v0_000000000000.tsb").write_bytes(b"")  # an orphan it cannot remove
+        cache.mkdir()
+        (cache / "v0_000000000000.tsb").write_bytes(b"")  # an orphan it cannot remove
         monkeypatch.setattr(formats, "write_atomic", refuse_write)
         monkeypatch.setattr(datasets.os, "remove", refuse_write)
     for _ in range(2):
-        with pytest.warns(UserWarning, match="cannot write the recording cache") as caught:
-            out = windows_of(manifest)
-        assert len([w for w in caught if "recording cache" in str(w.message)]) == 1
-        assert_same_windows(out, expected)
-    assert not (rec_dir / datasets.HASH_INDEX).exists()
-    left = [p.name for p in rec_dir.glob(".tscache/*.tsb")]
+        with pytest.warns(UserWarning, match="cannot write the cache") as caught:
+            out = loader.load()
+        assert len([w for w in caught if "cannot write" in str(w.message)]) == 1
+        loader.same(out, expected)
+    assert not (loader.dir / datasets.HASH_INDEX).exists()
+    left = [p.name for p in cache.glob("*.tsb")]
     assert left == ([] if how == "no-cache-dir" else ["v0_000000000000.tsb"])
 
 
-@pytest.mark.parametrize("cache", [".simcache", datasets.RECORDING_CACHE])
-def test_unreadable_cache_entry_is_a_located_error(skel_dir, rec_dir, cache):
-    # both caches: an entry that fails to read is a ParseError naming it, to be deleted by hand
-    if cache == ".simcache":
-        directory, load = skel_dir, functools.partial(load_pretrain_samples, skel_dir, seed=1)
-    else:
-        directory, load = rec_dir, functools.partial(load_eval, rec_dir / "all.tsv")
-    load()
-    entry = sorted((directory / cache).glob("*.tsb"))[0]
+def test_unreadable_cache_entry_is_a_located_error(loader):
+    # an entry of either kind that fails to read is a ParseError naming it, to be deleted by hand
+    loader.load()
+    entry = sorted((loader.dir / ".simcache").glob("*.tsb"))[0]
     entry.write_bytes(entry.read_bytes()[:-3])
     with pytest.raises(ParseError) as caught:
-        load()
+        loader.load()
     assert caught.value.path == str(entry)
 
 

@@ -204,8 +204,8 @@ def test_resample_constant():
 
 
 def test_resample_ramp_exact():
-    out = resample(np.array([0.0, 1.0, 2.0, 3.0, 4.0]), 40.0, 20.0)
-    assert np.array_equal(out, [0.0, 2.0, 4.0])
+    out = resample(np.array([[0.0], [1.0], [2.0], [3.0], [4.0]]), 40.0, 20.0)
+    assert np.array_equal(out, [[0.0], [2.0], [4.0]])
 
 
 def test_resample_same_rate_identity():
