@@ -24,6 +24,7 @@ version, CRC and that the stored skeleton hash matches the stored skeleton.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -140,13 +141,15 @@ def load_checkpoint(path):
     params = {}
     count = rd.u32()
     for _ in range(count):
-        name = rd.take(rd.u32()).decode("utf-8")
+        try:
+            name = rd.take(rd.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptCheckpoint(f"parameter name is not UTF-8: {exc}") from exc
         rank = rd.u32()
         if rank > 8:
             raise CorruptCheckpoint(f"implausible tensor rank {rank}")
         shape = tuple(rd.u32() for _ in range(rank))
-        n_values = int(np.prod(shape)) if shape else 1
-        raw = rd.take(8 * n_values)
+        raw = rd.take(8 * math.prod(shape))  # Python ints: a huge shape cannot wrap around to a small size
         params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
     if rd.pos != len(rd.data):
         raise CorruptCheckpoint(f"{len(rd.data) - rd.pos} trailing bytes after parameters")

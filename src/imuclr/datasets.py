@@ -1,7 +1,11 @@
 """Disk-backed dataset assembly for the command-line pipeline.
 
 Pre-training data is a directory of skeleton motion files, simulated on
-first use, each from its own content. Evaluation data is described by a
+first use, each from its own content. A load with two or more files to
+simulate hands them to a pool of forked worker processes, one per usable
+CPU, started by the first such load and kept until the interpreter exits
+(see _submit); the results are byte-identical to an in-process load.
+Evaluation data is described by a
 manifest referencing per-device recordings, which are parsed, unit-scaled,
 resampled to the model rate, assigned to skeleton joints and cut into
 windows; a warning reports the tail frames the windows leave out.
@@ -16,8 +20,10 @@ handle a cache they cannot write the same way (see _open_cache, _cached).
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -151,6 +157,107 @@ def _warn_unwritable(source, failures):
         )
 
 
+_pool = None  # the process-wide ProcessPoolExecutor of _simulate_file, or None (see _submit)
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _drop_pool():
+    """Shut the simulation pool down, if there is one; the next load with files to simulate starts another."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None:
+        atexit.unregister(_drop_pool)
+        pool.shutdown(cancel_futures=True)
+
+
+def _submit(jobs):
+    """{path: future of _simulate_file(*job)} for jobs (path first), or {} when they are to run in-process.
+
+    Two or more jobs go to the process-wide pool: a ProcessPoolExecutor with
+    the fork start method and one worker per usable CPU, started by the
+    first such call and shut down at interpreter exit. Its workers keep the
+    module code they were forked with. The jobs run in-process when there
+    are fewer than two, one usable CPU, no fork start method, or CPython
+    3.12 or later, which deprecates forking a process that has threads
+    (BLAS's among them). A pool found broken is dropped, and the jobs run
+    in-process.
+    """
+    global _pool
+    if len(jobs) < 2 or _usable_cpus() < 2 or sys.version_info >= (3, 12):
+        return {}
+    import multiprocessing  # here, not at the top: a warm load never pays for these imports
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    if _pool is None:
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return {}
+        _pool = ProcessPoolExecutor(_usable_cpus(), multiprocessing.get_context("fork"), _die_with_parent)
+        atexit.register(_drop_pool)
+    try:
+        return {job[0]: _pool.submit(_simulate_file, *job) for job in jobs}
+    except BrokenProcessPool:
+        _drop_pool()
+        return {}
+
+
+def _die_with_parent():
+    """Pool worker initializer: on Linux, the kernel kills the worker when the thread that forked it exits.
+
+    So the worker dies with its process, even one killed by a signal, which
+    would otherwise leave it blocked forever on its empty task queue. A pool
+    whose workers died so is found broken and replaced.
+    """
+    import ctypes
+    import signal
+
+    try:
+        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
+    except (AttributeError, OSError):  # no prctl: not Linux
+        pass
+
+
+def _simulate_file(path, digest, fs, noise, seed, gravity):
+    """Read and simulate one skeleton file: ((data bytes, shape) or None, warnings caught, exception or None).
+
+    The noise is seeded with [seed, digest]. The body of a pool worker and
+    of an in-process load alike; load_pretrain_samples rebuilds the series
+    and re-issues the warnings. A NonFinite simulation is a ParseError
+    naming path.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            seq = formats.read_skeleton_file(path)
+            rng = np.random.default_rng([seed, int(digest, 16)])
+            data = simulate_sequence(seq, noise=noise, target_fs=fs, rng=rng, gravity=gravity).data
+            result, error = (data.tobytes(), data.shape), None
+        except NonFinite as exc:
+            result, error = None, ParseError(str(exc), path=path)
+        except Exception as exc:  # handed to the caller, which raises it in file order
+            result, error = None, exc
+    return result, [w.message for w in caught], error
+
+
+def _outcome(future, job):
+    """future's result; _simulate_file(*job)'s when there is no future or its pool broke, which drops the pool."""
+    if future is not None:
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            return future.result()
+        except BrokenProcessPool:
+            _drop_pool()
+    return _simulate_file(*job)
+
+
 def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, num_joints=None):
     """One PretrainSample per skeleton file of data_dir, in sorted name order.
 
@@ -159,11 +266,14 @@ def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, 
     whose header gives another joint count is a ParseError naming it, found
     from the headers alone before any simulation and any write. A file's
     noise is seeded with the run seed and the file's content hash, so its
-    simulation depends on that file alone. Results are kept under
-    data_dir/.simcache, keyed by exactly the simulation's inputs:
-    CACHE_VERSION, content hash, rate, noise levels, seed and gravity (see
-    _open_cache for eviction). When the cache cannot be written, the load
-    goes on, with one warning.
+    simulation depends on that file alone, and files are simulated in a
+    pool of worker processes when there are several (see _submit). Each
+    file's warnings are re-issued here and its entry written in sorted name
+    order; the first file that fails raises its error, after the entries of
+    the files before it. Results are kept under data_dir/.simcache, keyed
+    by exactly the simulation's inputs: CACHE_VERSION, content hash, rate,
+    noise levels, seed and gravity (see _open_cache for eviction). When the
+    cache cannot be written, the load goes on, with one warning.
     """
     if noise is None:
         noise = NoiseParams()
@@ -174,29 +284,34 @@ def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, 
     digests, rows, index = _indexed_hashes(data_dir, skel_files, set(present))
     inputs = f"_fs{fs!r}_sa{noise.sigma_accel!r}_sg{noise.sigma_gyro!r}_seed{seed}_g{int(gravity)}{BINARY_EXT}"
     entries = [_entry(data_dir, digest, inputs) for digest in digests]
-    for name, entry in zip(skel_files, entries):
-        if num_joints is None or os.path.exists(entry):
-            continue
-        path = os.path.join(data_dir, name)
-        v = formats.read_skeleton_header(path)[0]
-        if v != num_joints:
-            raise ParseError(f"sequence {name[: -len(SKELETON_EXT)]!r} has {v} joints, skeleton has {num_joints}",
-                             path=path)
+    jobs = [(os.path.join(data_dir, n), digest, fs, noise, seed, gravity) for n, digest in zip(skel_files, digests)]
+    todo = [job for job, entry in zip(jobs, entries) if not os.path.exists(entry)]
+    if num_joints is not None:
+        for path, *_ in todo:
+            v = formats.read_skeleton_header(path)[0]
+            if v != num_joints:
+                seq_id = os.path.basename(path)[: -len(SKELETON_EXT)]
+                raise ParseError(f"sequence {seq_id!r} has {v} joints, skeleton has {num_joints}", path=path)
     failures = []
     _open_cache(data_dir, rows, index, digests, failures)
+    futures = _submit(todo)
     samples = []
-    for name, digest, entry in zip(skel_files, digests, entries):
-        path = os.path.join(data_dir, name)
+    try:
+        for name, job, entry in zip(skel_files, jobs, entries):
 
-        def simulate():
-            try:
-                seq = formats.read_skeleton_file(path)
-                rng = np.random.default_rng([seed, int(digest, 16)])
-                return simulate_sequence(seq, noise=noise, target_fs=fs, rng=rng, gravity=gravity)
-            except NonFinite as exc:
-                raise ParseError(str(exc), path=path) from None
+            def simulate():
+                result, caught, error = _outcome(futures.pop(job[0], None), job)
+                for warning in caught:
+                    warnings.warn(warning, stacklevel=4)
+                if error is not None:
+                    raise error
+                data = np.frombuffer(result[0]).reshape(result[1]).copy()
+                return MotionTimeSeries(data, np.ones(data.shape[2], dtype=bool), fs)
 
-        samples.append(PretrainSample(seq_id=name[: -len(SKELETON_EXT)], series=_cached(entry, simulate, failures)))
+            samples.append(PretrainSample(seq_id=name[: -len(SKELETON_EXT)], series=_cached(entry, simulate, failures)))
+    finally:
+        for future in futures.values():  # those of the files after one that failed
+            future.cancel()
     _warn_unwritable(data_dir, failures)
     return samples
 

@@ -23,6 +23,7 @@ from .errors import (
     DimMismatch,
     DuplicateJoint,
     EmptyDataset,
+    NonFinite,
     ShapeMismatch,
     UnknownLocation,
 )
@@ -218,7 +219,9 @@ def finetune(model, train_set, labels, cfg):
     never touched. The classifier is created fresh unless the model already
     carries one. Each batch is cropped to its own shortest recording; one
     warning per call counts the batches that cropping cut below the
-    checkpoint's training window (every cropped batch when it has none).
+    checkpoint's training window (every cropped batch when it has none). A
+    NonFinite error from a step is re-raised with its epoch and step index
+    (both from 0).
     """
     if not train_set:
         raise EmptyDataset("fine-tuning needs at least one labeled sample")
@@ -238,9 +241,9 @@ def finetune(model, train_set, labels, cfg):
     y = np.array([labels.index(name) for _, name in train_set], dtype=np.intp)
     window = model.ckpt.train_window
     short_batches = num_batches = 0
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_set))
-        for start in range(0, len(order), cfg.batch_size):
+        for step, start in enumerate(range(0, len(order), cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             chosen = [train_set[i][0] for i in idx]
             batch = crop_stack(chosen)
@@ -248,12 +251,15 @@ def finetune(model, train_set, labels, cfg):
             num_batches += 1
             if any(s.num_frames > t for s in chosen) and (window is None or t < window):
                 short_batches += 1
-            emb = model.embed_batch_tensor(batch)
-            logits = ad.linear(emb, w, b)
-            loss = ad.softmax_cross_entropy(logits, y[idx])
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
+            try:
+                emb = model.embed_batch_tensor(batch)
+                logits = ad.linear(emb, w, b)
+                loss = ad.softmax_cross_entropy(logits, y[idx])
+                optimizer.zero_grad()
+                loss.backward()
+                optimizer.step()
+            except NonFinite as exc:
+                raise NonFinite(f"epoch {epoch}, step {step}: {exc}") from exc
     if short_batches:
         warnings.warn(
             f"fine-tuning cropped {short_batches} of {num_batches} batches to their shortest "

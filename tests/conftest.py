@@ -1,9 +1,11 @@
 import contextlib
+import os
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import imuclr
 from imuclr import autodiff as ad
 from imuclr.simulate import MotionTimeSeries
 from imuclr.skeleton import SkeletonStructure
@@ -17,6 +19,12 @@ def rng():
 def random_series(rng, t=8, v=4, fs=20.0):
     """Random full-mask recording for augmentation/masking tests."""
     return MotionTimeSeries(rng.standard_normal((6, t, v)), np.ones(v, dtype=bool), fs)
+
+
+def src_env():
+    """os.environ for a subprocess that imports this imuclr, installed or not."""
+    src = os.path.dirname(os.path.dirname(imuclr.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 def chain_structure(v):

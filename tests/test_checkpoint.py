@@ -1,11 +1,13 @@
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_structure, torn_writes
+from conftest import chain_structure, position, torn_writes
 from imuclr.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from imuclr.errors import CorruptCheckpoint, VersionMismatch
 from imuclr.graph_encoder import EncoderConfig
@@ -124,3 +126,49 @@ def test_loader_never_crashes_on_garbage(tmp_path_factory, blob):
         load_checkpoint(p)
     except (CorruptCheckpoint, VersionMismatch):
         pass
+
+
+def mutate_checkpoint(raw, kind, a, b):
+    """raw with one fault before its CRC32, which is then recomputed; a, b in [0, 1) pick the bytes or bit.
+
+    A deletion or duplication covers 1 to 8 bytes; a swap exchanges two bytes
+    of the JSON header.
+    """
+    body = raw[:-4]
+    i, n = int(a * len(body)), 1 + int(b * 8)
+    if kind == "bitflip":
+        body = body[:i] + bytes([body[i] ^ (1 << int(b * 8))]) + body[i + 1 :]
+    elif kind == "truncate":
+        body = body[:i]
+    elif kind == "delete":
+        body = body[:i] + body[i + n :]
+    elif kind == "duplicate":
+        body = body[: i + n] + body[i : i + n] + body[i + n :]
+    else:
+        start, length = 16, struct.unpack("<I", body[12:16])[0]
+        j, k = start + int(a * length), start + int(b * length)
+        out = bytearray(body)
+        out[j], out[k] = body[k], body[j]
+        body = bytes(out)
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+@given(
+    labels=st.booleans(),
+    mutation=st.tuples(st.sampled_from(["bitflip", "truncate", "delete", "duplicate", "swap"]), position, position),
+)
+@settings(max_examples=500, deadline=None)
+def test_mutated_checkpoint_loads_or_raises_corrupt(tmp_path_factory, labels, mutation):
+    # the CRC32 is recomputed, so every mutant reaches the parser behind it
+    ckpt = sample_checkpoint()
+    if not labels:
+        ckpt = Checkpoint(ckpt.config, ckpt.structure, ckpt.sample_rate, ckpt.params)
+    p = tmp_path_factory.mktemp("mut") / "m.ckpt"
+    save_checkpoint(p, ckpt)
+    p.write_bytes(mutate_checkpoint(p.read_bytes(), *mutation))
+    try:
+        back = load_checkpoint(p)
+    except (CorruptCheckpoint, VersionMismatch):
+        return
+    assert isinstance(back, Checkpoint)
+    assert all(isinstance(v, np.ndarray) and v.dtype == np.float64 for v in back.params.values())

@@ -1,10 +1,12 @@
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import torn_writes
+from conftest import src_env, torn_writes
 from imuclr import formats
 from imuclr.checkpoint import load_checkpoint
 from imuclr.cli import main
@@ -208,6 +210,15 @@ def test_pretrain_on_an_unwritable_data_directory_trains_with_one_warning(worksp
     assert len([w for w in caught if "cannot write" in str(w.message)]) == 1
     assert workspace["model"].exists()
     assert os.listdir(workspace["skel_dir"] / ".simcache") == []
+
+
+def test_cold_pretrain_process_exits_with_its_workers_and_prints_nothing_at_exit(workspace):
+    # run() reads the pipes to EOF: a simulation worker that outlived the command would still hold them open
+    out = subprocess.run([sys.executable, "-m", "imuclr.cli", *pretrain_args(workspace)], env=src_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    assert len(list((workspace["skel_dir"] / ".simcache").glob("*.tsb"))) == 4
 
 
 def test_torn_report_write_keeps_previous_file(workspace, capsys):

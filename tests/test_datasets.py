@@ -1,18 +1,24 @@
 import functools
+import multiprocessing
 import os
+import pathlib
 import shutil
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 import types
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import chain_structure, torn_writes
+from conftest import chain_structure, src_env, torn_writes
 from imuclr import datasets, formats
 from imuclr.datasets import file_hash, load_eval_dataset, load_pretrain_samples
 from imuclr.errors import ParseError, ShapeMismatch
-from imuclr.simulate import MotionTimeSeries, NoiseParams
+from imuclr.simulate import MotionTimeSeries, NoiseParams, simulate_sequence
 from imuclr.toy import make_toy_sequence
 
 
@@ -26,12 +32,17 @@ def skel_dir(tmp_path):
     return d
 
 
+def copy_skeletons(skel_dir):
+    """A new directory beside skel_dir holding copies of its .skel files."""
+    fresh = pathlib.Path(tempfile.mkdtemp(dir=skel_dir.parent))
+    for path in skel_dir.glob("*.skel"):
+        shutil.copyfile(path, fresh / path.name)
+    return fresh
+
+
 def fresh_load(skel_dir, **kwargs):
     """load_pretrain_samples of copies of skel_dir's .skel files in a new directory: each file hashed and simulated."""
-    fresh = tempfile.mkdtemp(dir=skel_dir.parent)
-    for path in skel_dir.glob("*.skel"):
-        shutil.copyfile(path, os.path.join(fresh, path.name))
-    return load_pretrain_samples(fresh, **kwargs)
+    return load_pretrain_samples(copy_skeletons(skel_dir), **kwargs)
 
 
 def test_load_from_skeletons_and_cache(skel_dir):
@@ -645,3 +656,202 @@ def test_skeleton_and_recording_loaders_keep_each_others_rows_and_entries(skel_d
         load_pretrain_samples(skel_dir, seed=1)
     assert hashes == []
     assert (index_state(skel_dir), entry_state(skel_dir), sorted(os.listdir(skel_dir / ".simcache"))) == state
+
+
+# ---------------------------------------------------------------------------
+# the pool of simulation workers
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """No simulation pool before or after the test, so a pool the test starts forks from its patched code.
+
+    The pool counts two usable CPUs, so it starts on a one-CPU host too.
+    """
+    datasets._drop_pool()
+    monkeypatch.setattr(datasets, "_usable_cpus", lambda: 2)
+    yield
+    datasets._drop_pool()
+
+
+def in_process(monkeypatch):
+    """From now on, load_pretrain_samples simulates in-process, as on a one-CPU host."""
+    monkeypatch.setattr(datasets, "_usable_cpus", lambda: 1)
+
+
+def cache_bytes(d):
+    return [(p.name, p.read_bytes()) for p in sorted((d / ".simcache").iterdir())]
+
+
+def pooled():
+    """Whether this interpreter can hand simulations to forked workers (see datasets._submit)."""
+    return sys.version_info < (3, 12) and "fork" in multiprocessing.get_all_start_methods()
+
+
+needs_pool = pytest.mark.skipif(not pooled(), reason="no forked simulation workers on this interpreter")
+pooled_or_not = pytest.mark.parametrize(
+    "pool", [pytest.param(True, marks=needs_pool, id="pooled"), pytest.param(False, id="in-process")]
+)
+
+
+@needs_pool
+def test_pooled_cold_load_equals_an_in_process_one(skel_dir, fresh_pool, monkeypatch):
+    noise = NoiseParams(0.05, 0.005)
+    pool_dir, serial_dir = copy_skeletons(skel_dir), copy_skeletons(skel_dir)
+    pool = load_pretrain_samples(pool_dir, fs=20.0, noise=noise, seed=4)
+    assert datasets._pool is not None and len(multiprocessing.active_children()) == 2
+    in_process(monkeypatch)
+    serial = load_pretrain_samples(serial_dir, fs=20.0, noise=noise, seed=4)
+    assert [s.seq_id for s in pool] == [s.seq_id for s in serial] == ["s0", "s1", "s2"]
+    for a, b in zip(pool, serial):
+        path = serial_dir / f"{a.seq_id}.skel"
+        rng = np.random.default_rng([4, int(file_hash(path), 16)])
+        direct = simulate_sequence(formats.read_skeleton_file(path), noise=noise, target_fs=20.0, rng=rng)
+        assert a.series.data.tobytes() == b.series.data.tobytes() == direct.data.tobytes(), a.seq_id
+        assert np.array_equal(a.series.mask, b.series.mask) and a.series.sample_rate == b.series.sample_rate
+    assert cache_bytes(pool_dir) == cache_bytes(serial_dir)
+    assert len(cache_bytes(pool_dir)) == 3
+
+
+def write_frames(path, *quaternions, x=0.0):
+    """A one-joint .skel file at 20 Hz at rest at (x, 0, 0), one frame per quaternion (w first)."""
+    lines = [f"{x!r} 0 0 {' '.join(map(repr, q))}\n" for q in quaternions]
+    path.write_text(f"1 {len(lines)} 20\n" + "".join(lines))
+
+
+@pooled_or_not
+def test_off_norm_quaternions_warn_once_each_in_file_order_through_the_callers_filters(tmp_path, fresh_pool,
+                                                                                      monkeypatch, pool):
+    if not pool:
+        in_process(monkeypatch)
+    good, off = (1.0, 0.0, 0.0, 0.0), (1.5, 0.0, 0.0, 0.0)
+    for d in (tmp_path / "record", tmp_path / "error"):
+        d.mkdir()
+        write_frames(d / "a.skel", good, good, good, good)
+        write_frames(d / "b.skel", good, off, good, good)
+        write_frames(d / "c.skel", good, good, good, good, x=1.0)
+        write_frames(d / "d.skel", off, off, good, good)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_pretrain_samples(tmp_path / "record")
+    warned = [str(w.message).split(":")[0] for w in caught]
+    assert warned == [str(tmp_path / "record" / name) for name in ("b.skel", "d.skel")]
+    assert "on 1 of 4 frame lines" in str(caught[0].message) and "on 2 of 4 frame lines" in str(caught[1].message)
+    assert {w.filename for w in caught} == {__file__}  # issued in the caller, whose filters apply
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="b.skel:3: quaternion norm outside"):
+            load_pretrain_samples(tmp_path / "error")
+    entries = [name for name, _ in cache_bytes(tmp_path / "error")]
+    first = file_hash(tmp_path / "error" / "a.skel")
+    assert len(entries) == 1 and entries[0].startswith(f"v{datasets.CACHE_VERSION}_{first}_")
+
+
+@pooled_or_not
+def test_first_failing_file_in_name_order_raises_after_the_entries_before_it(tmp_path, fresh_pool, monkeypatch, pool):
+    # b and d overflow the second derivative at 20 Hz; a and c simulate
+    if not pool:
+        in_process(monkeypatch)
+    d = tmp_path / "skel"
+    d.mkdir()
+    still = "0 0 0 1 0 0 0\n"
+    for name, jump in (("a", "1"), ("b", "1e307"), ("c", "2"), ("d", "1e307")):
+        (d / f"{name}.skel").write_text("1 4 20\n" + still + f"{jump} 0 0 1 0 0 0\n" + still * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="overflow") as caught:
+            load_pretrain_samples(d, seed=0)
+    assert caught.value.path == str(d / "b.skel")
+    entries = [name for name, _ in cache_bytes(d)]
+    assert len(entries) == 1 and entries[0].startswith(f"v{datasets.CACHE_VERSION}_{file_hash(d / 'a.skel')}_")
+
+
+@needs_pool
+def test_a_killed_worker_leaves_the_load_whole_and_the_next_cold_load_gets_a_fresh_pool(skel_dir, fresh_pool,
+                                                                                         monkeypatch):
+    parent, real = os.getpid(), formats.read_skeleton_file
+
+    def killed_in_a_worker_on_s1(path):
+        if os.getpid() != parent and path.endswith("s1.skel"):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(path)
+
+    reference = copy_skeletons(skel_dir)
+    in_process(monkeypatch)
+    expected = load_pretrain_samples(reference, seed=1)
+    monkeypatch.setattr(datasets, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(formats, "read_skeleton_file", killed_in_a_worker_on_s1)
+    killed = copy_skeletons(skel_dir)
+    samples = load_pretrain_samples(killed, seed=1)
+    assert [a.series.data.tobytes() for a in samples] == [b.series.data.tobytes() for b in expected]
+    assert cache_bytes(killed) == cache_bytes(reference)
+    assert datasets._pool is None and not multiprocessing.active_children()  # the broken pool was dropped
+    monkeypatch.setattr(formats, "read_skeleton_file", real)
+    assert_same_samples(fresh_load(skel_dir, seed=1), expected)
+    assert datasets._pool is not None and len(multiprocessing.active_children()) == 2
+
+
+def test_warm_loads_and_one_file_to_simulate_start_no_process(skel_dir, fresh_pool):
+    (skel_dir / "s2.skel").rename(skel_dir.parent / "s2.skel")
+    load_pretrain_samples(skel_dir, seed=1)  # two files to simulate
+    datasets._drop_pool()
+    load_pretrain_samples(skel_dir, seed=1)  # none
+    (skel_dir.parent / "s2.skel").rename(skel_dir / "s2.skel")
+    load_pretrain_samples(skel_dir, seed=1)  # one
+    single = skel_dir.parent / "single"
+    single.mkdir()
+    shutil.copyfile(skel_dir / "s0.skel", single / "s0.skel")
+    load_pretrain_samples(single, seed=2)  # one
+    assert datasets._pool is None and not multiprocessing.active_children()
+
+
+@needs_pool
+def test_workers_keep_the_module_code_they_were_forked_with(skel_dir, fresh_pool, monkeypatch):
+    expected = fresh_load(skel_dir, seed=1)
+    real = datasets.simulate_sequence
+
+    def doubled(*args, **kwargs):
+        series = real(*args, **kwargs)
+        return MotionTimeSeries(2.0 * series.data, series.mask, series.sample_rate)
+
+    monkeypatch.setattr(datasets, "simulate_sequence", doubled)
+    assert_same_samples(fresh_load(skel_dir, seed=1), expected)  # the pool's workers predate the patch
+    datasets._drop_pool()
+    patched = fresh_load(skel_dir, seed=1)  # fresh workers, forked with it
+    for a, b in zip(patched, expected):
+        assert np.array_equal(a.series.data, 2.0 * b.series.data), a.seq_id
+
+
+def running(pid):
+    """Whether pid names a process that is neither gone nor a zombie (Linux /proc)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@needs_pool
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the parent-death signal is Linux's")
+def test_workers_die_with_a_parent_killed_by_a_signal(skel_dir):
+    # without the parent-death signal they would wait forever on their task queue
+    code = (
+        "import multiprocessing, sys; from imuclr import datasets; datasets._usable_cpus = lambda: 2; "
+        "datasets.load_pretrain_samples(sys.argv[1]); "
+        "print(*[p.pid for p in multiprocessing.active_children()], flush=True); sys.stdin.read()"
+    )
+    parent = subprocess.Popen([sys.executable, "-c", code, str(skel_dir)], env=src_env(), text=True,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    try:
+        workers = [int(pid) for pid in parent.stdout.readline().split()]
+    finally:
+        parent.kill()
+        parent.wait(timeout=60)
+    deadline = time.monotonic() + 30
+    while any(map(running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors = [pid for pid in workers if running(pid)]
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    assert len(workers) == 2 and not survivors

@@ -13,6 +13,7 @@ from imuclr.errors import (
     DimMismatch,
     DuplicateJoint,
     EmptyDataset,
+    NonFinite,
     ShapeMismatch,
     UnknownLocation,
 )
@@ -250,6 +251,27 @@ def test_finetune_crops_each_batch_to_its_own_shortest_recording():
     unknown_window = Model(replace(tiny_checkpoint(), train_window=None))
     with pytest.warns(UserWarning, match=r"cropped 2 of 4 batches .* training window \(None\)"):
         finetune(unknown_window, train, labels, FinetuneConfig(epochs=2, lr=1e-3, batch_size=4))
+
+
+def test_non_finite_step_names_its_epoch_and_step():
+    # 4 recordings in batches of 2 make 2 steps an epoch, so the third batch is epoch 1, step 0
+    model = Model(tiny_checkpoint())
+    labels = LabelSet(names=("a", "b"))
+    train = [(series_of(-1.0), "a"), (series_of(1.0), "b")] * 2
+    calls = []
+    embed = model.embed_batch_tensor
+
+    def embed_failing_third(batch):
+        calls.append(batch.shape)
+        emb = embed(batch)
+        if len(calls) == 3:  # a NaN embedding batch, so the loss's own check names the logits' shape
+            emb = Tensor(np.full(emb.shape, np.nan))
+        return emb
+
+    model.embed_batch_tensor = embed_failing_third
+    with pytest.raises(NonFinite, match=r"^epoch 1, step 0: softmax_cross_entropy input of shape \(2, 2\) contains"):
+        finetune(model, train, labels, FinetuneConfig(epochs=2, lr=1e-3, batch_size=2))
+    assert len(calls) == 3
 
 
 def test_finetune_does_not_touch_temperature():
