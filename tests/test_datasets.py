@@ -144,6 +144,22 @@ def assert_same_samples(a, b):
         assert np.array_equal(x.series.data, y.series.data), x.seq_id
 
 
+def test_warm_arrays_are_writable_own_their_memory_and_equal_the_cold_ones(skel_dir):
+    cold = load_pretrain_samples(skel_dir, seed=1)
+    warm = load_pretrain_samples(skel_dir, seed=1)
+    entries = sorted((skel_dir / ".simcache").glob("*.tsb"))
+    read = [formats.read_timeseries_file(p) for p in entries]
+    assert len(warm) == len(read) == 3
+    for x, y in zip(cold, warm):
+        for a, b in ((x.series.data, y.series.data), (x.series.mask, y.series.mask)):
+            assert (a.shape, a.dtype, a.flags.c_contiguous) == (b.shape, b.dtype, b.flags.c_contiguous)
+            assert a.tobytes() == b.tobytes()
+    for series in [s.series for s in warm] + read:
+        for a in (series.data, series.mask):
+            assert a.flags.writeable and a.flags.owndata and a.base is None
+        series.data[0, 0, 0] += 1.0  # no read-only view of the file's bytes
+
+
 def test_warm_load_with_a_current_index_hashes_and_writes_nothing(skel_dir, monkeypatch):
     cold = load_pretrain_samples(skel_dir, seed=1)
     assert_index_is_current(skel_dir)

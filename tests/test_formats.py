@@ -1,4 +1,5 @@
 import os
+import struct
 import warnings
 
 import numpy as np
@@ -181,6 +182,74 @@ def test_timeseries_header_errors(tmp_path):
     p.write_text("1 1 20 6\n1 1\n0 0 0 0 0 0\n")  # mask width wrong
     with pytest.raises(ParseError):
         formats.read_timeseries_file(p)
+
+
+def tsb(*values, version=1, tail=b""):
+    """The bytes of a .tsb file: magic, u32 version, values as little-endian float64, then tail."""
+    return formats.TIMESERIES_MAGIC + struct.pack("<I", version) + struct.pack(f"<{len(values)}d", *values) + tail
+
+
+NAN, INF = float("nan"), float("inf")
+ONE_JOINT = (1, 1, 20, 6, 1, 0, 0, 0, 0, 0, 0)  # V=1 T=1 fs=20 C=6, visible, one frame of zeros
+TWO_JOINTS = (2, 1, 20, 6, 1, 0, 1, 2, 3, 4, 5, 6, 0, 0, 0, 0, 0, 0)  # joint 1 masked and zero
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        # the payloads of 0 to 3 values hold no whole header
+        (tsb(), "truncated or invalid binary header"),
+        (tsb(1), "truncated or invalid binary header"),
+        (tsb(1, 1), "truncated or invalid binary header"),
+        (tsb(1, 1, 20), "truncated or invalid binary header"),
+        (b"UMTS\x01\x00", "unsupported binary version -1"),
+        (tsb(*ONE_JOINT, version=2), "unsupported binary version 2"),
+        (tsb(*ONE_JOINT, tail=b"\0\0\0"), "payload is not a whole number of float64 values"),
+        (tsb(NAN, 1, 20, 6, 1, 0, 0, 0, 0, 0, 0), "truncated or invalid binary header"),
+        (tsb(1, INF, 20, 6, 1, 0, 0, 0, 0, 0, 0), "truncated or invalid binary header"),
+        (tsb(1, 1, -INF, 6, 1, 0, 0, 0, 0, 0, 0), "truncated or invalid binary header"),
+        (tsb(1, 1, 20, NAN, 1, 0, 0, 0, 0, 0, 0), "truncated or invalid binary header"),
+        (tsb(0, 1, 20, 6), "invalid binary header values V=0 T=1 fs=20.0 C=6"),
+        (tsb(1, 1, 0, 6, 1, 0, 0, 0, 0, 0, 0), "invalid binary header values V=1 T=1 fs=0.0 C=6"),
+        (tsb(1, 2, 20, 6, 1, 0, 0, 0, 0, 0, 0), "expected 17 float64 values, found 11"),
+        (tsb(1, 1, 20, 6, NAN, 0, 0, 0, 0, 0, 0), "mask and frame values must be finite"),
+        (tsb(1, 1, 20, 6, 1, 0, 0, INF, 0, 0, 0), "mask and frame values must be finite"),
+        (tsb(*TWO_JOINTS[:-1], 1e-300), "mask marks joints invisible but their channels are nonzero"),
+        # with several faults, the first check in the reader's order names the file
+        (tsb(NAN, 1, 20, 6, version=2, tail=b"\0"), "unsupported binary version 2"),
+        (tsb(NAN, 1, 20, 6, tail=b"\0"), "payload is not a whole number of float64 values"),
+        (tsb(0, NAN, 20, 6), "truncated or invalid binary header"),
+        (tsb(0, 1, 20, 6, 1), "invalid binary header values V=0 T=1 fs=20.0 C=6"),
+        (tsb(1, 2, 20, 6, NAN, 0, 0, 0, 0, 0, 0), "expected 17 float64 values, found 11"),
+        (tsb(*TWO_JOINTS[:-1], NAN), "mask and frame values must be finite"),
+    ],
+)
+def test_timeseries_binary_faults_are_located_in_check_order(tmp_path, raw, message):
+    p = tmp_path / "x.tsb"
+    p.write_bytes(raw)
+    with pytest.raises(ParseError) as caught:
+        formats.read_timeseries_file(p)
+    assert type(caught.value) is ParseError and caught.value.path == p
+    assert str(caught.value) == f"{p}: {message}"
+
+
+def test_timeseries_binary_smallest_files_read(tmp_path):
+    # one visible joint, and two with the second masked, each over one frame
+    p = tmp_path / "x.tsb"
+    for values, mask in ((ONE_JOINT, [True]), (TWO_JOINTS, [True, False])):
+        p.write_bytes(tsb(*values))
+        series = formats.read_timeseries_file(p)
+        assert series.data.shape == (6, 1, len(mask)) and series.sample_rate == 20.0
+        assert series.mask.tolist() == mask
+        assert series.data[:, 0, 0].tolist() == list(values[4 + len(mask) : 10 + len(mask)])
+
+
+def test_timeseries_unreadable_path_is_located(tmp_path):
+    for p, reason in ((tmp_path / "absent.tsb", "[Errno 2] No such file or directory"), (tmp_path, "[Errno 21] Is a directory")):
+        with pytest.raises(ParseError) as caught:
+            formats.read_timeseries_file(p)
+        assert type(caught.value) is ParseError and caught.value.path == p
+        assert str(caught.value) == f"{p}: cannot read file: {reason}: '{p}'"
 
 
 # ---------------------------------------------------------------------------
