@@ -78,8 +78,9 @@ def _indexed_hashes(data_dir, names, present):
         if tab and name in present:
             rows[name] = rest
     digests, hashed = [], False
+    base = os.path.join(data_dir, "")  # with a trailing separator: a file's path is base + name
     for name in names:
-        file_path = os.path.join(data_dir, name)
+        file_path = base + name
         st = os.stat(file_path)  # before the read: a change during it leaves the row stale
         signature = f"{st.st_size}\t{st.st_mtime_ns}\t{st.st_ctime_ns}\t{st.st_ino}\t{st.st_dev}\t"
         rest = rows.get(name, "")
@@ -100,9 +101,9 @@ def _indexed_hashes(data_dir, names, present):
     return digests, rows, text.encode("utf-8", "surrogateescape") if hashed or text != old_text else None
 
 
-def _entry(data_dir, digest, suffix):
-    """The cache entry of data_dir named by CACHE_VERSION, a content hash and suffix."""
-    return os.path.join(data_dir, ".simcache", f"v{CACHE_VERSION}_{digest}{suffix}")
+def _entry_name(digest, suffix):
+    """The name in .simcache of the entry of a file's content hash digest: CACHE_VERSION, digest, suffix."""
+    return f"v{CACHE_VERSION}_{digest}{suffix}"
 
 
 def _open_cache(data_dir, rows, index, digests, failures):
@@ -136,10 +137,18 @@ def _open_cache(data_dir, rows, index, digests, failures):
         warnings.warn(f"{cache_dir}: removed {removed} entries that no current file maps to", stacklevel=3)
 
 
-def _cached(entry, build, failures):
-    """The series of entry when it exists, else build()'s, written as entry unless None; OSErrors go to failures."""
-    if entry is not None and os.path.exists(entry):
-        return formats.read_timeseries_file(entry)
+def _cached(entry, exists, build, failures):
+    """The series of entry when exists says it is there, else build()'s, written as entry unless None.
+
+    An entry that is gone by the time it is read is built as if exists had
+    been false. OSErrors of the write go to failures.
+    """
+    if exists:
+        try:
+            return formats.read_timeseries_file(entry)
+        except ParseError:
+            if os.path.exists(entry):
+                raise
     series = build()
     if entry is not None:
         try:
@@ -283,9 +292,15 @@ def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, 
         raise ParseError(f"no {SKELETON_EXT} files", path=data_dir)
     digests, rows, index = _indexed_hashes(data_dir, skel_files, set(present))
     inputs = f"_fs{fs!r}_sa{noise.sigma_accel!r}_sg{noise.sigma_gyro!r}_seed{seed}_g{int(gravity)}{BINARY_EXT}"
-    entries = [_entry(data_dir, digest, inputs) for digest in digests]
-    jobs = [(os.path.join(data_dir, n), digest, fs, noise, seed, gravity) for n, digest in zip(skel_files, digests)]
-    todo = [job for job, entry in zip(jobs, entries) if not os.path.exists(entry)]
+    names = [_entry_name(digest, inputs) for digest in digests]
+    cache_dir = os.path.join(data_dir, ".simcache", "")  # an entry's path is cache_dir + its name
+    try:
+        listed = set(os.listdir(cache_dir))  # the one existence check of every entry
+    except OSError:  # no cache yet, or none that can be listed: every entry is built
+        listed = set()
+    base = os.path.join(data_dir, "")
+    jobs = [(base + n, digest, fs, noise, seed, gravity) for n, digest in zip(skel_files, digests)]
+    todo = [job for job, name in zip(jobs, names) if name not in listed]
     if num_joints is not None:
         for path, *_ in todo:
             v = formats.read_skeleton_header(path)[0]
@@ -297,7 +312,7 @@ def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, 
     futures = _submit(todo)
     samples = []
     try:
-        for name, job, entry in zip(skel_files, jobs, entries):
+        for skel_file, job, name in zip(skel_files, jobs, names):
 
             def simulate():
                 result, caught, error = _outcome(futures.pop(job[0], None), job)
@@ -308,7 +323,8 @@ def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, 
                 data = np.frombuffer(result[0]).reshape(result[1]).copy()
                 return MotionTimeSeries(data, np.ones(data.shape[2], dtype=bool), fs)
 
-            samples.append(PretrainSample(seq_id=name[: -len(SKELETON_EXT)], series=_cached(entry, simulate, failures)))
+            series = _cached(cache_dir + name, name in listed, simulate, failures)
+            samples.append(PretrainSample(seq_id=skel_file[: -len(SKELETON_EXT)], series=series))
     finally:
         for future in futures.values():  # those of the files after one that failed
             future.cancel()
@@ -352,7 +368,7 @@ def _recording_entries(paths, failures):
             continue
         _open_cache(data_dir, rows, index, digests, failures)
         for name, digest in zip(names, digests):
-            entries[os.path.join(data_dir, name)] = _entry(data_dir, digest, BINARY_EXT)
+            entries[os.path.join(data_dir, name)] = os.path.join(data_dir, ".simcache", _entry_name(digest, BINARY_EXT))
     return entries
 
 
@@ -379,7 +395,11 @@ def load_eval_dataset(manifest_path, structure, model_fs, window=None):
     dataset = []
     dropped_frames = cut_recordings = 0
     for item, path in zip(manifest.samples, paths):
-        series = _cached(entries.get(path), lambda: formats.read_timeseries_file(path), failures)
+        entry = entries.get(path)
+        exists = entry is not None and os.path.exists(entry)
+        series = _cached(entry, exists, lambda: formats.read_timeseries_file(path), failures)
+        if series.data.shape[0] != 6:  # ax ay az gx gy gz per device (FORMATS.md)
+            raise ParseError(f"a recording has 6 channels per device, this one {series.data.shape[0]}", path=path)
         if abs(series.sample_rate - item.native_fs) > 1e-9:
             raise ParseError(
                 f"file says {series.sample_rate} Hz but manifest says {item.native_fs} Hz",

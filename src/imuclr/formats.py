@@ -9,6 +9,7 @@ text files are written with repr(), which round-trips float64 exactly.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -48,11 +49,20 @@ def write_atomic(path, data):
 
 
 def _read_bytes(path):
+    """The bytes of path, read in reads of its fstat size plus one, so a file read whole takes one and EOF one more."""
     try:
-        with open(path, "rb") as fh:
-            return fh.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            size, parts = os.fstat(fd).st_size + 1, []
+            while part := os.read(fd, size):
+                parts.append(part)
+        finally:
+            os.close(fd)
     except OSError as exc:
+        if exc.filename is None:  # os.read's errors (a directory's among them) name no file; open() names it
+            exc.filename = os.fspath(path)
         raise ParseError(f"cannot read file: {exc}", path=path) from exc
+    return b"".join(parts)  # one part is returned as it is, not copied
 
 
 def _decoded(raw, path):
@@ -217,26 +227,33 @@ def write_timeseries_file(path, series, binary=False):
 
 
 def _parse_timeseries_binary(raw, path):
-    """Data, mask and rate of the bytes of a binary time-series file, magic already checked."""
-    version = int(np.frombuffer(raw[4:8], dtype="<u4")[0]) if len(raw) >= 8 else -1
+    """Data, mask and rate of the bytes of a binary time-series file, magic already checked.
+
+    The payload is viewed in place, not copied; the channel-major data is
+    the one copy made of it. The checks run in the order FORMATS.md gives.
+    """
+    version = int.from_bytes(raw[4:8], "little") if len(raw) >= 8 else -1
     if version != TIMESERIES_BINARY_VERSION:
         raise ParseError(f"unsupported binary version {version}", path=path)
-    if (len(raw) - 8) % 8 != 0:
+    if len(raw) % 8 != 0:  # the magic and version take 8 bytes
         raise ParseError("payload is not a whole number of float64 values", path=path)
-    body = np.frombuffer(raw[8:], dtype="<f8")
-    if body.size < 4 or not np.all(np.isfinite(body[:4])):
+    body = np.frombuffer(raw, dtype="<f8", offset=8)
+    header = body[:4].tolist()
+    if len(header) < 4 or not all(map(math.isfinite, header)):
         raise ParseError("truncated or invalid binary header", path=path)
-    v, t, fs, c = int(body[0]), int(body[1]), float(body[2]), int(body[3])
+    v, t, fs, c = header
+    if not (v.is_integer() and t.is_integer() and c.is_integer()):
+        raise ParseError(f"binary header values V, T and C must be whole numbers, got V={v} T={t} C={c}", path=path)
+    v, t, c = int(v), int(t), int(c)
     if not (1 <= v <= 10**6 and 1 <= t <= 10**9 and 1 <= c <= 10**6) or fs <= 0:
         raise ParseError(f"invalid binary header values V={v} T={t} fs={fs} C={c}", path=path)
     need = 4 + v + t * v * c
     if body.size != need:
         raise ParseError(f"expected {need} float64 values, found {body.size}", path=path)
-    if not np.all(np.isfinite(body[4:])):
+    if not np.isfinite(body[4:]).all():
         raise ParseError("mask and frame values must be finite", path=path)
     mask = body[4 : 4 + v] != 0.0
-    data = body[4 + v :].reshape(t, v, c).transpose(2, 0, 1)
-    return data.copy(), mask, fs
+    return body[4 + v :].reshape(t, v, c).transpose(2, 0, 1).copy(), mask, fs
 
 
 def read_timeseries_file(path):
@@ -263,7 +280,7 @@ def read_timeseries_file(path):
             raise ParseError(f"expected {t} frame lines, file has {len(lines) - 2}", path=path, line=len(lines))
         frames = _frames(lines[2 : 2 + t], c * v, path, 3)
         data = np.ascontiguousarray(frames.reshape(t, v, c).transpose(2, 0, 1))
-    if np.any(data[:, :, ~mask] != 0.0):
+    if not mask.all() and np.any(data[:, :, ~mask] != 0.0):  # with every joint visible there is nothing to check
         raise ParseError("mask marks joints invisible but their channels are nonzero", path=path)
     return MotionTimeSeries(data, mask, fs)
 

@@ -86,7 +86,7 @@ class MotionTimeSeries:
             raise ShapeMismatch(
                 f"mask must have shape ({self.data.shape[2]},), got {self.mask.shape}"
             )
-        if np.any(self.data[:, :, ~self.mask] != 0.0):
+        if not self.mask.all() and np.any(self.data[:, :, ~self.mask] != 0.0):
             raise ShapeMismatch("masked joints must be all-zero")
 
     @property

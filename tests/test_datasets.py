@@ -160,6 +160,30 @@ def test_warm_arrays_are_writable_own_their_memory_and_equal_the_cold_ones(skel_
         series.data[0, 0, 0] += 1.0  # no read-only view of the file's bytes
 
 
+def test_entry_gone_before_its_read_is_rebuilt(skel_dir, monkeypatch):
+    # another process may evict an entry after the load listed the cache and before it reads the entry
+    cold = load_pretrain_samples(skel_dir, seed=1)
+    entries = entry_state(skel_dir)
+    victim = sorted((skel_dir / ".simcache").glob("*.tsb"))[1]
+    real, removed = formats.read_timeseries_file, []
+
+    def evicting(path):
+        if path == str(victim):
+            os.remove(path)
+            removed.append(path)
+        return real(path)
+
+    monkeypatch.setattr(formats, "read_timeseries_file", evicting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warm = load_pretrain_samples(skel_dir, seed=1)
+    assert removed == [str(victim)]
+    assert_same_samples(warm, cold)
+    assert {name: data for name, (data, _) in entry_state(skel_dir).items()} == {
+        name: data for name, (data, _) in entries.items()
+    }
+
+
 def test_warm_load_with_a_current_index_hashes_and_writes_nothing(skel_dir, monkeypatch):
     cold = load_pretrain_samples(skel_dir, seed=1)
     assert_index_is_current(skel_dir)
@@ -397,6 +421,21 @@ def test_eval_dataset_device_count_mismatch(manifest_dir):
     (d / "manifest.tsv").write_text("mapping map.txt\nsample\trec.ts\twalk\twrist\t40\t1.0\n")
     with pytest.raises(ShapeMismatch):
         load_eval_dataset(d / "manifest.tsv", chain_structure(4), model_fs=20.0)
+
+
+@pytest.mark.parametrize("channels", [4, 8])
+def test_eval_recording_without_six_channels_is_located_error(manifest_dir, channels):
+    # channels 6 and 7 used to be dropped without a word; 4 channels failed with an unlocated ShapeMismatch
+    d, _ = manifest_dir
+    series = MotionTimeSeries(np.ones((channels, 9, 2)), np.ones(2, dtype=bool), 40.0)
+    for name, binary in (("rec.ts", False), ("rec.tsb", True)):
+        formats.write_timeseries_file(d / name, series, binary=binary)
+        (d / "manifest.tsv").write_text(f"mapping map.txt\nsample\t{name}\twalk\twrist,hip\t40\t9.81\n")
+        for _ in range(2):  # parsed, then read from its cache entry
+            with pytest.raises(ParseError) as caught:
+                load_eval_dataset(d / "manifest.tsv", chain_structure(4), model_fs=20.0)
+            assert type(caught.value) is ParseError and caught.value.path == str(d / name)
+            assert str(caught.value).endswith(f"a recording has 6 channels per device, this one {channels}")
 
 
 # ---------------------------------------------------------------------------

@@ -245,11 +245,33 @@ def test_timeseries_binary_smallest_files_read(tmp_path):
 
 
 def test_timeseries_unreadable_path_is_located(tmp_path):
-    for p, reason in ((tmp_path / "absent.tsb", "[Errno 2] No such file or directory"), (tmp_path, "[Errno 21] Is a directory")):
+    for p, reason in (
+        (tmp_path / "absent.tsb", "[Errno 2] No such file or directory"),
+        (tmp_path, "[Errno 21] Is a directory"),
+    ):
         with pytest.raises(ParseError) as caught:
             formats.read_timeseries_file(p)
         assert type(caught.value) is ParseError and caught.value.path == p
         assert str(caught.value) == f"{p}: cannot read file: {reason}: '{p}'"
+
+
+@pytest.mark.parametrize(
+    "header, shown",
+    [
+        ((3.5, 1, 20, 6), "V=3.5 T=1.0 C=6.0"),
+        ((3, 1.5, 20, 6), "V=3.0 T=1.5 C=6.0"),
+        ((3, 1, 20, 6.25), "V=3.0 T=1.0 C=6.25"),
+    ],
+)
+def test_timeseries_binary_header_counts_must_be_whole_numbers(tmp_path, header, shown):
+    # each payload has the size of int()'s reading of the header, which used to load as valid
+    v, t, c = (int(x) for x in (header[0], header[1], header[3]))
+    p = tmp_path / "x.tsb"
+    p.write_bytes(tsb(*header, *[1] * v, *[0] * (t * v * c)))
+    with pytest.raises(ParseError) as caught:
+        formats.read_timeseries_file(p)
+    assert type(caught.value) is ParseError and caught.value.path == p
+    assert str(caught.value) == f"{p}: binary header values V, T and C must be whole numbers, got {shown}"
 
 
 # ---------------------------------------------------------------------------
