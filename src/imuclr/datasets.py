@@ -37,7 +37,8 @@ from .simulate import ACCEL, GYRO, MotionTimeSeries, NoiseParams, resample_serie
 SKELETON_EXT = ".skel"
 BINARY_EXT = ".tsb"  # a recording named so is read as it is, without a cache entry
 CACHE_VERSION = 1  # heads every entry's name; bump it when simulate.py or read_timeseries_file changes its output
-HASH_INDEX = ".simcache.index"  # beside .simcache, which holds only entries
+CACHE_DIR = ".simcache"  # in a data directory; holds only entries
+HASH_INDEX = ".simcache.index"  # beside CACHE_DIR
 
 
 def file_hash(path):
@@ -115,7 +116,7 @@ def _open_cache(data_dir, rows, index, digests, failures):
     directory keep each other's entries; one warning counts the deleted.
     An OSError goes to failures; if the cache cannot be created, that is all.
     """
-    cache_dir = os.path.join(data_dir, ".simcache")
+    cache_dir = os.path.join(data_dir, CACHE_DIR)
     try:
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as exc:
@@ -293,7 +294,7 @@ def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, 
     digests, rows, index = _indexed_hashes(data_dir, skel_files, set(present))
     inputs = f"_fs{fs!r}_sa{noise.sigma_accel!r}_sg{noise.sigma_gyro!r}_seed{seed}_g{int(gravity)}{BINARY_EXT}"
     names = [_entry_name(digest, inputs) for digest in digests]
-    cache_dir = os.path.join(data_dir, ".simcache", "")  # an entry's path is cache_dir + its name
+    cache_dir = os.path.join(data_dir, CACHE_DIR, "")  # an entry's path is cache_dir + its name
     try:
         listed = set(os.listdir(cache_dir))  # the one existence check of every entry
     except OSError:  # no cache yet, or none that can be listed: every entry is built
@@ -368,7 +369,7 @@ def _recording_entries(paths, failures):
             continue
         _open_cache(data_dir, rows, index, digests, failures)
         for name, digest in zip(names, digests):
-            entries[os.path.join(data_dir, name)] = os.path.join(data_dir, ".simcache", _entry_name(digest, BINARY_EXT))
+            entries[os.path.join(data_dir, name)] = os.path.join(data_dir, CACHE_DIR, _entry_name(digest, BINARY_EXT))
     return entries
 
 

@@ -49,13 +49,22 @@ def write_atomic(path, data):
 
 
 def _read_bytes(path):
-    """The bytes of path, read in reads of its fstat size plus one, so a file read whole takes one and EOF one more."""
+    """The bytes of path, read until EOF in reads sized from its fstat size.
+
+    The first read asks for one byte more than the file holds, so it comes
+    back short, and the read that finds EOF asks for what the first left
+    unfilled: one byte, not another buffer of the file's size, which would
+    raise the peak memory of a load. A file that grew is read on in reads
+    of the first one's size.
+    """
     try:
         fd = os.open(path, os.O_RDONLY)
         try:
-            size, parts = os.fstat(fd).st_size + 1, []
+            chunk = os.fstat(fd).st_size + 1
+            size, parts = chunk, []
             while part := os.read(fd, size):
                 parts.append(part)
+                size = size - len(part) or chunk
         finally:
             os.close(fd)
     except OSError as exc:

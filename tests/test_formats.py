@@ -255,6 +255,24 @@ def test_timeseries_unreadable_path_is_located(tmp_path):
         assert str(caught.value) == f"{p}: cannot read file: {reason}: '{p}'"
 
 
+def test_file_that_grows_while_read_is_read_whole(tmp_path, monkeypatch):
+    # the reads are sized from the file's fstat size; bytes appended after it are read too
+    p = tmp_path / "f.txt"
+    p.write_bytes(b"x" * 1000)
+    real_read, sizes = os.read, []
+
+    def growing_read(fd, n):
+        if not sizes:
+            with open(p, "ab") as fh:
+                fh.write(b"y" * 2500)
+        sizes.append(n)
+        return real_read(fd, n)
+
+    monkeypatch.setattr(os, "read", growing_read)
+    assert formats._read_bytes(p) == b"x" * 1000 + b"y" * 2500
+    assert sizes == [1001, 1001, 1001, 1001, 504]
+
+
 @pytest.mark.parametrize(
     "header, shown",
     [
