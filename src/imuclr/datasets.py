@@ -107,14 +107,27 @@ def _entry_name(digest, suffix):
     return f"v{CACHE_VERSION}_{digest}{suffix}"
 
 
-def _open_cache(data_dir, rows, index, digests, failures):
+def _cache_names(data_dir, failures):
+    """The names in data_dir/.simcache; none when it does not exist yet, or cannot be listed, which goes to failures."""
+    try:
+        return set(os.listdir(os.path.join(data_dir, CACHE_DIR)))
+    except FileNotFoundError:
+        return set()
+    except OSError as exc:
+        failures.append(exc)
+        return set()
+
+
+def _open_cache(data_dir, rows, index, digests, failures, listed):
     """Create data_dir/.simcache, write index unless None and delete the entries no current file maps to.
 
-    An entry is kept when it starts with v<CACHE_VERSION>_<digest> for the
-    digest of a row (rows, from _indexed_hashes) or of this load (digests,
-    names with no row included), so loaders of different files of one
-    directory keep each other's entries; one warning counts the deleted.
-    An OSError goes to failures; if the cache cannot be created, that is all.
+    listed holds the names the cache held when the load listed it
+    (_cache_names); an entry among them is kept when it starts with
+    v<CACHE_VERSION>_<digest> for the digest of a row (rows, from
+    _indexed_hashes) or of this load (digests, names with no row included),
+    so loaders of different files of one directory keep each other's
+    entries; one warning counts the deleted. An OSError goes to failures;
+    if the cache cannot be created, that is all.
     """
     cache_dir = os.path.join(data_dir, CACHE_DIR)
     try:
@@ -128,7 +141,7 @@ def _open_cache(data_dir, rows, index, digests, failures):
     try:
         if index is not None:
             formats.write_atomic(os.path.join(data_dir, HASH_INDEX), index)
-        for name in os.listdir(cache_dir):
+        for name in listed:
             if name.endswith(BINARY_EXT) and name[: len(head) + 12] not in live:
                 os.remove(os.path.join(cache_dir, name))
                 removed += 1
@@ -294,11 +307,8 @@ def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, 
     digests, rows, index = _indexed_hashes(data_dir, skel_files, set(present))
     inputs = f"_fs{fs!r}_sa{noise.sigma_accel!r}_sg{noise.sigma_gyro!r}_seed{seed}_g{int(gravity)}{BINARY_EXT}"
     names = [_entry_name(digest, inputs) for digest in digests]
-    cache_dir = os.path.join(data_dir, CACHE_DIR, "")  # an entry's path is cache_dir + its name
-    try:
-        listed = set(os.listdir(cache_dir))  # the one existence check of every entry
-    except OSError:  # no cache yet, or none that can be listed: every entry is built
-        listed = set()
+    failures = []
+    listed = _cache_names(data_dir, failures)  # the one listing: which entries exist, and which to evict
     base = os.path.join(data_dir, "")
     jobs = [(base + n, digest, fs, noise, seed, gravity) for n, digest in zip(skel_files, digests)]
     todo = [job for job, name in zip(jobs, names) if name not in listed]
@@ -308,9 +318,9 @@ def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, 
             if v != num_joints:
                 seq_id = os.path.basename(path)[: -len(SKELETON_EXT)]
                 raise ParseError(f"sequence {seq_id!r} has {v} joints, skeleton has {num_joints}", path=path)
-    failures = []
-    _open_cache(data_dir, rows, index, digests, failures)
+    _open_cache(data_dir, rows, index, digests, failures, listed)
     futures = _submit(todo)
+    cache_dir = os.path.join(data_dir, CACHE_DIR, "")  # an entry's path is cache_dir + its name
     samples = []
     try:
         for skel_file, job, name in zip(skel_files, jobs, names):
@@ -367,7 +377,7 @@ def _recording_entries(paths, failures):
         except OSError as exc:
             failures.append(exc)
             continue
-        _open_cache(data_dir, rows, index, digests, failures)
+        _open_cache(data_dir, rows, index, digests, failures, _cache_names(data_dir, failures))
         for name, digest in zip(names, digests):
             entries[os.path.join(data_dir, name)] = os.path.join(data_dir, CACHE_DIR, _entry_name(digest, BINARY_EXT))
     return entries
