@@ -1,11 +1,9 @@
 """Disk-backed dataset assembly for the command-line pipeline.
 
 Pre-training data is a directory of skeleton motion files, simulated on
-first use, each from its own content. A load with two or more files to
-simulate hands them to a pool of forked worker processes, one per usable
-CPU, started by the first such load and kept until the interpreter exits
-(see _submit); the results are byte-identical to an in-process load.
-Evaluation data is described by a
+first use, each from its own content, in the worker pool of
+imuclr.workers (which says when a load runs in-process); the results are
+byte-identical to an in-process load. Evaluation data is described by a
 manifest referencing per-device recordings, which are parsed, unit-scaled,
 resampled to the model rate, assigned to skeleton joints and cut into
 windows; a warning reports the tail frames the windows leave out.
@@ -20,15 +18,13 @@ handle a cache they cannot write the same way (see _open_cache, _cached).
 
 from __future__ import annotations
 
-import atexit
 import hashlib
 import os
-import sys
 import warnings
 
 import numpy as np
 
-from . import formats
+from . import formats, workers
 from .contrastive import PretrainSample
 from .errors import NonFinite, ParseError, ShapeMismatch
 from .inference import assign_to_joints, windows
@@ -180,73 +176,6 @@ def _warn_unwritable(source, failures):
         )
 
 
-_pool = None  # the process-wide ProcessPoolExecutor of _simulate_file, or None (see _submit)
-
-
-def _usable_cpus():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _drop_pool():
-    """Shut the simulation pool down, if there is one; the next load with files to simulate starts another."""
-    global _pool
-    pool, _pool = _pool, None
-    if pool is not None:
-        atexit.unregister(_drop_pool)
-        pool.shutdown(cancel_futures=True)
-
-
-def _submit(jobs):
-    """{path: future of _simulate_file(*job)} for jobs (path first), or {} when they are to run in-process.
-
-    Two or more jobs go to the process-wide pool: a ProcessPoolExecutor with
-    the fork start method and one worker per usable CPU, started by the
-    first such call and shut down at interpreter exit. Its workers keep the
-    module code they were forked with. The jobs run in-process when there
-    are fewer than two, one usable CPU, no fork start method, or CPython
-    3.12 or later, which deprecates forking a process that has threads
-    (BLAS's among them). A pool found broken is dropped, and the jobs run
-    in-process.
-    """
-    global _pool
-    if len(jobs) < 2 or _usable_cpus() < 2 or sys.version_info >= (3, 12):
-        return {}
-    import multiprocessing  # here, not at the top: a warm load never pays for these imports
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    if _pool is None:
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return {}
-        _pool = ProcessPoolExecutor(_usable_cpus(), multiprocessing.get_context("fork"), _die_with_parent)
-        atexit.register(_drop_pool)
-    try:
-        return {job[0]: _pool.submit(_simulate_file, *job) for job in jobs}
-    except BrokenProcessPool:
-        _drop_pool()
-        return {}
-
-
-def _die_with_parent():
-    """Pool worker initializer: on Linux, the kernel kills the worker when the thread that forked it exits.
-
-    So the worker dies with its process, even one killed by a signal, which
-    would otherwise leave it blocked forever on its empty task queue. A pool
-    whose workers died so is found broken and replaced.
-    """
-    import ctypes
-    import signal
-
-    try:
-        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
-    except (AttributeError, OSError):  # no prctl: not Linux
-        pass
-
-
 def _simulate_file(path, digest, fs, noise, seed, gravity):
     """Read and simulate one skeleton file: ((data bytes, shape) or None, warnings caught, exception or None).
 
@@ -269,18 +198,6 @@ def _simulate_file(path, digest, fs, noise, seed, gravity):
     return result, [w.message for w in caught], error
 
 
-def _outcome(future, job):
-    """future's result; _simulate_file(*job)'s when there is no future or its pool broke, which drops the pool."""
-    if future is not None:
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            return future.result()
-        except BrokenProcessPool:
-            _drop_pool()
-    return _simulate_file(*job)
-
-
 def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, num_joints=None):
     """One PretrainSample per skeleton file of data_dir, in sorted name order.
 
@@ -290,7 +207,7 @@ def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, 
     from the headers alone before any simulation and any write. A file's
     noise is seeded with the run seed and the file's content hash, so its
     simulation depends on that file alone, and files are simulated in a
-    pool of worker processes when there are several (see _submit). Each
+    pool of worker processes when there are several (see workers). Each
     file's warnings are re-issued here and its entry written in sorted name
     order; the first file that fails raises its error, after the entries of
     the files before it. Results are kept under data_dir/.simcache, keyed
@@ -319,14 +236,14 @@ def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, 
                 seq_id = os.path.basename(path)[: -len(SKELETON_EXT)]
                 raise ParseError(f"sequence {seq_id!r} has {v} joints, skeleton has {num_joints}", path=path)
     _open_cache(data_dir, rows, index, digests, failures, listed)
-    futures = _submit(todo)
+    futures = dict(zip([job[0] for job in todo], workers.submit(_simulate_file, todo)))
     cache_dir = os.path.join(data_dir, CACHE_DIR, "")  # an entry's path is cache_dir + its name
     samples = []
     try:
         for skel_file, job, name in zip(skel_files, jobs, names):
 
             def simulate():
-                result, caught, error = _outcome(futures.pop(job[0], None), job)
+                result, caught, error = workers.result(futures.pop(job[0], None), _simulate_file, job)
                 for warning in caught:
                     warnings.warn(warning, stacklevel=4)
                 if error is not None:
@@ -337,8 +254,7 @@ def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, 
             series = _cached(cache_dir + name, name in listed, simulate, failures)
             samples.append(PretrainSample(seq_id=skel_file[: -len(SKELETON_EXT)], series=series))
     finally:
-        for future in futures.values():  # those of the files after one that failed
-            future.cancel()
+        workers.cancel(futures.values())
     _warn_unwritable(data_dir, failures)
     return samples
 
@@ -364,22 +280,22 @@ def _recording_entries(paths, failures):
     (which its parse then reports), goes to failures and leaves that
     directory without entries.
     """
-    by_dir = {}
+    by_dir = {}  # {directory: {file name: [the paths naming it, as given]}}
     for path in paths:
         if not path.endswith(BINARY_EXT):
-            by_dir.setdefault(os.path.dirname(path), set()).add(os.path.basename(path))
+            by_dir.setdefault(os.path.dirname(path), {}).setdefault(os.path.basename(path), []).append(path)
     entries = {}
-    for data_dir, names in by_dir.items():
+    for data_dir, named in by_dir.items():
         try:
             present = set(os.listdir(data_dir))
-            names = sorted(names & present)
+            names = sorted(named.keys() & present)
             digests, rows, index = _indexed_hashes(data_dir, names, present)
         except OSError as exc:
             failures.append(exc)
             continue
         _open_cache(data_dir, rows, index, digests, failures, _cache_names(data_dir, failures))
         for name, digest in zip(names, digests):
-            entries[os.path.join(data_dir, name)] = os.path.join(data_dir, CACHE_DIR, _entry_name(digest, BINARY_EXT))
+            entries.update(dict.fromkeys(named[name], os.path.join(data_dir, CACHE_DIR, _entry_name(digest, BINARY_EXT))))
     return entries
 
 

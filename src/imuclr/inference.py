@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
+from . import workers
 from .autodiff import Adam, Parameter
 from .errors import (
     BadRange,
@@ -29,6 +30,8 @@ from .errors import (
 )
 from .graph_encoder import build_adjacency, encode_batch, encoder_param_names
 from .simulate import ACCEL, GYRO, MotionTimeSeries
+
+CHUNKS_PER_WORKER = 4  # evaluate's chunks per usable CPU: small pickles in flight, little overhead per chunk
 
 
 @dataclass(frozen=True)
@@ -317,17 +320,35 @@ def report_from_scores(y_true, scores):
     return EvalReport(accuracy, float(np.mean(f1s)), r2, confusion)
 
 
+def _score(model, labels, pairs):
+    """The (len(pairs), D) score rows of evaluate, one per (series, label_name) pair, in order."""
+    if labels.embeddings is None:
+        return np.stack([model.classifier_logits(series) for series, _ in pairs])
+    return np.stack([zero_shot_classify(series, model, labels)[1] for series, _ in pairs])
+
+
 def evaluate(model, dataset, labels):
     """Score every (series, label_name) pair and compute the eval metrics.
 
     Labels with embeddings are scored zero-shot, by embedding similarity;
     labels without them by the classifier head that fine-tuning attaches.
+    The windows are cut into CHUNKS_PER_WORKER contiguous chunks per usable
+    CPU, each scored in the worker pool of imuclr.workers with the model's
+    live parameters, and the rows are stacked in window order, so the
+    scores and the report are byte-identical to an in-process run; the
+    first window that fails raises its error. The chunks are scored
+    in-process when the pool does not start (see workers) or no BLAS can be
+    pinned to one thread per worker (workers.blas_pinnable).
     """
     if not dataset:
         raise EmptyDataset("cannot evaluate an empty dataset")
     y_true = np.array([labels.index(name) for _, name in dataset], dtype=np.intp)
-    if labels.embeddings is None:
-        rows = [model.classifier_logits(series) for series, _ in dataset]
-    else:
-        rows = [zero_shot_classify(series, model, labels)[1] for series, _ in dataset]
-    return report_from_scores(y_true, np.stack(rows))
+    n = len(dataset)
+    k = min(n, CHUNKS_PER_WORKER * workers.usable_cpus()) if workers.blas_pinnable() else 1
+    calls = [(model, labels, dataset[n * i // k : n * (i + 1) // k]) for i in range(k)]
+    futures = workers.submit(_score, calls)
+    try:
+        scores = np.concatenate([workers.result(future, _score, args) for future, args in zip(futures, calls)])
+    finally:
+        workers.cancel(futures)
+    return report_from_scores(y_true, scores)

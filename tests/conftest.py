@@ -1,5 +1,7 @@
 import contextlib
+import multiprocessing
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import imuclr
 from imuclr import autodiff as ad
+from imuclr import workers
 from imuclr.simulate import MotionTimeSeries
 from imuclr.skeleton import SkeletonStructure
 
@@ -25,6 +28,31 @@ def src_env():
     """os.environ for a subprocess that imports this imuclr, installed or not."""
     src = os.path.dirname(os.path.dirname(imuclr.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """No worker pool before or after the test, so a pool the test starts forks from its patched code.
+
+    The pool counts two usable CPUs, so it starts on a one-CPU host too.
+    """
+    workers.drop_pool()
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    yield
+    workers.drop_pool()
+
+
+def in_process(monkeypatch):
+    """From now on, the pool's callers run in-process, as on a one-CPU host."""
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+
+
+def pooled():
+    """Whether this interpreter can hand work to forked workers (see imuclr.workers)."""
+    return sys.version_info < (3, 12) and "fork" in multiprocessing.get_all_start_methods()
+
+
+needs_pool = pytest.mark.skipif(not pooled(), reason="no forked workers on this interpreter")
 
 
 def chain_structure(v):

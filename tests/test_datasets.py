@@ -14,8 +14,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import chain_structure, src_env, torn_writes
-from imuclr import datasets, formats
+from conftest import chain_structure, in_process, needs_pool, src_env, torn_writes
+from imuclr import datasets, formats, workers
 from imuclr.datasets import file_hash, load_eval_dataset, load_pretrain_samples
 from imuclr.errors import ParseError, ShapeMismatch
 from imuclr.simulate import MotionTimeSeries, NoiseParams, simulate_sequence
@@ -579,6 +579,19 @@ def test_two_manifests_over_one_directory_evict_nothing_of_each_other(rec_dir, m
     assert hashes == [] and entry_state(rec_dir) == entries and index_state(rec_dir) == index_before
 
 
+def test_recording_named_with_a_doubled_separator_is_parsed_once(rec_dir, monkeypatch):
+    sub = rec_dir / "sub"
+    sub.mkdir()
+    os.rename(rec_dir / "r0.ts", sub / "r0.ts")
+    manifest = rec_dir / "doubled.tsv"
+    manifest.write_text("mapping map.txt\nsample\tsub//r0.ts\tc0\twrist,hip\t40\t9.81\n")
+    reads = count_reads(monkeypatch)
+    for _ in range(3):
+        load_eval(manifest)
+    assert reads.count(os.path.join(str(rec_dir), "sub//r0.ts")) == 1
+    assert list(entry_state(sub)) == [f"v{datasets.CACHE_VERSION}_{file_hash(sub / 'r0.ts')}.tsb"]
+
+
 # ---------------------------------------------------------------------------
 # both loaders: one cache, one eviction rule, one write-failure policy
 # ---------------------------------------------------------------------------
@@ -714,37 +727,14 @@ def test_skeleton_and_recording_loaders_keep_each_others_rows_and_entries(skel_d
 
 
 # ---------------------------------------------------------------------------
-# the pool of simulation workers
+# simulation in the worker pool
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def fresh_pool(monkeypatch):
-    """No simulation pool before or after the test, so a pool the test starts forks from its patched code.
-
-    The pool counts two usable CPUs, so it starts on a one-CPU host too.
-    """
-    datasets._drop_pool()
-    monkeypatch.setattr(datasets, "_usable_cpus", lambda: 2)
-    yield
-    datasets._drop_pool()
-
-
-def in_process(monkeypatch):
-    """From now on, load_pretrain_samples simulates in-process, as on a one-CPU host."""
-    monkeypatch.setattr(datasets, "_usable_cpus", lambda: 1)
 
 
 def cache_bytes(d):
     return [(p.name, p.read_bytes()) for p in sorted((d / ".simcache").iterdir())]
 
 
-def pooled():
-    """Whether this interpreter can hand simulations to forked workers (see datasets._submit)."""
-    return sys.version_info < (3, 12) and "fork" in multiprocessing.get_all_start_methods()
-
-
-needs_pool = pytest.mark.skipif(not pooled(), reason="no forked simulation workers on this interpreter")
 pooled_or_not = pytest.mark.parametrize(
     "pool", [pytest.param(True, marks=needs_pool, id="pooled"), pytest.param(False, id="in-process")]
 )
@@ -755,7 +745,7 @@ def test_pooled_cold_load_equals_an_in_process_one(skel_dir, fresh_pool, monkeyp
     noise = NoiseParams(0.05, 0.005)
     pool_dir, serial_dir = copy_skeletons(skel_dir), copy_skeletons(skel_dir)
     pool = load_pretrain_samples(pool_dir, fs=20.0, noise=noise, seed=4)
-    assert datasets._pool is not None and len(multiprocessing.active_children()) == 2
+    assert workers._pool is not None and len(multiprocessing.active_children()) == 2
     in_process(monkeypatch)
     serial = load_pretrain_samples(serial_dir, fs=20.0, noise=noise, seed=4)
     assert [s.seq_id for s in pool] == [s.seq_id for s in serial] == ["s0", "s1", "s2"]
@@ -835,22 +825,22 @@ def test_a_killed_worker_leaves_the_load_whole_and_the_next_cold_load_gets_a_fre
     reference = copy_skeletons(skel_dir)
     in_process(monkeypatch)
     expected = load_pretrain_samples(reference, seed=1)
-    monkeypatch.setattr(datasets, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     monkeypatch.setattr(formats, "read_skeleton_file", killed_in_a_worker_on_s1)
     killed = copy_skeletons(skel_dir)
     samples = load_pretrain_samples(killed, seed=1)
     assert [a.series.data.tobytes() for a in samples] == [b.series.data.tobytes() for b in expected]
     assert cache_bytes(killed) == cache_bytes(reference)
-    assert datasets._pool is None and not multiprocessing.active_children()  # the broken pool was dropped
+    assert workers._pool is None and not multiprocessing.active_children()  # the broken pool was dropped
     monkeypatch.setattr(formats, "read_skeleton_file", real)
     assert_same_samples(fresh_load(skel_dir, seed=1), expected)
-    assert datasets._pool is not None and len(multiprocessing.active_children()) == 2
+    assert workers._pool is not None and len(multiprocessing.active_children()) == 2
 
 
 def test_warm_loads_and_one_file_to_simulate_start_no_process(skel_dir, fresh_pool):
     (skel_dir / "s2.skel").rename(skel_dir.parent / "s2.skel")
     load_pretrain_samples(skel_dir, seed=1)  # two files to simulate
-    datasets._drop_pool()
+    workers.drop_pool()
     load_pretrain_samples(skel_dir, seed=1)  # none
     (skel_dir.parent / "s2.skel").rename(skel_dir / "s2.skel")
     load_pretrain_samples(skel_dir, seed=1)  # one
@@ -858,7 +848,7 @@ def test_warm_loads_and_one_file_to_simulate_start_no_process(skel_dir, fresh_po
     single.mkdir()
     shutil.copyfile(skel_dir / "s0.skel", single / "s0.skel")
     load_pretrain_samples(single, seed=2)  # one
-    assert datasets._pool is None and not multiprocessing.active_children()
+    assert workers._pool is None and not multiprocessing.active_children()
 
 
 @needs_pool
@@ -872,7 +862,7 @@ def test_workers_keep_the_module_code_they_were_forked_with(skel_dir, fresh_pool
 
     monkeypatch.setattr(datasets, "simulate_sequence", doubled)
     assert_same_samples(fresh_load(skel_dir, seed=1), expected)  # the pool's workers predate the patch
-    datasets._drop_pool()
+    workers.drop_pool()
     patched = fresh_load(skel_dir, seed=1)  # fresh workers, forked with it
     for a, b in zip(patched, expected):
         assert np.array_equal(a.series.data, 2.0 * b.series.data), a.seq_id
@@ -892,7 +882,7 @@ def running(pid):
 def test_workers_die_with_a_parent_killed_by_a_signal(skel_dir):
     # without the parent-death signal they would wait forever on their task queue
     code = (
-        "import multiprocessing, sys; from imuclr import datasets; datasets._usable_cpus = lambda: 2; "
+        "import multiprocessing, sys; from imuclr import datasets, workers; workers.usable_cpus = lambda: 2; "
         "datasets.load_pretrain_samples(sys.argv[1]); "
         "print(*[p.pid for p in multiprocessing.active_children()], flush=True); sys.stdin.read()"
     )

@@ -1,3 +1,7 @@
+import ctypes
+import multiprocessing
+import os
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -5,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_structure
+from conftest import chain_structure, in_process, needs_pool
 from imuclr import autodiff as ad
+from imuclr import inference, workers
 from imuclr.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from imuclr.errors import (
     BadRange,
@@ -368,3 +373,152 @@ def test_label_set_validation():
         LabelSet(names=("a", "a"))
     with pytest.raises(DimMismatch):
         LabelSet(names=("a", "b"), embeddings=np.zeros((3, 4)))
+
+
+# ---------------------------------------------------------------------------
+# evaluate in the worker pool
+# ---------------------------------------------------------------------------
+
+
+def random_windows(n, seed=0, v=4):
+    """n random (series, label) windows of a 2-label set, labels alternating."""
+    rng = np.random.default_rng(seed)
+    return [(MotionTimeSeries(rng.standard_normal((6, 8, v)), np.ones(v, dtype=bool), 20.0), "ab"[i % 2])
+            for i in range(n)]
+
+
+def scored(model, dataset, labels, monkeypatch):
+    """(score matrix, report key-values) of evaluate: the matrix as report_from_scores receives it."""
+    seen = []
+    real = inference.report_from_scores
+
+    def recording(y_true, scores):
+        seen.append(scores)
+        return real(y_true, scores)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(inference, "report_from_scores", recording)
+        report = evaluate(model, dataset, labels)
+    return seen[0], report.as_key_values()
+
+
+def assert_same_scores(a, b):
+    (x, report_x), (y, report_y) = a, b
+    assert (x.shape, x.dtype) == (y.shape, y.dtype) and x.tobytes() == y.tobytes()
+    assert report_x == report_y
+
+
+def pool_started():
+    return workers._pool is not None and len(multiprocessing.active_children()) == 2
+
+
+def no_process():
+    return workers._pool is None and not multiprocessing.active_children()
+
+
+def finetuned(float32=False):
+    """A fine-tuned Model, whose live parameters differ from its checkpoint's, in float32 on request."""
+    model = Model(tiny_checkpoint())
+    finetune(model, random_windows(8, seed=1), LabelSet(names=("a", "b")), FinetuneConfig(epochs=2, lr=1e-2,
+                                                                                           batch_size=4))
+    assert not np.array_equal(model.params["block0.spatial"].value, model.ckpt.params["block0.spatial"])
+    if float32:
+        for p in model.params.values():
+            p.value = p.value.astype(np.float32)
+    return model
+
+
+ZERO_SHOT = LabelSet(names=("a", "b"), embeddings=np.random.default_rng(3).standard_normal((2, 4)))
+CLASSIFIER = LabelSet(names=("a", "b"))
+
+
+@needs_pool
+@pytest.mark.parametrize("model, labels", [
+    pytest.param(lambda: Model(tiny_checkpoint()), ZERO_SHOT, id="zero-shot"),
+    pytest.param(finetuned, ZERO_SHOT, id="zero-shot-finetuned"),
+    pytest.param(finetuned, CLASSIFIER, id="classifier"),
+    pytest.param(lambda: finetuned(float32=True), CLASSIFIER, id="classifier-float32"),
+])
+def test_pooled_evaluate_equals_an_in_process_one(fresh_pool, monkeypatch, model, labels):
+    model, dataset = model(), random_windows(21)
+    pooled = scored(model, dataset, labels, monkeypatch)
+    assert pool_started()
+    in_process(monkeypatch)
+    assert_same_scores(pooled, scored(model, dataset, labels, monkeypatch))
+
+
+@needs_pool
+def test_first_failing_window_in_window_order_raises_as_in_process(fresh_pool, monkeypatch):
+    # 12 windows in 8 chunks: windows 5 and 9 fall in different chunks, each failing with its own message
+    dataset = random_windows(12)
+    dataset[5] = random_windows(1, v=3)[0]
+    dataset[9] = random_windows(1, v=5)[0]
+    model = Model(tiny_checkpoint())
+    with pytest.raises(ShapeMismatch) as pooled:
+        evaluate(model, dataset, ZERO_SHOT)
+    assert pool_started()
+    in_process(monkeypatch)
+    with pytest.raises(ShapeMismatch) as serial:
+        evaluate(model, dataset, ZERO_SHOT)
+    assert type(pooled.value) is type(serial.value) is ShapeMismatch
+    assert str(pooled.value) == str(serial.value) == "series has 3 joints, model expects 4"
+
+
+def test_one_window_one_cpu_or_no_pinnable_blas_starts_no_process(fresh_pool, monkeypatch):
+    model = Model(tiny_checkpoint())
+    one, several = random_windows(1), random_windows(6)
+    evaluate(model, one, ZERO_SHOT)
+    assert no_process()
+    with monkeypatch.context() as mp:
+        mp.setattr(workers, "blas_pinnable", lambda: False)
+        evaluate(model, several, ZERO_SHOT)
+    assert no_process()
+    in_process(monkeypatch)
+    evaluate(model, several, ZERO_SHOT)
+    assert no_process()
+
+
+@needs_pool
+def test_a_killed_worker_leaves_the_call_whole_and_the_next_call_gets_a_fresh_pool(fresh_pool, monkeypatch):
+    parent, real = os.getpid(), inference.zero_shot_classify
+    model, dataset = Model(tiny_checkpoint()), random_windows(10)
+    marked = dataset[6][0]
+
+    def killed_in_a_worker_on_window_6(series, *args):
+        if os.getpid() != parent and np.array_equal(series.data, marked.data):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(series, *args)
+
+    in_process(monkeypatch)
+    expected = scored(model, dataset, ZERO_SHOT, monkeypatch)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(inference, "zero_shot_classify", killed_in_a_worker_on_window_6)
+    assert_same_scores(scored(model, dataset, ZERO_SHOT, monkeypatch), expected)
+    assert no_process()  # the broken pool was dropped
+    monkeypatch.setattr(inference, "zero_shot_classify", real)
+    assert_same_scores(scored(model, dataset, ZERO_SHOT, monkeypatch), expected)
+    assert pool_started()
+
+
+def blas_threads():
+    """The thread count each loaded OpenBLAS reports in this process."""
+    counts = []
+    for get_num_threads in workers.openblas("get_num_threads"):
+        get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
+        counts.append(get_num_threads())
+    return counts
+
+
+@needs_pool
+@pytest.mark.skipif(not workers.blas_pinnable(), reason="no OpenBLAS loaded")
+def test_workers_pin_a_multi_threaded_blas_to_one_thread(fresh_pool):
+    set_num_threads = workers.openblas("set_num_threads")[0]
+    before = blas_threads()
+    set_num_threads.argtypes, set_num_threads.restype = [ctypes.c_int], None
+    set_num_threads(2)  # the parent's BLAS as a multi-threaded default leaves it
+    try:
+        futures = workers.submit(blas_threads, [(), ()])
+        assert [f.result(timeout=60) for f in futures] == [[1] * len(before)] * 2
+        assert blas_threads()[0] == 2  # the parent keeps its own setting
+    finally:
+        set_num_threads(before[0])
