@@ -19,17 +19,23 @@ Each worker pins its BLAS to one thread when it starts: it calls
 openblas_set_num_threads(1) of every OpenBLAS the process has loaded,
 found through ctypes among the libraries /proc/self/maps lists, under the
 symbol prefix and suffix of numpy's wheels (scipy_, 64_) or none. So N
-workers run N BLAS threads on N CPUs, not N times the parent's count
-(unpinned forked workers scored windows slower than one process). Where
-no such library is loaded (another BLAS, or no /proc), workers run
-unpinned: evaluate then scores in-process, while simulation, which spends
-little time in BLAS, still uses the pool.
+workers run N BLAS threads on N CPUs, not N times the parent's count:
+with the parent's OpenBLAS on 2 threads, evaluate scored the
+zero_shot_eval bench's windows at 952-1189 windows/s pooled against
+806-884 in-process (2 vCPUs, see BENCH_28.json). Where no such library is
+loaded (another BLAS, or no /proc), workers run unpinned: evaluate then
+scores in-process, while simulation, which spends little time in BLAS,
+still uses the pool.
 
-In BENCH_28.json (2 vCPUs, perfbench's one BLAS thread), evaluate scored
-the zero_shot_eval bench's 108 windows at 1369 windows/s against 844
-in-process (+62%, 10 of 10 alternating 30-s pairs; +60%, 4 of 4, on a
-second seed); peak RSS rose from 61.3 to 63.3 MB, and pretrain and ingest
-did not move beyond their bounds.
+In BENCH_28.json (2 vCPUs, one BLAS thread, alternating 30-s pairs),
+evaluate scored the zero_shot_eval bench's 108 windows at 921 windows/s
+against 694 in-process (+33%, faster in 10 of 10 pairs), and at 920
+against 757 on a second seed (+22%, 4 of 4). The calling process's own
+in-process work after a pooled evaluate got slower: the bench's set-up
+by 12% and its per-window zero_shot_classify by 16% (42% and 27% on the
+second seed), and its peak RSS rose 5.4%. pretrain's and ingest's
+end-to-end metrics moved by at most 7%, inside their bounds (5 pairs
+each).
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_structure, in_process, needs_pool
+from conftest import chain_structure, in_process, pooled
 from imuclr import autodiff as ad
 from imuclr import inference, workers
 from imuclr.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
@@ -428,11 +428,14 @@ def finetuned(float32=False):
     return model
 
 
+# evaluate pools only where forked workers can pin the loaded BLAS to one thread each
+needs_pinned_pool = pytest.mark.skipif(not (pooled() and workers.blas_pinnable()),
+                                       reason="evaluate scores in-process on this interpreter")
 ZERO_SHOT = LabelSet(names=("a", "b"), embeddings=np.random.default_rng(3).standard_normal((2, 4)))
 CLASSIFIER = LabelSet(names=("a", "b"))
 
 
-@needs_pool
+@needs_pinned_pool
 @pytest.mark.parametrize("model, labels", [
     pytest.param(lambda: Model(tiny_checkpoint()), ZERO_SHOT, id="zero-shot"),
     pytest.param(finetuned, ZERO_SHOT, id="zero-shot-finetuned"),
@@ -447,7 +450,7 @@ def test_pooled_evaluate_equals_an_in_process_one(fresh_pool, monkeypatch, model
     assert_same_scores(pooled, scored(model, dataset, labels, monkeypatch))
 
 
-@needs_pool
+@needs_pinned_pool
 def test_first_failing_window_in_window_order_raises_as_in_process(fresh_pool, monkeypatch):
     # 12 windows in 8 chunks: windows 5 and 9 fall in different chunks, each failing with its own message
     dataset = random_windows(12)
@@ -478,7 +481,7 @@ def test_one_window_one_cpu_or_no_pinnable_blas_starts_no_process(fresh_pool, mo
     assert no_process()
 
 
-@needs_pool
+@needs_pinned_pool
 def test_a_killed_worker_leaves_the_call_whole_and_the_next_call_gets_a_fresh_pool(fresh_pool, monkeypatch):
     parent, real = os.getpid(), inference.zero_shot_classify
     model, dataset = Model(tiny_checkpoint()), random_windows(10)
@@ -509,8 +512,7 @@ def blas_threads():
     return counts
 
 
-@needs_pool
-@pytest.mark.skipif(not workers.blas_pinnable(), reason="no OpenBLAS loaded")
+@needs_pinned_pool
 def test_workers_pin_a_multi_threaded_blas_to_one_thread(fresh_pool):
     set_num_threads = workers.openblas("set_num_threads")[0]
     before = blas_threads()
