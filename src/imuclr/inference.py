@@ -11,6 +11,8 @@ while the text side stays frozen.
 
 from __future__ import annotations
 
+import copy
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -32,6 +34,13 @@ from .graph_encoder import build_adjacency, encode_batch, encoder_param_names
 from .simulate import ACCEL, GYRO, MotionTimeSeries
 
 CHUNKS_PER_WORKER = 4  # evaluate's chunks per usable CPU: small pickles in flight, little overhead per chunk
+# Measured on one-shot `imuclr eval` runs (2 vCPUs, numpy's OpenBLAS on its default 2 threads; BENCH_28.json):
+# scoring in the pool cost about 116 ms more per process (imports, forks, a slow first call) and saved about
+# 0.35 ms per window. evaluate scores in-process until its calls in this process have been asked for the
+# windows that repay that start.
+POOL_START_MS, POOL_SAVED_MS_PER_WINDOW = 116.0, 0.35
+POOL_MIN_WINDOWS = math.ceil(POOL_START_MS / POOL_SAVED_MS_PER_WINDOW)
+_windows_asked = 0  # the windows all evaluate calls of this process have been asked to score
 
 
 @dataclass(frozen=True)
@@ -320,6 +329,18 @@ def report_from_scores(y_true, scores):
     return EvalReport(accuracy, float(np.mean(f1s)), r2, confusion)
 
 
+def _scoring_copy(model):
+    """A shallow copy of model without what scoring leaves unread, so each pickled chunk carries less.
+
+    It drops the checkpoint's parameters and the live ones' gradients; the
+    live values keep their dtypes.
+    """
+    shipped = copy.copy(model)
+    shipped.ckpt = replace(model.ckpt, params={})
+    shipped.params = {name: Parameter(name, p.value) for name, p in model.params.items()}
+    return shipped
+
+
 def _score(model, labels, pairs):
     """The (len(pairs), D) score rows of evaluate, one per (series, label_name) pair, in order."""
     if labels.embeddings is None:
@@ -332,20 +353,27 @@ def evaluate(model, dataset, labels):
 
     Labels with embeddings are scored zero-shot, by embedding similarity;
     labels without them by the classifier head that fine-tuning attaches.
-    The windows are cut into CHUNKS_PER_WORKER contiguous chunks per usable
-    CPU, each scored in the worker pool of imuclr.workers with the model's
-    live parameters, and the rows are stacked in window order, so the
-    scores and the report are byte-identical to an in-process run; the
-    first window that fails raises its error. The chunks are scored
-    in-process when the pool does not start (see workers) or no BLAS can be
-    pinned to one thread per worker (workers.blas_pinnable).
+    Once the evaluate calls of this process have been asked for
+    POOL_MIN_WINDOWS windows in all, this one's included, the windows are
+    cut into CHUNKS_PER_WORKER contiguous chunks per usable CPU, each
+    scored in the worker pool of imuclr.workers with the model's live
+    parameters, and the rows are stacked in window order, so the scores and
+    the report are byte-identical to an in-process run; the first window
+    that fails raises its error. Before that, and when the pool does not
+    start (see workers) or no BLAS can be pinned to one thread per worker
+    (workers.blas_pinnable), the windows are scored in-process.
     """
+    global _windows_asked
     if not dataset:
         raise EmptyDataset("cannot evaluate an empty dataset")
     y_true = np.array([labels.index(name) for _, name in dataset], dtype=np.intp)
     n = len(dataset)
-    k = min(n, CHUNKS_PER_WORKER * workers.usable_cpus()) if workers.blas_pinnable() else 1
-    calls = [(model, labels, dataset[n * i // k : n * (i + 1) // k]) for i in range(k)]
+    _windows_asked += n
+    if _windows_asked < POOL_MIN_WINDOWS or not workers.blas_pinnable():
+        return report_from_scores(y_true, _score(model, labels, dataset))
+    k = min(n, CHUNKS_PER_WORKER * workers.usable_cpus())
+    shipped = _scoring_copy(model)
+    calls = [(shipped, labels, dataset[n * i // k : n * (i + 1) // k]) for i in range(k)]
     futures = workers.submit(_score, calls)
     try:
         scores = np.concatenate([workers.result(future, _score, args) for future, args in zip(futures, calls)])

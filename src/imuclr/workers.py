@@ -2,40 +2,30 @@
 
 Two callers hand it work: load_pretrain_samples, one call per skeleton file
 without a .simcache entry, and evaluate, one call per contiguous chunk of
-windows. submit() sends two or more calls to a ProcessPoolExecutor with the
-fork start method and one worker per usable CPU (os.sched_getaffinity),
-started by the first such submit and shut down at interpreter exit; later
-submits reuse it. Its workers keep the module code they were forked with,
-so a call carries everything that may have changed since (a model's live
-parameters, the windows). The calls run in-process, and no process starts,
-when there are fewer than two, one usable CPU, no fork start method, or
-CPython 3.12 or later, which deprecates forking a process that has threads
-(BLAS's among them). A pool found broken, as when a worker is killed, is
-dropped, its calls run in-process and the next submit starts a new pool.
-Callers take results in call order (result), so their outputs are
-byte-identical to an in-process run.
+windows once its calls in this process have been asked for
+inference.POOL_MIN_WINDOWS windows in all. submit() sends two or more calls
+to a ProcessPoolExecutor with the fork start method and one worker per
+usable CPU (os.sched_getaffinity), started by the first such submit and
+shut down at interpreter exit; later submits reuse it. Its workers keep
+the module code they were forked with, so a call carries everything that
+may have changed since (a model's live parameters, the windows). The calls
+run in-process, and no process starts, when there are fewer than two, one
+usable CPU, no fork start method, or CPython 3.12 or later, which
+deprecates forking a process that has threads (BLAS's among them). A pool
+found broken, as when a worker is killed, is dropped, its calls run
+in-process and the next submit starts a new pool. Callers take results in
+call order (result), so their outputs are byte-identical to an in-process
+run.
 
 Each worker pins its BLAS to one thread when it starts: it calls
 openblas_set_num_threads(1) of every OpenBLAS the process has loaded,
 found through ctypes among the libraries /proc/self/maps lists, under the
 symbol prefix and suffix of numpy's wheels (scipy_, 64_) or none. So N
-workers run N BLAS threads on N CPUs, not N times the parent's count:
-with the parent's OpenBLAS on 2 threads, evaluate scored the
-zero_shot_eval bench's windows at 952-1189 windows/s pooled against
-806-884 in-process (2 vCPUs, see BENCH_28.json). Where no such library is
-loaded (another BLAS, or no /proc), workers run unpinned: evaluate then
-scores in-process, while simulation, which spends little time in BLAS,
-still uses the pool.
-
-In BENCH_28.json (2 vCPUs, one BLAS thread, alternating 30-s pairs),
-evaluate scored the zero_shot_eval bench's 108 windows at 921 windows/s
-against 694 in-process (+33%, faster in 10 of 10 pairs), and at 920
-against 757 on a second seed (+22%, 4 of 4). The calling process's own
-in-process work after a pooled evaluate got slower: the bench's set-up
-by 12% and its per-window zero_shot_classify by 16% (42% and 27% on the
-second seed), and its peak RSS rose 5.4%. pretrain's and ingest's
-end-to-end metrics moved by at most 7%, inside their bounds (5 pairs
-each).
+workers run N BLAS threads on N CPUs, not N times the parent's count.
+Where no such library is loaded (another BLAS, or no /proc), the workers
+keep the parent's setting: evaluate then scores in-process, while
+simulation still uses the pool. README's worker-pool paragraph gives the
+measurements.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import ctypes
 import multiprocessing
 import os
 import signal
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -428,6 +429,18 @@ def finetuned(float32=False):
     return model
 
 
+def unpooled(monkeypatch):
+    """From now on, evaluate scores in-process, on the very model it is given, as below POOL_MIN_WINDOWS."""
+    monkeypatch.setattr(inference, "POOL_MIN_WINDOWS", sys.maxsize)
+
+
+@pytest.fixture
+def eager_pool(fresh_pool, monkeypatch):
+    """fresh_pool, with evaluate scoring in the pool from its first call of two or more windows."""
+    monkeypatch.setattr(inference, "POOL_MIN_WINDOWS", 2)
+    monkeypatch.setattr(inference, "_windows_asked", 0)
+
+
 # evaluate pools only where forked workers can pin the loaded BLAS to one thread each
 needs_pinned_pool = pytest.mark.skipif(not (pooled() and workers.blas_pinnable()),
                                        reason="evaluate scores in-process on this interpreter")
@@ -442,16 +455,16 @@ CLASSIFIER = LabelSet(names=("a", "b"))
     pytest.param(finetuned, CLASSIFIER, id="classifier"),
     pytest.param(lambda: finetuned(float32=True), CLASSIFIER, id="classifier-float32"),
 ])
-def test_pooled_evaluate_equals_an_in_process_one(fresh_pool, monkeypatch, model, labels):
+def test_pooled_evaluate_equals_an_in_process_one(eager_pool, monkeypatch, model, labels):
     model, dataset = model(), random_windows(21)
     pooled = scored(model, dataset, labels, monkeypatch)
     assert pool_started()
-    in_process(monkeypatch)
+    unpooled(monkeypatch)
     assert_same_scores(pooled, scored(model, dataset, labels, monkeypatch))
 
 
 @needs_pinned_pool
-def test_first_failing_window_in_window_order_raises_as_in_process(fresh_pool, monkeypatch):
+def test_first_failing_window_in_window_order_raises_as_in_process(eager_pool, monkeypatch):
     # 12 windows in 8 chunks: windows 5 and 9 fall in different chunks, each failing with its own message
     dataset = random_windows(12)
     dataset[5] = random_windows(1, v=3)[0]
@@ -460,14 +473,14 @@ def test_first_failing_window_in_window_order_raises_as_in_process(fresh_pool, m
     with pytest.raises(ShapeMismatch) as pooled:
         evaluate(model, dataset, ZERO_SHOT)
     assert pool_started()
-    in_process(monkeypatch)
+    unpooled(monkeypatch)
     with pytest.raises(ShapeMismatch) as serial:
         evaluate(model, dataset, ZERO_SHOT)
     assert type(pooled.value) is type(serial.value) is ShapeMismatch
     assert str(pooled.value) == str(serial.value) == "series has 3 joints, model expects 4"
 
 
-def test_one_window_one_cpu_or_no_pinnable_blas_starts_no_process(fresh_pool, monkeypatch):
+def test_one_window_one_cpu_or_no_pinnable_blas_starts_no_process(eager_pool, monkeypatch):
     model = Model(tiny_checkpoint())
     one, several = random_windows(1), random_windows(6)
     evaluate(model, one, ZERO_SHOT)
@@ -482,7 +495,20 @@ def test_one_window_one_cpu_or_no_pinnable_blas_starts_no_process(fresh_pool, mo
 
 
 @needs_pinned_pool
-def test_a_killed_worker_leaves_the_call_whole_and_the_next_call_gets_a_fresh_pool(fresh_pool, monkeypatch):
+def test_evaluate_scores_in_process_until_its_calls_have_asked_for_pool_min_windows(fresh_pool, monkeypatch):
+    monkeypatch.setattr(inference, "_windows_asked", 0)
+    model, dataset = Model(tiny_checkpoint()), random_windows(6)
+    calls = (inference.POOL_MIN_WINDOWS - 1) // 6  # asking for fewer than POOL_MIN_WINDOWS in all
+    for _ in range(calls):
+        evaluate(model, dataset, ZERO_SHOT)
+    assert no_process()
+    evaluate(model, dataset, ZERO_SHOT)  # POOL_MIN_WINDOWS or more
+    assert pool_started()
+    assert inference._windows_asked == 6 * (calls + 1)
+
+
+@needs_pinned_pool
+def test_a_killed_worker_leaves_the_call_whole_and_the_next_call_gets_a_fresh_pool(eager_pool, monkeypatch):
     parent, real = os.getpid(), inference.zero_shot_classify
     model, dataset = Model(tiny_checkpoint()), random_windows(10)
     marked = dataset[6][0]
@@ -492,9 +518,9 @@ def test_a_killed_worker_leaves_the_call_whole_and_the_next_call_gets_a_fresh_po
             os.kill(os.getpid(), signal.SIGKILL)
         return real(series, *args)
 
-    in_process(monkeypatch)
+    unpooled(monkeypatch)
     expected = scored(model, dataset, ZERO_SHOT, monkeypatch)
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(inference, "POOL_MIN_WINDOWS", 2)
     monkeypatch.setattr(inference, "zero_shot_classify", killed_in_a_worker_on_window_6)
     assert_same_scores(scored(model, dataset, ZERO_SHOT, monkeypatch), expected)
     assert no_process()  # the broken pool was dropped
