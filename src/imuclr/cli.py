@@ -97,7 +97,7 @@ def _encoder_config(args, embed_dim):
     for c_out in _widths(args.channels):
         blocks.append((c_in, c_out, args.kt))
         c_in = c_out
-    return EncoderConfig(blocks=tuple(blocks), partition=args.partition, embedding_dim=embed_dim)
+    return EncoderConfig(blocks=tuple(blocks), embedding_dim=embed_dim)
 
 
 def cmd_pretrain(args):
@@ -232,7 +232,6 @@ def build_parser():
     p.add_argument("--gravity", action="store_true")
     p.add_argument("--channels", type=WIDTHS, default="32,64", help="comma-separated block widths")
     p.add_argument("--kt", type=ODD_INT, default=9, help="temporal kernel size (odd)")
-    p.add_argument("--partition", choices=("uniform", "distance"), default="distance")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="attach and train a linear classifier")

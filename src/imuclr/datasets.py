@@ -177,10 +177,10 @@ def _warn_unwritable(source, failures):
 
 
 def _simulate_file(path, digest, fs, noise, seed, gravity):
-    """Read and simulate one skeleton file: ((data bytes, shape) or None, warnings caught, exception or None).
+    """Read and simulate one skeleton file: (data array or None, warnings caught, exception or None).
 
     The noise is seeded with [seed, digest]. The body of a pool worker and
-    of an in-process load alike; load_pretrain_samples rebuilds the series
+    of an in-process load alike; load_pretrain_samples builds the series
     and re-issues the warnings. A NonFinite simulation is a ParseError
     naming path.
     """
@@ -190,7 +190,7 @@ def _simulate_file(path, digest, fs, noise, seed, gravity):
             seq = formats.read_skeleton_file(path)
             rng = np.random.default_rng([seed, int(digest, 16)])
             data = simulate_sequence(seq, noise=noise, target_fs=fs, rng=rng, gravity=gravity).data
-            result, error = (data.tobytes(), data.shape), None
+            result, error = np.ascontiguousarray(data), None
         except NonFinite as exc:
             result, error = None, ParseError(str(exc), path=path)
         except Exception as exc:  # handed to the caller, which raises it in file order
@@ -210,10 +210,12 @@ def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, 
     pool of worker processes when there are several (see workers). Each
     file's warnings are re-issued here and its entry written in sorted name
     order; the first file that fails raises its error, after the entries of
-    the files before it. Results are kept under data_dir/.simcache, keyed
-    by exactly the simulation's inputs: CACHE_VERSION, content hash, rate,
-    noise levels, seed and gravity (see _open_cache for eviction). When the
-    cache cannot be written, the load goes on, with one warning.
+    the files before it. In the pool the files after it are still
+    simulated, and nothing is cancelled; in-process they never start.
+    Results are kept under data_dir/.simcache, keyed by exactly the
+    simulation's inputs: CACHE_VERSION, content hash, rate, noise levels,
+    seed and gravity (see _open_cache for eviction). When the cache cannot
+    be written, the load goes on, with one warning.
     """
     if noise is None:
         noise = NoiseParams()
@@ -236,25 +238,22 @@ def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, 
                 seq_id = os.path.basename(path)[: -len(SKELETON_EXT)]
                 raise ParseError(f"sequence {seq_id!r} has {v} joints, skeleton has {num_joints}", path=path)
     _open_cache(data_dir, rows, index, digests, failures, listed)
-    futures = dict(zip([job[0] for job in todo], workers.submit(_simulate_file, todo)))
+    simulated = workers.run(_simulate_file, todo)  # todo's results, in file order
     cache_dir = os.path.join(data_dir, CACHE_DIR, "")  # an entry's path is cache_dir + its name
     samples = []
-    try:
-        for skel_file, job, name in zip(skel_files, jobs, names):
+    for skel_file, job, name in zip(skel_files, jobs, names):
 
-            def simulate():
-                result, caught, error = workers.result(futures.pop(job[0], None), _simulate_file, job)
-                for warning in caught:
-                    warnings.warn(warning, stacklevel=4)
-                if error is not None:
-                    raise error
-                data = np.frombuffer(result[0]).reshape(result[1]).copy()
-                return MotionTimeSeries(data, np.ones(data.shape[2], dtype=bool), fs)
+        def simulate():
+            # a listed entry gone by its read is simulated here
+            data, caught, error = _simulate_file(*job) if name in listed else next(simulated)
+            for warning in caught:
+                warnings.warn(warning, stacklevel=4)
+            if error is not None:
+                raise error
+            return MotionTimeSeries(data, np.ones(data.shape[2], dtype=bool), fs)
 
-            series = _cached(cache_dir + name, name in listed, simulate, failures)
-            samples.append(PretrainSample(seq_id=skel_file[: -len(SKELETON_EXT)], series=series))
-    finally:
-        workers.cancel(futures.values())
+        series = _cached(cache_dir + name, name in listed, simulate, failures)
+        samples.append(PretrainSample(seq_id=skel_file[: -len(SKELETON_EXT)], series=series))
     _warn_unwritable(data_dir, failures)
     return samples
 

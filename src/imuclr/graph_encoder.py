@@ -20,7 +20,7 @@ from .errors import BadStrategy, ShapeMismatch
 
 ALPHA = 0.001  # diagonal regularizer; keeps empty adjacency rows well-defined
 
-STRATEGY_PARTITIONS = {"uniform": 1, "distance": 2}
+STRATEGY_PARTITIONS = {"distance": 2}
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,8 @@ class EncoderConfig:
 def build_adjacency(structure, strategy="distance"):
     """Adjacency stacks for a skeleton tree.
 
-    uniform (K_s=1): single partition I + A. distance (K_s=2): partition 0
-    is the self-loop identity, partition 1 the distance-1 neighbors.
+    distance (K_s=2), the one strategy: partition 0 is the self-loop
+    identity, partition 1 the distance-1 neighbors.
     """
     if strategy not in STRATEGY_PARTITIONS:
         raise BadStrategy(f"unknown partition strategy {strategy!r}")
@@ -100,10 +100,7 @@ def build_adjacency(structure, strategy="distance"):
     for p, c in structure.edges:
         neighbor[p, c] = 1.0
         neighbor[c, p] = 1.0
-    if strategy == "uniform":
-        stacks = (np.eye(v) + neighbor)[None]
-    else:
-        stacks = np.stack([np.eye(v), neighbor])
+    stacks = np.stack([np.eye(v), neighbor])
     lambdas = stacks.sum(axis=2) + ALPHA
     return AdjacencySet(stacks=stacks, lambdas=lambdas)
 

@@ -358,9 +358,11 @@ def evaluate(model, dataset, labels):
     cut into CHUNKS_PER_WORKER contiguous chunks per usable CPU, each
     scored in the worker pool of imuclr.workers with the model's live
     parameters, and the rows are stacked in window order, so the scores and
-    the report are byte-identical to an in-process run; the first window
-    that fails raises its error. Before that, and when the pool does not
-    start (see workers) or no BLAS can be pinned to one thread per worker
+    the report are byte-identical to an in-process run. The first chunk
+    that fails raises its error after the chunks before it; in the pool the
+    chunks after it still run, and nothing is cancelled, while in-process
+    they never start. Before that, and when the pool does not start (see
+    workers) or no BLAS can be pinned to one thread per worker
     (workers.blas_pinnable), the windows are scored in-process.
     """
     global _windows_asked
@@ -374,9 +376,4 @@ def evaluate(model, dataset, labels):
     k = min(n, CHUNKS_PER_WORKER * workers.usable_cpus())
     shipped = _scoring_copy(model)
     calls = [(shipped, labels, dataset[n * i // k : n * (i + 1) // k]) for i in range(k)]
-    futures = workers.submit(_score, calls)
-    try:
-        scores = np.concatenate([workers.result(future, _score, args) for future, args in zip(futures, calls)])
-    finally:
-        workers.cancel(futures)
-    return report_from_scores(y_true, scores)
+    return report_from_scores(y_true, np.concatenate(list(workers.run(_score, calls))))

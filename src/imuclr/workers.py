@@ -1,21 +1,24 @@
 """The process-wide pool of forked worker processes.
 
-Two callers hand it work: load_pretrain_samples, one call per skeleton file
-without a .simcache entry, and evaluate, one call per contiguous chunk of
-windows once its calls in this process have been asked for
-inference.POOL_MIN_WINDOWS windows in all. submit() sends two or more calls
-to a ProcessPoolExecutor with the fork start method and one worker per
-usable CPU (os.sched_getaffinity), started by the first such submit and
-shut down at interpreter exit; later submits reuse it. Its workers keep
-the module code they were forked with, so a call carries everything that
-may have changed since (a model's live parameters, the windows). The calls
-run in-process, and no process starts, when there are fewer than two, one
-usable CPU, no fork start method, or CPython 3.12 or later, which
-deprecates forking a process that has threads (BLAS's among them). A pool
-found broken, as when a worker is killed, is dropped, its calls run
-in-process and the next submit starts a new pool. Callers take results in
-call order (result), so their outputs are byte-identical to an in-process
-run.
+Two callers hand it work through run(fn, calls): load_pretrain_samples,
+one call per skeleton file without a .simcache entry, and evaluate, one
+call per contiguous chunk of windows once its calls in this process have
+been asked for inference.POOL_MIN_WINDOWS windows in all. Results come
+back in call order, so the callers' outputs are byte-identical to an
+in-process run, and the first failing call raises its error after the
+results before it. Two or more calls all go, before run returns, to a
+ProcessPoolExecutor with the fork start method and one worker per usable
+CPU (os.sched_getaffinity), started by the first such run and shut down
+at interpreter exit, so the calls after a failing one still run there:
+nothing is cancelled. Its workers keep the module code they were forked
+with, so a call carries everything that may have changed since (a
+model's live parameters, the windows). The calls run in-process, each
+when its result is asked for, so those after a failing one never start,
+and no process starts, when there are fewer than two, one usable CPU, no
+fork start method, or CPython 3.12 or later, which deprecates forking a
+process that has threads (BLAS's among them). A pool found broken, as
+when a worker is killed, is dropped and the call runs in-process; a run
+that finds it so starts a new pool.
 
 Each worker pins its BLAS to one thread when it starts: it calls
 openblas_set_num_threads(1) of every OpenBLAS the process has loaded,
@@ -36,7 +39,7 @@ import functools
 import os
 import sys
 
-_pool = None  # the ProcessPoolExecutor, or None until a submit starts one (see submit)
+_pool = None  # the ProcessPoolExecutor, or None until a pooled run starts one (see run)
 _OPENBLAS_SYMBOLS = [prefix + "openblas_{}" + suffix for prefix in ("", "scipy_") for suffix in ("", "64_")]
 
 
@@ -76,7 +79,7 @@ def blas_pinnable():
 
 
 def drop_pool():
-    """Shut the pool down, if there is one; the next submit of two or more calls starts another."""
+    """Shut the pool down, if there is one, discarding its pending calls; the next pooled run starts another."""
     global _pool
     pool, _pool = _pool, None
     if pool is not None:
@@ -84,48 +87,47 @@ def drop_pool():
         pool.shutdown(cancel_futures=True)
 
 
-def submit(fn, calls):
-    """[future of fn(*args) for args in calls]; a None in place of each when they are to run in-process.
+def run(fn, calls):
+    """An iterator of fn(*args) for args in calls, pooled or not (see the module docstring); fn must be picklable."""
+    futures = _submitted(fn, calls)
+    if futures is None:
+        return (fn(*args) for args in calls)
+    return _results(futures, fn, calls)
 
-    See the module docstring for when that is; fn must be picklable, so
-    defined at a module's top level.
-    """
+
+def _submitted(fn, calls):
+    """[future of fn(*args) for args in calls] in the pool, started if need be; None to run them in-process."""
     global _pool
     if len(calls) < 2 or usable_cpus() < 2 or sys.version_info >= (3, 12):
-        return [None] * len(calls)
+        return None
     import multiprocessing  # here, not at the top: a run that never pools never pays for these imports
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    if _pool is None:
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return [None] * len(calls)
-        _pool = ProcessPoolExecutor(usable_cpus(), multiprocessing.get_context("fork"), _start_worker)
-        atexit.register(drop_pool)
-    try:
-        return [_pool.submit(fn, *args) for args in calls]
-    except BrokenProcessPool:
-        drop_pool()
-        return [None] * len(calls)
-
-
-def result(future, fn, args):
-    """future's result; fn(*args)'s when future is None or its pool broke, which drops the pool."""
-    if future is not None:
-        from concurrent.futures.process import BrokenProcessPool
-
+    for _ in range(2):  # a pool a worker's death broke since its last run is replaced, once
+        if _pool is None:
+            if "fork" not in multiprocessing.get_all_start_methods():
+                return None
+            _pool = ProcessPoolExecutor(usable_cpus(), multiprocessing.get_context("fork"), _start_worker)
+            atexit.register(drop_pool)
         try:
-            return future.result()
+            return [_pool.submit(fn, *args) for args in calls]
         except BrokenProcessPool:
             drop_pool()
-    return fn(*args)
+    return None
 
 
-def cancel(futures):
-    """Cancel those of futures (from submit) that have not started: the calls after one that failed."""
-    for future in futures:
-        if future is not None:
-            future.cancel()
+def _results(futures, fn, calls):
+    """Each future's result in turn; fn(*args)'s in-process for one whose pool broke, which drops the pool."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    for future, args in zip(futures, calls):
+        try:
+            result = future.result()
+        except BrokenProcessPool:
+            drop_pool()
+            result = fn(*args)
+        yield result
 
 
 def _start_worker():

@@ -117,6 +117,19 @@ def test_garbage_header_with_valid_crc(tmp_path):
         load_checkpoint(p)
 
 
+def test_checkpoint_naming_the_uniform_partition_is_corrupt(tmp_path):
+    # the uniform partition is gone; a checkpoint that names it is refused, not loaded with another graph
+    p = tmp_path / "a.ckpt"
+    save_checkpoint(p, sample_checkpoint())
+    raw = p.read_bytes()
+    assert raw.count(b'"distance"') == 1
+    body = raw[:-4].replace(b'"distance"', b'"uniform" ')  # as long, so the header length holds
+    p.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    with pytest.raises(CorruptCheckpoint) as caught:
+        load_checkpoint(p)
+    assert str(caught.value) == "malformed checkpoint header: unknown partition strategy 'uniform'"
+
+
 @given(st.binary(min_size=0, max_size=200))
 @settings(max_examples=60, deadline=None)
 def test_loader_never_crashes_on_garbage(tmp_path_factory, blob):

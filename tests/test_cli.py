@@ -347,9 +347,10 @@ def test_corrupt_model_is_data_error(workspace, tmp_path, capsys):
 
 
 def test_bad_partition_is_usage_error_before_loading(workspace, capsys):
-    # a bad choice is exit 1 before the data is simulated and cached
-    assert main(pretrain_args(workspace, ["--partition", "bogus"])) == 1
-    assert "partition" in capsys.readouterr().err
+    # the partition is fixed (distance): any --partition is exit 1 before the data is simulated and cached
+    for value in ("bogus", "uniform", "distance"):
+        assert main(pretrain_args(workspace, ["--partition", value])) == 1, value
+        assert "unrecognized arguments: --partition" in capsys.readouterr().err
     assert not (workspace["skel_dir"] / ".simcache").exists()
 
 
@@ -401,9 +402,8 @@ def test_deterministic_pretrain_byte_identical(workspace, tmp_path, capsys, extr
 
 
 def test_pretrain_flag_variants(workspace, capsys):
-    # each optional switch must be accepted and produce a checkpoint
-    for extra in (["--no-rot-aug"], ["--partition", "uniform"]):
-        assert main(pretrain_args(workspace, extra)) == 0, extra
+    # the optional switch must be accepted and produce a checkpoint
+    assert main(pretrain_args(workspace, ["--no-rot-aug"])) == 0
     capsys.readouterr()
     # the objective has one form: one-way loss, raw text vectors, paraphrases sampled
     for flag in ("--symmetric-loss", "--no-text-aug", "--l2-normalize-text"):

@@ -793,16 +793,21 @@ def test_off_norm_quaternions_warn_once_each_in_file_order_through_the_callers_f
     assert len(entries) == 1 and entries[0].startswith(f"v{datasets.CACHE_VERSION}_{first}_")
 
 
-@pooled_or_not
-def test_first_failing_file_in_name_order_raises_after_the_entries_before_it(tmp_path, fresh_pool, monkeypatch, pool):
-    # b and d overflow the second derivative at 20 Hz; a and c simulate
-    if not pool:
-        in_process(monkeypatch)
+def b_and_d_overflow(tmp_path):
+    """A directory of a.skel to d.skel, of which b and d overflow the second derivative at 20 Hz."""
     d = tmp_path / "skel"
     d.mkdir()
     still = "0 0 0 1 0 0 0\n"
     for name, jump in (("a", "1"), ("b", "1e307"), ("c", "2"), ("d", "1e307")):
         (d / f"{name}.skel").write_text("1 4 20\n" + still + f"{jump} 0 0 1 0 0 0\n" + still * 2)
+    return d
+
+
+@pooled_or_not
+def test_first_failing_file_in_name_order_raises_after_the_entries_before_it(tmp_path, fresh_pool, monkeypatch, pool):
+    if not pool:
+        in_process(monkeypatch)
+    d = b_and_d_overflow(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParseError, match="overflow") as caught:
@@ -810,6 +815,22 @@ def test_first_failing_file_in_name_order_raises_after_the_entries_before_it(tmp
     assert caught.value.path == str(d / "b.skel")
     entries = [name for name, _ in cache_bytes(d)]
     assert len(entries) == 1 and entries[0].startswith(f"v{datasets.CACHE_VERSION}_{file_hash(d / 'a.skel')}_")
+
+
+def test_an_in_process_load_simulates_no_file_after_the_first_that_fails(tmp_path, monkeypatch):
+    in_process(monkeypatch)
+    d, real, simulated = b_and_d_overflow(tmp_path), datasets._simulate_file, []
+
+    def recording(path, *args):
+        simulated.append(os.path.basename(path))
+        return real(path, *args)
+
+    monkeypatch.setattr(datasets, "_simulate_file", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="overflow"):
+            load_pretrain_samples(d, seed=0)
+    assert simulated == ["a.skel", "b.skel"]
 
 
 @needs_pool

@@ -1,7 +1,9 @@
 import ctypes
+import json
 import multiprocessing
 import os
 import signal
+import subprocess
 import sys
 from dataclasses import replace
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_structure, in_process, pooled
+from conftest import chain_structure, in_process, pooled, src_env
 from imuclr import autodiff as ad
 from imuclr import inference, workers
 from imuclr.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
@@ -529,6 +531,68 @@ def test_a_killed_worker_leaves_the_call_whole_and_the_next_call_gets_a_fresh_po
     assert pool_started()
 
 
+# Chunk 0 of 8 fails at once (its window 0 has a joint too few) while the worker taking chunk 1 kills itself.
+# Prints [error type, message] in-process and pooled, the exceptions of threads, and whether the next call,
+# once the broken pool's workers are gone, scores as in-process in a fresh pool.
+FAILING_CHUNK_THEN_A_KILLED_WORKER = """
+import json, multiprocessing, os, signal, sys, threading, time
+import numpy as np
+from imuclr import inference, workers
+from imuclr.checkpoint import load_checkpoint
+from imuclr.inference import LabelSet, Model, evaluate
+from imuclr.simulate import MotionTimeSeries
+
+thread_errors = []
+threading.excepthook = lambda args: thread_errors.append(repr(args.exc_value))
+workers.usable_cpus = lambda: 2
+parent, real, rng = os.getpid(), inference.zero_shot_classify, np.random.default_rng(0)
+dataset = [(MotionTimeSeries(rng.standard_normal((6, 8, v)), np.ones(v, dtype=bool), 20.0), "ab"[i % 2])
+           for i, v in enumerate([3] + [4] * 15)]
+
+
+def killed_in_a_worker_on_window_2(series, *args):
+    if os.getpid() != parent and np.array_equal(series.data, dataset[2][0].data):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(series, *args)
+
+
+def error_of(windows):
+    try:
+        evaluate(model, windows, labels)
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+inference.zero_shot_classify = killed_in_a_worker_on_window_2
+model = Model(load_checkpoint(sys.argv[1]))
+labels = LabelSet(names=("a", "b"), embeddings=rng.standard_normal((2, 4)))
+inference.POOL_MIN_WINDOWS = sys.maxsize
+serial, expected = error_of(dataset), evaluate(model, dataset[3:], labels).as_key_values()
+inference.POOL_MIN_WINDOWS = 2
+pooled, broken = error_of(dataset), workers._pool
+deadline = time.monotonic() + 20
+while multiprocessing.active_children() and time.monotonic() < deadline:
+    time.sleep(0.01)
+report = evaluate(model, dataset[3:], labels).as_key_values()
+fresh = workers._pool not in (None, broken) and len(multiprocessing.active_children()) == 2
+print(json.dumps(dict(serial=serial, pooled=pooled, thread_errors=thread_errors, fresh=fresh,
+                      same=report == expected)))
+"""
+
+
+@needs_pinned_pool
+def test_a_failing_pooled_call_then_a_killed_worker_leave_no_thread_error_and_the_process_exits(tmp_path):
+    path = tmp_path / "tiny.ckpt"
+    save_checkpoint(path, tiny_checkpoint())
+    done = subprocess.run([sys.executable, "-c", FAILING_CHUNK_THEN_A_KILLED_WORKER, str(path)], env=src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen["pooled"] == seen["serial"] == ["ShapeMismatch", "series has 3 joints, model expects 4"]
+    assert seen["thread_errors"] == [] and "Exception in thread" not in done.stderr
+    assert seen["fresh"] and seen["same"]
+
+
 def blas_threads():
     """The thread count each loaded OpenBLAS reports in this process."""
     counts = []
@@ -545,8 +609,7 @@ def test_workers_pin_a_multi_threaded_blas_to_one_thread(fresh_pool):
     set_num_threads.argtypes, set_num_threads.restype = [ctypes.c_int], None
     set_num_threads(2)  # the parent's BLAS as a multi-threaded default leaves it
     try:
-        futures = workers.submit(blas_threads, [(), ()])
-        assert [f.result(timeout=60) for f in futures] == [[1] * len(before)] * 2
+        assert list(workers.run(blas_threads, [(), ()])) == [[1] * len(before)] * 2
         assert blas_threads()[0] == 2  # the parent keeps its own setting
     finally:
         set_num_threads(before[0])
