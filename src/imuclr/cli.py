@@ -2,9 +2,10 @@
 
 Subcommands: pretrain, finetune, eval. eval is the one scoring command:
 zero-shot against the label embeddings of --labels, or through the
-classifier that finetune attached. Every run prints a banner with the seed,
-a hash of the resolved options and the hash of any checkpoint read or
-written, which together pin down every reported number.
+classifier that finetune attached. Every run prints a banner with the seed
+(`-` for eval, which draws no random numbers), a hash of the resolved
+options and the hash of any checkpoint read or written, which together pin
+down every reported number.
 
 Exit codes: 0 success, 1 usage error (bad flags or flag values), 2 data
 error (unreadable or malformed files, corrupt checkpoints).
@@ -211,11 +212,8 @@ def build_parser():
     parser = Parser(prog="imuclr", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
-
     p = sub.add_parser("pretrain", help="contrastive pre-training against text embeddings")
-    common(p)
+    p.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
     p.add_argument("--data", required=True, help="directory of .skel skeleton files")
     p.add_argument("--desc", required=True, help="description assignment file")
     p.add_argument("--embeddings", required=True, help="text embedding file")
@@ -235,7 +233,7 @@ def build_parser():
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="attach and train a linear classifier")
-    common(p)
+    p.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
@@ -246,7 +244,6 @@ def build_parser():
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("eval", help="score a checkpoint on a manifest, zero-shot or through its classifier")
-    common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--labels", help="label embeddings to score zero-shot against; without it, the classifier")

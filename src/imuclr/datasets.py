@@ -273,9 +273,11 @@ def _device_series_to_mapping_input(series, locations):
 
 
 def _recording_entries(paths, failures):
-    """{path: its cache entry} of the text recordings among paths; a name ending in .tsb is binary and gets none.
+    """{path: (its cache entry, whether the cache listed it)} of the text recordings among paths.
 
-    An OSError of listing a directory, or of stat'ing or reading a recording
+    A name ending in .tsb is binary and gets no entry. Each directory's
+    .simcache is listed once, and the eviction reuses the listing. An
+    OSError of listing a directory, or of stat'ing or reading a recording
     (which its parse then reports), goes to failures and leaves that
     directory without entries.
     """
@@ -292,9 +294,11 @@ def _recording_entries(paths, failures):
         except OSError as exc:
             failures.append(exc)
             continue
-        _open_cache(data_dir, rows, index, digests, failures, _cache_names(data_dir, failures))
+        listed = _cache_names(data_dir, failures)
+        _open_cache(data_dir, rows, index, digests, failures, listed)
         for name, digest in zip(names, digests):
-            entries.update(dict.fromkeys(named[name], os.path.join(data_dir, CACHE_DIR, _entry_name(digest, BINARY_EXT))))
+            entry = _entry_name(digest, BINARY_EXT)
+            entries.update(dict.fromkeys(named[name], (os.path.join(data_dir, CACHE_DIR, entry), entry in listed)))
     return entries
 
 
@@ -304,7 +308,9 @@ def load_eval_dataset(manifest_path, structure, model_fs, window=None):
     A text recording is parsed on its first load and kept, byte for byte,
     as a binary entry of .simcache in its directory, named by CACHE_VERSION
     and its content hash (see _recording_entries); later loads read the
-    entry. When the cache cannot be written, the load goes on from the
+    entry when the listing of .simcache taken before any write names it, so
+    a recording listed twice is parsed for each row on the load that writes
+    its entry. When the cache cannot be written, the load goes on from the
     parse, with one warning per call. Accelerometer channels are
     multiplied by the per-sample unit scale, everything is resampled to the
     model rate, devices are assigned to their mapped joints and long
@@ -321,9 +327,8 @@ def load_eval_dataset(manifest_path, structure, model_fs, window=None):
     dataset = []
     dropped_frames = cut_recordings = 0
     for item, path in zip(manifest.samples, paths):
-        entry = entries.get(path)
-        exists = entry is not None and os.path.exists(entry)
-        series = _cached(entry, exists, lambda: formats.read_timeseries_file(path), failures)
+        entry, listed = entries.get(path, (None, False))
+        series = _cached(entry, listed, lambda: formats.read_timeseries_file(path), failures)
         if series.data.shape[0] != 6:  # ax ay az gx gy gz per device (FORMATS.md)
             raise ParseError(f"a recording has 6 channels per device, this one {series.data.shape[0]}", path=path)
         if abs(series.sample_rate - item.native_fs) > 1e-9:
@@ -331,9 +336,7 @@ def load_eval_dataset(manifest_path, structure, model_fs, window=None):
                 f"file says {series.sample_rate} Hz but manifest says {item.native_fs} Hz",
                 path=path,
             )
-        data = series.data.copy()
-        data[ACCEL] *= item.unit_scale
-        series = MotionTimeSeries(data, series.mask, series.sample_rate)
+        series.data[ACCEL] *= item.unit_scale  # in place: every read or parse returns a fresh array
         if series.sample_rate != model_fs:
             series = resample_series(series, model_fs)
         device_data = _device_series_to_mapping_input(series, item.locations)

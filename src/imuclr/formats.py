@@ -49,29 +49,12 @@ def write_atomic(path, data):
 
 
 def _read_bytes(path):
-    """The bytes of path, read until EOF in reads sized from its fstat size.
-
-    The first read asks for one byte more than the file holds, so it comes
-    back short, and the read that finds EOF asks for what the first left
-    unfilled: one byte, not another buffer of the file's size, which would
-    raise the peak memory of a load. A file that grew is read on in reads
-    of the first one's size.
-    """
+    """The bytes of path, read to EOF into one buffer that FileIO.readall sizes from the file's fstat."""
     try:
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            chunk = os.fstat(fd).st_size + 1
-            size, parts = chunk, []
-            while part := os.read(fd, size):
-                parts.append(part)
-                size = size - len(part) or chunk
-        finally:
-            os.close(fd)
+        with open(path, "rb", buffering=0) as fh:
+            return fh.readall()
     except OSError as exc:
-        if exc.filename is None:  # os.read's errors (a directory's among them) name no file; open() names it
-            exc.filename = os.fspath(path)
         raise ParseError(f"cannot read file: {exc}", path=path) from exc
-    return b"".join(parts)  # one part is returned as it is, not copied
 
 
 def _decoded(raw, path):

@@ -30,14 +30,6 @@ class AdjacencySet:
     stacks: np.ndarray  # (K_s, V, V) 0/1
     lambdas: np.ndarray  # (K_s, V) diagonal entries, row sums + alpha
 
-    @property
-    def num_partitions(self):
-        return self.stacks.shape[0]
-
-    @property
-    def num_joints(self):
-        return self.stacks.shape[1]
-
     def normalized(self):
         """Lambda^-1/2 A Lambda^-1/2 per partition, shape (K_s, V, V)."""
         inv_sqrt = 1.0 / np.sqrt(self.lambdas)

@@ -11,7 +11,6 @@ while the text side stays frozen.
 
 from __future__ import annotations
 
-import copy
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -156,12 +155,13 @@ class Model:
     """Runtime view of a checkpoint: live parameters plus adjacency.
 
     `ckpt` supplies the skeleton, sample rate, training window and class
-    names; training updates the live `params`, which to_checkpoint() copies
-    back into a new Checkpoint.
+    names, and is kept without its parameter arrays, so the model holds each
+    parameter once; training updates the live `params`, which
+    to_checkpoint() copies back into a new Checkpoint.
     """
 
     def __init__(self, ckpt):
-        self.ckpt = ckpt
+        self.ckpt = replace(ckpt, params={})
         self.config = ckpt.config
         self.adj_norm = build_adjacency(ckpt.structure, ckpt.config.partition).normalized()
         self.params = {name: Parameter(name, arr) for name, arr in ckpt.params.items()}
@@ -225,7 +225,7 @@ class FinetuneConfig:
 
 
 def finetune(model, train_set, labels, cfg):
-    """Train encoder + linear head with cross-entropy; returns a new Model.
+    """Train encoder + linear head with cross-entropy; returns model, its parameters left without gradients.
 
     train_set: list of (MotionTimeSeries, label_name). Text embeddings are
     never touched. The classifier is created fresh unless the model already
@@ -272,6 +272,7 @@ def finetune(model, train_set, labels, cfg):
                 optimizer.step()
             except NonFinite as exc:
                 raise NonFinite(f"epoch {epoch}, step {step}: {exc}") from exc
+    optimizer.zero_grad()
     if short_batches:
         warnings.warn(
             f"fine-tuning cropped {short_batches} of {num_batches} batches to their shortest "
@@ -329,18 +330,6 @@ def report_from_scores(y_true, scores):
     return EvalReport(accuracy, float(np.mean(f1s)), r2, confusion)
 
 
-def _scoring_copy(model):
-    """A shallow copy of model without what scoring leaves unread, so each pickled chunk carries less.
-
-    It drops the checkpoint's parameters and the live ones' gradients; the
-    live values keep their dtypes.
-    """
-    shipped = copy.copy(model)
-    shipped.ckpt = replace(model.ckpt, params={})
-    shipped.params = {name: Parameter(name, p.value) for name, p in model.params.items()}
-    return shipped
-
-
 def _score(model, labels, pairs):
     """The (len(pairs), D) score rows of evaluate, one per (series, label_name) pair, in order."""
     if labels.embeddings is None:
@@ -374,6 +363,5 @@ def evaluate(model, dataset, labels):
     if _windows_asked < POOL_MIN_WINDOWS or not workers.blas_pinnable():
         return report_from_scores(y_true, _score(model, labels, dataset))
     k = min(n, CHUNKS_PER_WORKER * workers.usable_cpus())
-    shipped = _scoring_copy(model)
-    calls = [(shipped, labels, dataset[n * i // k : n * (i + 1) // k]) for i in range(k)]
+    calls = [(model, labels, dataset[n * i // k : n * (i + 1) // k]) for i in range(k)]
     return report_from_scores(y_true, np.concatenate(list(workers.run(_score, calls))))

@@ -122,7 +122,7 @@ def test_pretrain_and_zero_shot_roundtrip(workspace, capsys):
     ])
     assert code == 0
     out = capsys.readouterr().out
-    assert "run eval" in out
+    assert "run eval: seed=- " in out  # eval draws no random numbers and takes no --seed
     assert "accuracy" in out and "macro_f1" in out and "r_at_2" in out
 
 
@@ -475,6 +475,7 @@ def test_zero_shot_window_flag(workspace, capsys):
         ("pretrain", "seed", "-1"),
         ("pretrain", "sigma-accel", "inf"),
         ("eval", "seed", "-1"),
+        ("eval", "seed", "3"),
         ("eval", "window", "-1"),
     ],
 )

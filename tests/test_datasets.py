@@ -18,7 +18,7 @@ from conftest import chain_structure, in_process, needs_pool, src_env, torn_writ
 from imuclr import datasets, formats, workers
 from imuclr.datasets import file_hash, load_eval_dataset, load_pretrain_samples
 from imuclr.errors import ParseError, ShapeMismatch
-from imuclr.simulate import MotionTimeSeries, NoiseParams, simulate_sequence
+from imuclr.simulate import ACCEL, GYRO, MotionTimeSeries, NoiseParams, simulate_sequence
 from imuclr.toy import make_toy_sequence
 
 
@@ -158,30 +158,6 @@ def test_warm_arrays_are_writable_own_their_memory_and_equal_the_cold_ones(skel_
         for a in (series.data, series.mask):
             assert a.flags.writeable and a.flags.owndata and a.base is None
         series.data[0, 0, 0] += 1.0  # no read-only view of the file's bytes
-
-
-def test_entry_gone_before_its_read_is_rebuilt(skel_dir, monkeypatch):
-    # another process may evict an entry after the load listed the cache and before it reads the entry
-    cold = load_pretrain_samples(skel_dir, seed=1)
-    entries = entry_state(skel_dir)
-    victim = sorted((skel_dir / ".simcache").glob("*.tsb"))[1]
-    real, removed = formats.read_timeseries_file, []
-
-    def evicting(path):
-        if path == str(victim):
-            os.remove(path)
-            removed.append(path)
-        return real(path)
-
-    monkeypatch.setattr(formats, "read_timeseries_file", evicting)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        warm = load_pretrain_samples(skel_dir, seed=1)
-    assert removed == [str(victim)]
-    assert_same_samples(warm, cold)
-    assert {name: data for name, (data, _) in entry_state(skel_dir).items()} == {
-        name: data for name, (data, _) in entries.items()
-    }
 
 
 def test_warm_load_with_a_current_index_hashes_and_writes_nothing(skel_dir, monkeypatch):
@@ -565,6 +541,18 @@ def test_recording_rewritten_with_restored_stat_is_parsed_again(rec_dir, monkeyp
     assert len(entry_state(rec_dir)) == 4
 
 
+def test_a_recording_listed_twice_is_unit_scaled_for_each_row(rec_dir):
+    # scaling works in place on the array each read returns, so the first row's scale must not reach the second
+    manifest = rec_dir / "twice.tsv"
+    manifest.write_text("mapping map.txt\nsample\tr0.ts\tc0\twrist,hip\t40\t2\nsample\tr0.ts\tc1\twrist,hip\t40\t1\n")
+    for _ in range(2):  # parsed, then read from its cache entry
+        (twice, _), (once, _) = load_eval(manifest)
+        assert np.any(once.data[ACCEL] != 0.0)
+        assert np.array_equal(twice.data[ACCEL], 2.0 * once.data[ACCEL])
+        assert twice.data[GYRO].tobytes() == once.data[GYRO].tobytes()
+    assert len(entry_state(rec_dir)) == 1
+
+
 def test_two_manifests_over_one_directory_evict_nothing_of_each_other(rec_dir, monkeypatch):
     first, second = rec_dir / "first.tsv", rec_dir / "second.tsv"
     load_eval(first)
@@ -694,6 +682,31 @@ def test_unwritable_cache_still_loads_with_one_warning(loader, monkeypatch, how)
     assert not (loader.dir / datasets.HASH_INDEX).exists()
     left = [p.name for p in cache.glob("*.tsb")]
     assert left == ([] if how == "no-cache-dir" else ["v0_000000000000.tsb"])
+
+
+def test_entry_gone_before_its_read_is_rebuilt(loader, monkeypatch):
+    # another process may evict an entry after the load listed the cache and before it reads the entry
+    expected = loader.reference()
+    loader.load()
+    entries = entry_state(loader.dir)
+    victim = str(sorted((loader.dir / ".simcache").glob("*.tsb"))[1])
+    real, removed = formats.read_timeseries_file, []
+
+    def evicting(path):
+        if str(path) == victim:
+            os.remove(path)
+            removed.append(path)
+        return real(path)
+
+    monkeypatch.setattr(formats, "read_timeseries_file", evicting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warm = loader.load()
+    assert removed == [victim]
+    loader.same(warm, expected)
+    assert {name: data for name, (data, _) in entry_state(loader.dir).items()} == {
+        name: data for name, (data, _) in entries.items()
+    }
 
 
 def test_unreadable_cache_entry_is_a_located_error(loader):

@@ -1,5 +1,6 @@
 import os
 import struct
+import threading
 import warnings
 
 import numpy as np
@@ -255,22 +256,28 @@ def test_timeseries_unreadable_path_is_located(tmp_path):
         assert str(caught.value) == f"{p}: cannot read file: {reason}: '{p}'"
 
 
-def test_file_that_grows_while_read_is_read_whole(tmp_path, monkeypatch):
-    # the reads are sized from the file's fstat size; bytes appended after it are read too
-    p = tmp_path / "f.txt"
-    p.write_bytes(b"x" * 1000)
-    real_read, sizes = os.read, []
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+def test_file_whose_fstat_size_is_zero_is_read_whole(tmp_path):
+    # a FIFO reports size 0 and gets its bytes in pieces, more than one pipe buffer in all
+    series = random_series(np.random.default_rng(0), v=40, t=300)
+    formats.write_timeseries_file(tmp_path / "x.tsb", series, binary=True)
+    blob = (tmp_path / "x.tsb").read_bytes()
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    assert os.stat(fifo).st_size == 0 and len(blob) > 3 * 65536
 
-    def growing_read(fd, n):
-        if not sizes:
-            with open(p, "ab") as fh:
-                fh.write(b"y" * 2500)
-        sizes.append(n)
-        return real_read(fd, n)
+    def feed():
+        with open(fifo, "wb") as fh:
+            for i in range(0, len(blob), 50000):
+                fh.write(blob[i : i + 50000])
+                fh.flush()
 
-    monkeypatch.setattr(os, "read", growing_read)
-    assert formats._read_bytes(p) == b"x" * 1000 + b"y" * 2500
-    assert sizes == [1001, 1001, 1001, 1001, 504]
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    back = formats.read_timeseries_file(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert back.data.tobytes() == series.data.tobytes() and np.array_equal(back.mask, series.mask)
 
 
 @pytest.mark.parametrize(

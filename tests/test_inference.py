@@ -301,6 +301,17 @@ def test_finetune_sets_label_names_and_checkpoint_roundtrip():
     assert ckpt.has_classifier()
 
 
+def test_model_holds_each_parameter_once_and_finetune_leaves_no_gradient():
+    ckpt = tiny_checkpoint()
+    model = Model(ckpt)
+    assert model.ckpt.params == {} and sorted(ckpt.params) == sorted(model.params)
+    train = [(series_of(-1.0), "a"), (series_of(1.0), "b")]
+    model = finetune(model, train, LabelSet(names=("a", "b")), FinetuneConfig(epochs=2, lr=1e-2, batch_size=2))
+    assert model.ckpt.params == {} and "classifier.weight" in model.params
+    assert all(p.grad is None for p in model.params.values())
+    assert sorted(model.to_checkpoint().params) == sorted(model.params)
+
+
 def test_evaluate_zero_shot_permutation_invariant():
     model = Model(tiny_checkpoint())
     labels = LabelSet(names=("a", "b"), embeddings=np.random.default_rng(1).standard_normal((2, 4)))
@@ -421,10 +432,11 @@ def no_process():
 
 def finetuned(float32=False):
     """A fine-tuned Model, whose live parameters differ from its checkpoint's, in float32 on request."""
-    model = Model(tiny_checkpoint())
+    ckpt = tiny_checkpoint()
+    model = Model(ckpt)
     finetune(model, random_windows(8, seed=1), LabelSet(names=("a", "b")), FinetuneConfig(epochs=2, lr=1e-2,
                                                                                            batch_size=4))
-    assert not np.array_equal(model.params["block0.spatial"].value, model.ckpt.params["block0.spatial"])
+    assert not np.array_equal(model.params["block0.spatial"].value, ckpt.params["block0.spatial"])
     if float32:
         for p in model.params.values():
             p.value = p.value.astype(np.float32)
