@@ -50,8 +50,6 @@ def main():
         "--epochs", str(args.epochs),
         "--batch", "16",
         "--lr", "0.0001",
-        "--mask-min", "1",
-        "--mask-max", "5",
         "--channels", "16,32",
         "--seed", str(args.seed),
     ])

@@ -10,34 +10,11 @@ the pipeline trains under.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import quat
 from .errors import BadRange, ShapeMismatch
 from .simulate import MotionTimeSeries
-
-
-@dataclass(frozen=True)
-class JointMask:
-    """Subset of joints left visible; everything else is zeroed."""
-
-    selected: frozenset
-    num_joints: int
-
-    def __post_init__(self):
-        if not (1 <= len(self.selected) <= self.num_joints):
-            raise BadRange(
-                f"mask must select between 1 and {self.num_joints} joints, got {len(self.selected)}"
-            )
-        if any(not (0 <= j < self.num_joints) for j in self.selected):
-            raise BadRange("mask contains out-of-range joint indices")
-
-    def as_bool(self):
-        m = np.zeros(self.num_joints, dtype=bool)
-        m[sorted(self.selected)] = True
-        return m
 
 
 def sample_joint_rotations(num_joints, rng):
@@ -80,23 +57,21 @@ def rotate_augment(x, rotations):
 
 
 def sample_joint_mask(num_joints, min_k, max_k, rng):
-    """Draw k ~ Uniform[min_k, max_k], then k distinct joints uniformly."""
+    """Draw k ~ Uniform[min_k, max_k], then k distinct joints uniformly; a (V,) bool array of them."""
     if not (1 <= min_k <= max_k <= num_joints):
         raise BadRange(
             f"need 1 <= min_k <= max_k <= V, got min_k={min_k}, max_k={max_k}, V={num_joints}"
         )
     k = int(rng.integers(min_k, max_k + 1))
-    chosen = rng.choice(num_joints, size=k, replace=False)
-    return JointMask(frozenset(int(j) for j in chosen), num_joints)
+    keep = np.zeros(num_joints, dtype=bool)
+    keep[rng.choice(num_joints, size=k, replace=False)] = True
+    return keep
 
 
-def apply_mask(x, mask):
-    """Zero every channel of joints outside the mask; idempotent."""
-    if mask.num_joints != x.num_joints:
-        raise ShapeMismatch(
-            f"mask covers {mask.num_joints} joints but series has {x.num_joints}"
-        )
-    keep = mask.as_bool()
+def apply_mask(x, keep):
+    """Zero every channel of joints where the (V,) bool array keep is False; idempotent."""
+    if keep.dtype != bool or keep.shape != (x.num_joints,):
+        raise ShapeMismatch(f"mask must be a ({x.num_joints},) bool array, got {keep.dtype} {keep.shape}")
     data = x.data.copy()
     data[:, :, ~keep] = 0.0
     return MotionTimeSeries(data, keep & x.mask, x.sample_rate)

@@ -25,7 +25,6 @@ from .datasets import file_hash, load_eval_dataset, load_pretrain_samples
 from .errors import DimMismatch, ParseError, PipelineError
 from .graph_encoder import EncoderConfig
 from .inference import FinetuneConfig, LabelSet, Model, evaluate, finetune
-from .simulate import NoiseParams
 from .skeleton import body22
 
 
@@ -52,11 +51,6 @@ def _banner(command, args, checkpoint_hash="-"):
     )
 
 
-def _require(condition, message):
-    if not condition:
-        raise UsageError(message)
-
-
 def _checked(convert, ok, want):
     """An argparse type: convert the text, then require ok(value), else a usage error naming `want`."""
 
@@ -81,9 +75,7 @@ def _widths(text):
 
 
 NONNEGATIVE_INT = _int_at_least(0)
-ODD_INT = _checked(int, lambda v: v > 0 and v % 2 == 1, "a positive odd integer")
 POSITIVE_FLOAT = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
-NONNEGATIVE_FLOAT = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 # kept as the string given, so the config hash of a run does not depend on the check
 WIDTHS = _checked(str, lambda text: min(_widths(text), default=0) > 0, "comma-separated integers > 0")
 
@@ -94,15 +86,15 @@ WIDTHS = _checked(str, lambda text: min(_widths(text), default=0) > 0, "comma-se
 
 
 def _encoder_config(args, embed_dim):
+    """The --channels chain, each block with the temporal kernel (9) of EncoderConfig's default blocks."""
     blocks, c_in = [], 6
     for c_out in _widths(args.channels):
-        blocks.append((c_in, c_out, args.kt))
+        blocks.append((c_in, c_out, 9))
         c_in = c_out
     return EncoderConfig(blocks=tuple(blocks), embedding_dim=embed_dim)
 
 
 def cmd_pretrain(args):
-    _require(args.mask_max >= args.mask_min, "--mask-max must be >= --mask-min")
     table = formats.read_embedding_file(args.embeddings)
     descriptions = formats.read_description_file(args.desc)
     # every row's text id is checked here, before the banner and any simulation
@@ -112,21 +104,9 @@ def cmd_pretrain(args):
                 raise ParseError(f"sequence {seq_id!r} names text id {text_id!r}, which {args.embeddings} lacks",
                                  path=args.desc)
     structure = body22()
-    _require(args.mask_max <= structure.num_joints, "--mask-max exceeds the joint count")
-    noise = NoiseParams(sigma_accel=args.sigma_accel, sigma_gyro=args.sigma_gyro)
-    samples = load_pretrain_samples(
-        args.data, fs=args.fs, noise=noise, seed=args.seed, gravity=args.gravity, num_joints=structure.num_joints
-    )
+    samples = load_pretrain_samples(args.data, seed=args.seed, gravity=args.gravity, num_joints=structure.num_joints)
     encoder_cfg = _encoder_config(args, table.dim)
-    cfg = TrainConfig(
-        batch_size=args.batch,
-        epochs=args.epochs,
-        lr=args.lr,
-        mask_min=args.mask_min,
-        mask_max=args.mask_max,
-        seed=args.seed,
-        rotation_augment=not args.no_rot_aug,
-    )
+    cfg = TrainConfig(batch_size=args.batch, epochs=args.epochs, lr=args.lr, seed=args.seed)
     _banner("pretrain", args)
     metrics_path = args.out + ".metrics.tsv"
     metrics = []
@@ -157,10 +137,9 @@ def _print_report(report, report_path=None):
 
 
 def _model_and_dataset(command, args, ckpt):
-    """Banner, then the model of a loaded checkpoint and the manifest's windows (--window or the training window)."""
+    """Banner, then the model of a loaded checkpoint and the manifest's windows of its training window."""
     _banner(command, args, file_hash(args.model))
-    window = args.window if args.window else ckpt.train_window
-    dataset = load_eval_dataset(args.manifest, ckpt.structure, ckpt.sample_rate, window=window)
+    dataset = load_eval_dataset(args.manifest, ckpt.structure, ckpt.sample_rate, window=ckpt.train_window)
     return Model(ckpt), dataset
 
 
@@ -194,7 +173,8 @@ def cmd_eval(args):
                 raise ParseError(f"labels {first!r} and {ids[k]!r} share the text {text!r}", path=args.labels)
         labels = LabelSet(names=names, embeddings=table.matrix(ids))
     else:
-        _require(ckpt.has_classifier(), "--labels is required to evaluate a model without a classifier")
+        if not ckpt.has_classifier():
+            raise UsageError("--labels is required to evaluate a model without a classifier")
         if ckpt.label_names is None:
             raise PipelineError("checkpoint has a classifier but no label names")
         labels = LabelSet(names=ckpt.label_names)
@@ -221,15 +201,8 @@ def build_parser():
     p.add_argument("--epochs", type=NONNEGATIVE_INT, default=1)
     p.add_argument("--batch", type=_int_at_least(2), default=64)
     p.add_argument("--lr", type=POSITIVE_FLOAT, default=0.0001)
-    p.add_argument("--mask-min", type=_int_at_least(1), default=1, help="joints are 1..V")
-    p.add_argument("--mask-max", type=int, default=5)
-    p.add_argument("--no-rot-aug", action="store_true")
-    p.add_argument("--fs", type=POSITIVE_FLOAT, default=20.0)
-    p.add_argument("--sigma-accel", type=NONNEGATIVE_FLOAT, default=0.05)
-    p.add_argument("--sigma-gyro", type=NONNEGATIVE_FLOAT, default=0.005)
     p.add_argument("--gravity", action="store_true")
     p.add_argument("--channels", type=WIDTHS, default="32,64", help="comma-separated block widths")
-    p.add_argument("--kt", type=ODD_INT, default=9, help="temporal kernel size (odd)")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="attach and train a linear classifier")
@@ -240,14 +213,12 @@ def build_parser():
     p.add_argument("--epochs", type=NONNEGATIVE_INT, default=50)
     p.add_argument("--lr", type=POSITIVE_FLOAT, default=0.0001)
     p.add_argument("--batch", type=_int_at_least(1), default=16)
-    p.add_argument("--window", type=NONNEGATIVE_INT, default=0)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("eval", help="score a checkpoint on a manifest, zero-shot or through its classifier")
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--labels", help="label embeddings to score zero-shot against; without it, the classifier")
-    p.add_argument("--window", type=NONNEGATIVE_INT, default=0, help="override evaluation window length")
     p.add_argument("--report", help="write metrics to a key-value file")
     p.set_defaults(func=cmd_eval)
     return parser

@@ -2,7 +2,8 @@
 
 For every batch iteration: rotate each joint's channels by one fresh random
 rotation shared across the batch, mask all but a few random joints, crop to
-the shortest recording, encode, pair each sequence with one description
+the shortest recording (one warning per run counts the batches that this cut
+below the training window), encode, pair each sequence with one description
 drawn from its originals and paraphrases together, and minimize the softmax
 cross-entropy from each time-series embedding to its own raw (unnormalized)
 text vector among the in-batch alternatives. The loss runs in that one
@@ -18,6 +19,7 @@ and the returned checkpoint holds the trained values as float64 arrays.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,7 +123,7 @@ def _assemble_batch(chosen, cfg, rng_rot, rng_mask):
     rotations = None
     if cfg.rotation_augment:
         rotations = sample_joint_rotations(v, rng_rot)
-    live = np.flatnonzero(sample_joint_mask(v, cfg.mask_min, cfg.mask_max, rng_mask).as_bool())
+    live = np.flatnonzero(sample_joint_mask(v, cfg.mask_min, cfg.mask_max, rng_mask))
     series = [s.series for s in chosen]
     t_min = min(s.num_frames for s in series)
     data = np.stack([s.data[:, :t_min, live] for s in series])
@@ -145,7 +147,10 @@ def pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=
     The encoder trains as an inference.Model around a fresh Checkpoint of
     the initial encoder parameters and log(1/gamma), rounded to float32; the
     returned checkpoint holds exactly those, trained, as float64 arrays whose
-    values are float32 numbers. A description id that the text table lacks
+    values are float32 numbers. The training window is the median recording
+    length; each batch is cropped to its shortest recording, and one warning
+    per call counts the batches that cropping cut below that window. A
+    description id that the text table lacks
     is an EmptyText error before the first step. A NonFinite error from a
     step is re-raised with its epoch and step index (both from 0).
 
@@ -190,14 +195,20 @@ def pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=
     params = {name: np.asarray(value, dtype=np.float32) for name, value in params.items()}
     window = int(np.median([s.series.num_frames for s in samples]))
     model = Model(Checkpoint(encoder_cfg, structure, rates.pop(), params, train_window=window))
+    del params  # the model's Parameters hold the one copy trained
     temperature = Temperature(model.params["log_inv_gamma"])
     optimizer = Adam(model.params.values(), lr=cfg.lr)
 
+    short_batches = num_batches = 0
     for epoch in range(cfg.epochs):
         losses = []
         for step, batch_idx in enumerate(_batch_indices(len(samples), cfg.batch_size, rng_batch)):
             chosen = [samples[i] for i in batch_idx]
             batch = _assemble_batch(chosen, cfg, rng_rot, rng_mask)
+            t = batch.shape[2]
+            num_batches += 1
+            if t < window and any(s.series.num_frames > t for s in chosen):
+                short_batches += 1
             try:
                 g = model.embed_batch_tensor(batch)
                 ids = [sample_description(descriptions, s.seq_id, rng_desc) for s in chosen]
@@ -210,4 +221,10 @@ def pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=
             losses.append(float(loss.value))
         if on_epoch is not None:
             on_epoch(epoch, float(np.mean(losses)), temperature.inv_gamma_value())
+    if short_batches:
+        warnings.warn(
+            f"pretraining cropped {short_batches} of {num_batches} batches to their shortest "
+            f"recording, below the training window ({window})",
+            stacklevel=2,
+        )
     return model.to_checkpoint()

@@ -267,6 +267,20 @@ def test_fewer_samples_than_batch_train_one_batch_per_epoch():
     assert len(losses) == 2 and all(np.isfinite(losses)) and losses[0] > 0
 
 
+def test_pretraining_warns_once_with_the_batches_cropped_below_the_window():
+    # the training window is the median length, 6; one 3-frame sample cuts the one batch
+    # it lands in each epoch to 3 frames, 2 of the 4 batches of 3
+    samples, ds, table, cfg, enc = tiny_setup()
+    short = samples[4].series
+    samples[4] = PretrainSample("s4", MotionTimeSeries(short.data[:, :3], short.mask, short.sample_rate))
+    with pytest.warns(UserWarning) as caught:
+        ckpt = pretrain(samples, ds, table, chain_structure(V), enc, cfg)
+    assert ckpt.train_window == T
+    assert [str(w.message) for w in caught] == [
+        "pretraining cropped 2 of 4 batches to their shortest recording, below the training window (6)"
+    ]
+
+
 def test_non_finite_step_names_its_epoch_and_step(monkeypatch):
     # 4 samples in batches of 2 make 2 steps an epoch, so the third loss is epoch 1, step 0
     samples, ds, table, _, enc = tiny_setup(n=4)

@@ -920,13 +920,13 @@ def test_workers_die_with_a_parent_killed_by_a_signal(skel_dir):
         "datasets.load_pretrain_samples(sys.argv[1]); "
         "print(*[p.pid for p in multiprocessing.active_children()], flush=True); sys.stdin.read()"
     )
-    parent = subprocess.Popen([sys.executable, "-c", code, str(skel_dir)], env=src_env(), text=True,
-                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-    try:
-        workers = [int(pid) for pid in parent.stdout.readline().split()]
-    finally:
-        parent.kill()
-        parent.wait(timeout=60)
+    with subprocess.Popen([sys.executable, "-c", code, str(skel_dir)], env=src_env(), text=True,
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE) as parent:
+        try:
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+        finally:
+            parent.kill()
+            parent.wait(timeout=60)
     deadline = time.monotonic() + 30
     while any(map(running, workers)) and time.monotonic() < deadline:
         time.sleep(0.05)
