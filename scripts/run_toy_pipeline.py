@@ -5,7 +5,7 @@ Generates data, pre-trains a small encoder, scores it zero-shot with
 `eval --labels` on the held-out rotated recordings (zero_shot.tsv),
 fine-tunes, and scores the classifier with `eval` (finetuned.tsv).
 
-Usage: python scripts/run_toy_pipeline.py [--workdir toy_run] [--epochs 60]
+Usage: python scripts/run_toy_pipeline.py [--workdir toy_run] [--epochs 150]
 """
 
 import argparse

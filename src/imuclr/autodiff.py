@@ -443,8 +443,7 @@ def grad_check(fn, params, eps=1e-5):
     """
     for p in params:
         p.zero_grad()
-    loss = fn()
-    loss.backward()
+    fn().backward()
     analytic = [np.zeros(p.shape) if p.grad is None else p.grad.copy() for p in params]
     worst = 0.0
     for p, an in zip(params, analytic):

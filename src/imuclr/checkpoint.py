@@ -18,7 +18,8 @@ runs in float32, so a pretrained checkpoint's values are float32 numbers held
 exactly. Round-tripping save -> load -> save is byte-identical; parameter
 order and JSON key order are fixed. Saving goes through formats.write_atomic,
 so a crash leaves the old file or the new one. Loading verifies magic,
-version, CRC and that the stored skeleton hash matches the stored skeleton.
+version, CRC, the skeleton hash, and each header value and array shape that
+a Model needs to score (FORMATS.md lists them); other arrays pass through.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import CorruptCheckpoint, VersionMismatch
 from .formats import write_atomic
-from .graph_encoder import EncoderConfig
+from .graph_encoder import EncoderConfig, encoder_param_shapes
 from .skeleton import SkeletonStructure
 
 MAGIC = b"UMTSCKPT"
@@ -138,6 +139,12 @@ def load_checkpoint(path):
         raise CorruptCheckpoint(f"malformed checkpoint header: {exc}") from exc
     if header.get("skeleton_hash") != structure.structure_hash():
         raise CorruptCheckpoint("stored skeleton hash does not match stored skeleton")
+    if not (math.isfinite(sample_rate) and sample_rate > 0):
+        raise CorruptCheckpoint(f"sample rate {sample_rate} is not a finite positive number")
+    if train_window is not None and (type(train_window) is not int or train_window < 1):
+        raise CorruptCheckpoint(f"training window {train_window!r} is neither null nor an int >= 1")
+    if label_names is not None and not (type(label_names) is list and all(type(n) is str for n in label_names)):
+        raise CorruptCheckpoint(f"label names {label_names!r} are neither null nor a list of strings")
     params = {}
     count = rd.u32()
     for _ in range(count):
@@ -150,14 +157,20 @@ def load_checkpoint(path):
             raise CorruptCheckpoint(f"implausible tensor rank {rank}")
         shape = tuple(rd.u32() for _ in range(rank))
         raw = rd.take(8 * math.prod(shape))  # Python ints: a huge shape cannot wrap around to a small size
-        params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        try:
+            params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        except ValueError as exc:  # a zero dimension lets a shape too big for numpy take no bytes
+            raise CorruptCheckpoint(f"parameter {name!r} has shape {shape}: {exc}") from exc
     if rd.pos != len(rd.data):
         raise CorruptCheckpoint(f"{len(rd.data) - rd.pos} trailing bytes after parameters")
-    return Checkpoint(
-        config=config,
-        structure=structure,
-        sample_rate=sample_rate,
-        params=params,
-        train_window=train_window if train_window is None else int(train_window),
-        label_names=None if label_names is None else tuple(label_names),
-    )
+    expected = encoder_param_shapes(config)
+    if "classifier.weight" in params or "classifier.bias" in params:  # then both, with one column per label
+        d = params.get("classifier.bias", np.zeros(0)).size if label_names is None else len(label_names)
+        expected.update({"classifier.bias": (d,), "classifier.weight": (config.embedding_dim, d)})
+    for name, shape in expected.items():
+        if name not in params:
+            raise CorruptCheckpoint(f"parameter {name!r} is missing")
+        if params[name].shape != shape:
+            raise CorruptCheckpoint(f"parameter {name!r} has shape {params[name].shape}, expected {shape}")
+    labels = None if label_names is None else tuple(label_names)
+    return Checkpoint(config, structure, sample_rate, params, train_window, labels)

@@ -2,24 +2,23 @@
 
 For every batch iteration: rotate each joint's channels by one fresh random
 rotation shared across the batch, mask all but a few random joints, crop to
-the shortest recording (one warning per run counts the batches that this cut
-below the training window), encode, pair each sequence with one description
+the shortest recording, encode, pair each sequence with one description
 drawn from its originals and paraphrases together, and minimize the softmax
 cross-entropy from each time-series embedding to its own raw (unnormalized)
 text vector among the in-batch alternatives. The loss runs in that one
 direction only. The temperature is learned through its log inverse, clamped
 from above.
 
-The encoder trains as the same inference.Model that fine-tuning uses; the
-text side is a frozen TextEmbeddingTable, so zero-shot label vectors from
-the same text space score against the trained encoder. Training runs in
-float32: the live parameters, each batch and the text vectors are cast once,
-and the returned checkpoint holds the trained values as float64 arrays.
+Pretraining and fine-tuning train the same inference.Model in the same
+inference.fit loop; the text side is a frozen TextEmbeddingTable, so
+zero-shot label vectors from the same text space score against the trained
+encoder. Training runs in float32: the live parameters, each batch and the
+text vectors are cast once, and the returned checkpoint holds the trained
+values as float64 arrays.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ from .augment import rotate_joints, sample_joint_mask, sample_joint_rotations
 from .checkpoint import Checkpoint
 from .errors import BadRange, DimMismatch, EmptyDataset, EmptyText, NonFinite
 from .graph_encoder import init_encoder_params
-from .inference import Model
+from .inference import Model, fit
 from .simulate import MotionTimeSeries
 from .text_embeddings import sample_description
 
@@ -148,11 +147,9 @@ def pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=
     the initial encoder parameters and log(1/gamma), rounded to float32; the
     returned checkpoint holds exactly those, trained, as float64 arrays whose
     values are float32 numbers. The training window is the median recording
-    length; each batch is cropped to its shortest recording, and one warning
-    per call counts the batches that cropping cut below that window. A
-    description id that the text table lacks
-    is an EmptyText error before the first step. A NonFinite error from a
-    step is re-raised with its epoch and step index (both from 0).
+    length (see inference.fit for the warning about batches cropped below
+    it). A description id that the text table lacks is an EmptyText error
+    before the first step.
 
     Randomness is split into independent per-stage streams derived from
     cfg.seed (initialization, batch order, rotations, masks, descriptions),
@@ -199,32 +196,18 @@ def pretrain(samples, descriptions, text, structure, encoder_cfg, cfg, on_epoch=
     temperature = Temperature(model.params["log_inv_gamma"])
     optimizer = Adam(model.params.values(), lr=cfg.lr)
 
-    short_batches = num_batches = 0
-    for epoch in range(cfg.epochs):
-        losses = []
-        for step, batch_idx in enumerate(_batch_indices(len(samples), cfg.batch_size, rng_batch)):
+    def epoch_batches():
+        for batch_idx in _batch_indices(len(samples), cfg.batch_size, rng_batch):
             chosen = [samples[i] for i in batch_idx]
             batch = _assemble_batch(chosen, cfg, rng_rot, rng_mask)
-            t = batch.shape[2]
-            num_batches += 1
-            if t < window and any(s.series.num_frames > t for s in chosen):
-                short_batches += 1
-            try:
-                g = model.embed_batch_tensor(batch)
-                ids = [sample_description(descriptions, s.seq_id, rng_desc) for s in chosen]
-                loss = contrastive_loss(g, np.stack([vectors[i] for i in ids]), temperature)
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-            except NonFinite as exc:
-                raise NonFinite(f"epoch {epoch}, step {step}: {exc}") from exc
-            losses.append(float(loss.value))
-        if on_epoch is not None:
-            on_epoch(epoch, float(np.mean(losses)), temperature.inv_gamma_value())
-    if short_batches:
-        warnings.warn(
-            f"pretraining cropped {short_batches} of {num_batches} batches to their shortest "
-            f"recording, below the training window ({window})",
-            stacklevel=2,
-        )
+            ids = [sample_description(descriptions, s.seq_id, rng_desc) for s in chosen]
+            yield batch, [s.series.num_frames for s in chosen], ids
+
+    def report(epoch, mean_loss):
+        on_epoch(epoch, mean_loss, temperature.inv_gamma_value())
+
+    def loss_of(g, ids):
+        return contrastive_loss(g, np.stack([vectors[i] for i in ids]), temperature)
+
+    fit(model, optimizer, cfg.epochs, epoch_batches, loss_of, "pretraining", None if on_epoch is None else report)
     return model.to_checkpoint()

@@ -258,20 +258,6 @@ def load_pretrain_samples(data_dir, fs=20.0, noise=None, seed=0, gravity=False, 
     return samples
 
 
-def _device_series_to_mapping_input(series, locations):
-    """Split a V=#devices recording into per-location (accel, gyro) pairs."""
-    if series.num_joints != len(locations):
-        raise ShapeMismatch(
-            f"recording has {series.num_joints} device slots but manifest lists {len(locations)}"
-        )
-    out = {}
-    for i, loc in enumerate(locations):
-        accel = series.data[ACCEL, :, i].T
-        gyro = series.data[GYRO, :, i].T
-        out[loc] = (accel, gyro)
-    return out
-
-
 def _recording_entries(paths, failures):
     """{path: (its cache entry, whether the cache listed it)} of the text recordings among paths.
 
@@ -339,8 +325,11 @@ def load_eval_dataset(manifest_path, structure, model_fs, window=None):
         series.data[ACCEL] *= item.unit_scale  # in place: every read or parse returns a fresh array
         if series.sample_rate != model_fs:
             series = resample_series(series, model_fs)
-        device_data = _device_series_to_mapping_input(series, item.locations)
-        assigned = assign_to_joints(device_data, mapping, structure.num_joints, model_fs)
+        data, locations = series.data, item.locations
+        if data.shape[2] != len(locations):
+            raise ShapeMismatch(f"recording has {data.shape[2]} device slots but manifest lists {len(locations)}")
+        devices = {loc: (data[ACCEL, :, i].T, data[GYRO, :, i].T) for i, loc in enumerate(locations)}
+        assigned = assign_to_joints(devices, mapping, structure.num_joints, model_fs)
         pieces = windows(assigned, window)
         dropped = assigned.num_frames - sum(p.num_frames for p in pieces)
         if dropped:

@@ -97,39 +97,38 @@ def build_adjacency(structure, strategy="distance"):
     return AdjacencySet(stacks=stacks, lambdas=lambdas)
 
 
+def encoder_param_shapes(cfg):
+    """{name: shape} of every encoder parameter that cfg implies, in the order they are initialized."""
+    shapes = {}
+    for i, (c_in, c_out, k_t) in enumerate(cfg.blocks):
+        shapes[f"block{i}.spatial"] = (cfg.num_partitions, c_out, c_in)
+        shapes[f"block{i}.temporal"] = (c_out, c_out, k_t)
+        shapes[f"block{i}.scale"] = (c_out,)
+        shapes[f"block{i}.shift"] = (c_out,)
+    shapes["proj.weight"] = (cfg.out_channels, cfg.embedding_dim)
+    shapes["proj.bias"] = (cfg.embedding_dim,)
+    return shapes
+
+
 def init_encoder_params(cfg, rng):
     """Fresh parameter dict for the encoder; deterministic for a given rng.
 
-    Convolutions are He-initialized on their fan-in; affines start as the
-    identity and the projection bias at zero, so an all-zero input encodes
-    to the zero vector.
+    Convolutions are He-initialized on their fan-in (K_s * C_in spatial,
+    C_out * K_t temporal); affines start as the identity and the projection
+    bias at zero, so an all-zero input encodes to the zero vector.
     """
-    k_s = cfg.num_partitions
     params = {}
-    for i, (c_in, c_out, k_t) in enumerate(cfg.blocks):
-        params[f"block{i}.spatial"] = Parameter(
-            f"block{i}.spatial",
-            rng.standard_normal((k_s, c_out, c_in)) * np.sqrt(2.0 / (k_s * c_in)),
-        )
-        params[f"block{i}.temporal"] = Parameter(
-            f"block{i}.temporal",
-            rng.standard_normal((c_out, c_out, k_t)) * np.sqrt(2.0 / (c_out * k_t)),
-        )
-        params[f"block{i}.scale"] = Parameter(f"block{i}.scale", np.ones(c_out))
-        params[f"block{i}.shift"] = Parameter(f"block{i}.shift", np.zeros(c_out))
-    c_last = cfg.out_channels
-    params["proj.weight"] = Parameter(
-        "proj.weight", rng.standard_normal((c_last, cfg.embedding_dim)) / np.sqrt(c_last)
-    )
-    params["proj.bias"] = Parameter("proj.bias", np.zeros(cfg.embedding_dim))
+    for name, shape in encoder_param_shapes(cfg).items():
+        if name.endswith(".spatial"):
+            value = rng.standard_normal(shape) * np.sqrt(2.0 / (shape[0] * shape[2]))
+        elif name.endswith(".temporal"):
+            value = rng.standard_normal(shape) * np.sqrt(2.0 / (shape[1] * shape[2]))
+        elif name == "proj.weight":
+            value = rng.standard_normal(shape) / np.sqrt(shape[0])
+        else:
+            value = np.ones(shape) if name.endswith(".scale") else np.zeros(shape)
+        params[name] = Parameter(name, value)
     return params
-
-
-def encoder_param_names(cfg):
-    names = []
-    for i in range(len(cfg.blocks)):
-        names += [f"block{i}.spatial", f"block{i}.temporal", f"block{i}.scale", f"block{i}.shift"]
-    return names + ["proj.weight", "proj.bias"]
 
 
 def encode_batch(x, adj, params, cfg):

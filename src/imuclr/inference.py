@@ -29,7 +29,7 @@ from .errors import (
     ShapeMismatch,
     UnknownLocation,
 )
-from .graph_encoder import build_adjacency, encode_batch, encoder_param_names
+from .graph_encoder import build_adjacency, encode_batch, encoder_param_shapes
 from .simulate import ACCEL, GYRO, MotionTimeSeries
 
 CHUNKS_PER_WORKER = 4  # evaluate's chunks per usable CPU: small pickles in flight, little overhead per chunk
@@ -68,8 +68,8 @@ class LabelSet:
             raise BadRange("label names must be unique")
         if self.embeddings is not None:
             self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
-            if self.embeddings.shape[0] != len(self.names):
-                raise DimMismatch("one embedding row per label name required")
+            if self.embeddings.ndim != 2 or self.embeddings.shape[0] != len(self.names):
+                raise DimMismatch(f"label embeddings are {self.embeddings.shape}, not (D, dim) with one row per name")
 
     @property
     def num_classes(self):
@@ -167,7 +167,7 @@ class Model:
         self.params = {name: Parameter(name, arr) for name, arr in ckpt.params.items()}
 
     def encoder_params(self):
-        return {n: self.params[n] for n in encoder_param_names(self.config)}
+        return {n: self.params[n] for n in encoder_param_shapes(self.config)}
 
     def has_classifier(self):
         return "classifier.weight" in self.params
@@ -181,7 +181,7 @@ class Model:
         return out.value[0]
 
     def embed_batch_tensor(self, batch):
-        """Differentiable embedding of a (B, 6, T, V) batch, used by both training loops."""
+        """Differentiable embedding of a (B, 6, T, V) batch, used by the training loop, fit."""
         return encode_batch(batch, self.adj_norm, self.encoder_params(), self.config)
 
     def classifier_logits(self, series):
@@ -224,22 +224,54 @@ class FinetuneConfig:
             raise BadRange("invalid fine-tuning configuration")
 
 
+def fit(model, optimizer, epochs, epoch_batches, loss_of, what, on_epoch=None):
+    """The one training loop, of pretrain and finetune: optimizer steps on loss_of(embedding, target).
+
+    epoch_batches() yields an epoch's (batch, frames, target): a (B, 6, T, V)
+    batch cut to its shortest recording and the recordings' frame counts.
+    on_epoch(epoch, mean_loss), if given, follows each epoch. A step's
+    NonFinite error is re-raised with its epoch and step (from 0). One
+    warning in the caller of pretrain or finetune, led by `what`, counts the
+    batches cut below the training window (every cut batch when it is None).
+    """
+    window = model.ckpt.train_window
+    short_batches = num_batches = 0
+    for epoch in range(epochs):
+        losses = []
+        for step, (batch, frames, target) in enumerate(epoch_batches()):
+            t = batch.shape[2]
+            num_batches += 1
+            short_batches += max(frames) > t and (window is None or t < window)
+            try:
+                loss = loss_of(model.embed_batch_tensor(batch), target)
+                optimizer.zero_grad()
+                loss.backward()
+                optimizer.step()
+            except NonFinite as exc:
+                raise NonFinite(f"epoch {epoch}, step {step}: {exc}") from exc
+            losses.append(float(loss.value))
+        if on_epoch is not None:
+            on_epoch(epoch, float(np.mean(losses)))
+    optimizer.zero_grad()
+    if short_batches:
+        warnings.warn(
+            f"{what} cropped {short_batches} of {num_batches} batches to their shortest "
+            f"recording, below the training window ({window})",
+            stacklevel=3,
+        )
+
+
 def finetune(model, train_set, labels, cfg):
-    """Train encoder + linear head with cross-entropy; returns model, its parameters left without gradients.
+    """Train encoder + linear head with cross-entropy (see fit); returns model, left without gradients.
 
     train_set: list of (MotionTimeSeries, label_name). Text embeddings are
     never touched. The classifier is created fresh unless the model already
-    carries one. Each batch is cropped to its own shortest recording; one
-    warning per call counts the batches that cropping cut below the
-    checkpoint's training window (every cropped batch when it has none). A
-    NonFinite error from a step is re-raised with its epoch and step index
-    (both from 0).
+    carries one. Each batch is cropped to its own shortest recording.
     """
     if not train_set:
         raise EmptyDataset("fine-tuning needs at least one labeled sample")
     rng = np.random.default_rng(cfg.seed)
-    d = labels.num_classes
-    e = model.config.embedding_dim
+    d, e = labels.num_classes, model.config.embedding_dim
     if not model.has_classifier():
         model.params["classifier.weight"] = Parameter(
             "classifier.weight", rng.standard_normal((e, d)) / np.sqrt(e)
@@ -251,34 +283,18 @@ def finetune(model, train_set, labels, cfg):
     model.ckpt = replace(model.ckpt, label_names=tuple(labels.names))
     optimizer = Adam(list(model.encoder_params().values()) + [w, b], lr=cfg.lr)
     y = np.array([labels.index(name) for _, name in train_set], dtype=np.intp)
-    window = model.ckpt.train_window
-    short_batches = num_batches = 0
-    for epoch in range(cfg.epochs):
+
+    def epoch_batches():
         order = rng.permutation(len(train_set))
-        for step, start in enumerate(range(0, len(order), cfg.batch_size)):
+        for start in range(0, len(order), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             chosen = [train_set[i][0] for i in idx]
-            batch = crop_stack(chosen)
-            t = batch.shape[2]
-            num_batches += 1
-            if any(s.num_frames > t for s in chosen) and (window is None or t < window):
-                short_batches += 1
-            try:
-                emb = model.embed_batch_tensor(batch)
-                logits = ad.linear(emb, w, b)
-                loss = ad.softmax_cross_entropy(logits, y[idx])
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-            except NonFinite as exc:
-                raise NonFinite(f"epoch {epoch}, step {step}: {exc}") from exc
-    optimizer.zero_grad()
-    if short_batches:
-        warnings.warn(
-            f"fine-tuning cropped {short_batches} of {num_batches} batches to their shortest "
-            f"recording, below the checkpoint's training window ({window})",
-            stacklevel=2,
-        )
+            yield crop_stack(chosen), [s.num_frames for s in chosen], y[idx]
+
+    def loss_of(emb, target):
+        return ad.softmax_cross_entropy(ad.linear(emb, w, b), target)
+
+    fit(model, optimizer, cfg.epochs, epoch_batches, loss_of, "fine-tuning")
     return model
 
 

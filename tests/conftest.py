@@ -1,7 +1,10 @@
 import contextlib
+import json
 import multiprocessing
 import os
+import struct
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -122,3 +125,29 @@ def torn_writes():
 # hypothesis draws floats, and integers too, so close to 0 that most swaps would
 # hit a file's header and few non-finite tokens would reach a later line
 position = st.integers(0, 999).map(lambda k: k * 0.6180339887498949 % 1.0)
+
+
+def rewrite_checkpoint(raw, header_changes, old=b"", new=b""):
+    """Checkpoint bytes raw with header_changes set in its JSON header and old replaced by new after it.
+
+    The header length and the CRC32 are recomputed, so the result reaches the loader's checks behind them.
+    """
+    length = struct.unpack("<I", raw[12:16])[0]
+    header = json.loads(raw[16 : 16 + length])
+    header.update(header_changes)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = raw[:12] + struct.pack("<I", len(text)) + text + raw[16 + length : -4].replace(old, new)
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+# rewrite_checkpoint arguments that give well-formed files no Model can score, with the CorruptCheckpoint
+# message that refuses each: loaded, they would fail in eval with a traceback (a zero range() step in
+# inference.windows, a KeyError in Model.encoder_params, a ValueError in resampling, a bare ValueError
+# or TypeError from the loader)
+UNSCORABLE = [
+    pytest.param({"train_window": 0}, b"", b"", "training window 0 is neither null nor an int >= 1", id="window_0"),
+    pytest.param({}, b"block0.scale", b"block0.scalf", "parameter 'block0.scale' is missing", id="renamed"),
+    pytest.param({"sample_rate": float("nan")}, b"", b"", "sample rate nan is not a finite positive number", id="nan"),
+    pytest.param({"train_window": "x"}, b"", b"", "training window 'x' is neither null nor an int >= 1", id="window_x"),
+    pytest.param({"label_names": 5}, b"", b"", "label names 5 are neither null nor a list of strings", id="labels_5"),
+]

@@ -7,20 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_structure, position, torn_writes
+from conftest import UNSCORABLE, chain_structure, position, rewrite_checkpoint, torn_writes
 from imuclr.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from imuclr.errors import CorruptCheckpoint, VersionMismatch
-from imuclr.graph_encoder import EncoderConfig
+from imuclr.graph_encoder import EncoderConfig, init_encoder_params
+from imuclr.inference import Model
+from imuclr.simulate import MotionTimeSeries
 
 
 def sample_checkpoint(rng=None):
+    """A fine-tuned checkpoint: every encoder parameter, log(1/gamma) and a 2-class classifier."""
     rng = rng or np.random.default_rng(0)
     cfg = EncoderConfig(blocks=((6, 4, 3), (4, 8, 5)), partition="distance", embedding_dim=16)
-    params = {
-        "block0.spatial": rng.standard_normal((2, 4, 6)),
-        "proj.bias": rng.standard_normal(16),
-        "log_inv_gamma": np.asarray(2.659),
-    }
+    params = {name: p.value for name, p in init_encoder_params(cfg, rng).items()}
+    params["log_inv_gamma"] = np.asarray(2.659)
+    params["classifier.weight"] = rng.standard_normal((16, 2))
+    params["classifier.bias"] = rng.standard_normal(2)
     return Checkpoint(
         config=cfg,
         structure=chain_structure(5),
@@ -130,6 +132,57 @@ def test_checkpoint_naming_the_uniform_partition_is_corrupt(tmp_path):
     assert str(caught.value) == "malformed checkpoint header: unknown partition strategy 'uniform'"
 
 
+@pytest.mark.parametrize("header_changes, old, new, message", UNSCORABLE)
+def test_checkpoint_that_no_model_can_score_is_corrupt(tmp_path, header_changes, old, new, message):
+    p = tmp_path / "a.ckpt"
+    save_checkpoint(p, sample_checkpoint())
+    p.write_bytes(rewrite_checkpoint(p.read_bytes(), header_changes, old, new))
+    with pytest.raises(CorruptCheckpoint) as caught:
+        load_checkpoint(p)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "drop, label_names, message",
+    [
+        ("classifier.bias", ["walk", "run"], "parameter 'classifier.bias' is missing"),
+        ("classifier.weight", ["walk", "run"], "parameter 'classifier.weight' is missing"),
+        (None, ["walk", "run", "jump"], "parameter 'classifier.bias' has shape (2,), expected (3,)"),
+    ],
+)
+def test_classifier_needs_both_arrays_and_one_column_per_label(tmp_path, drop, label_names, message):
+    ckpt = sample_checkpoint()
+    params = {name: value for name, value in ckpt.params.items() if name != drop}
+    p = tmp_path / "a.ckpt"
+    save_checkpoint(p, Checkpoint(ckpt.config, ckpt.structure, ckpt.sample_rate, params))
+    p.write_bytes(rewrite_checkpoint(p.read_bytes(), {"label_names": label_names}))
+    with pytest.raises(CorruptCheckpoint) as caught:
+        load_checkpoint(p)
+    assert str(caught.value) == message
+
+
+def test_empty_array_of_a_shape_too_big_for_numpy_is_corrupt(tmp_path):
+    # 8 * 0 bytes to read, but numpy cannot even describe a (0, 2**32 - 1, 2**32 - 1) array
+    ckpt = sample_checkpoint()
+    p = tmp_path / "a.ckpt"
+    save_checkpoint(p, Checkpoint(ckpt.config, ckpt.structure, 20.0, {**ckpt.params, "extra": np.zeros((0, 3, 3))}))
+    huge = struct.pack("<4I", 3, 0, 2**32 - 1, 2**32 - 1)
+    p.write_bytes(rewrite_checkpoint(p.read_bytes(), {}, struct.pack("<4I", 3, 0, 3, 3), huge))
+    with pytest.raises(CorruptCheckpoint, match=r"^parameter 'extra' has shape \(0, 4294967295, 4294967295\): "):
+        load_checkpoint(p)
+
+
+def test_encoder_parameter_of_another_shape_is_corrupt(tmp_path):
+    # an embedding_dim of 8 implies an (8, 8) projection, but the file holds the (8, 16) one
+    p = tmp_path / "a.ckpt"
+    save_checkpoint(p, sample_checkpoint())
+    encoder = dict(sample_checkpoint().config.to_dict(), embedding_dim=8)
+    p.write_bytes(rewrite_checkpoint(p.read_bytes(), {"encoder": encoder}))
+    with pytest.raises(CorruptCheckpoint) as caught:
+        load_checkpoint(p)
+    assert str(caught.value) == "parameter 'proj.weight' has shape (8, 16), expected (8, 8)"
+
+
 @given(st.binary(min_size=0, max_size=200))
 @settings(max_examples=60, deadline=None)
 def test_loader_never_crashes_on_garbage(tmp_path_factory, blob):
@@ -173,9 +226,11 @@ def mutate_checkpoint(raw, kind, a, b):
 @settings(max_examples=500, deadline=None)
 def test_mutated_checkpoint_loads_or_raises_corrupt(tmp_path_factory, labels, mutation):
     # the CRC32 is recomputed, so every mutant reaches the parser behind it
+    # and a mutant that loads builds a Model that embeds and, with its classifier, scores a window
     ckpt = sample_checkpoint()
     if not labels:
-        ckpt = Checkpoint(ckpt.config, ckpt.structure, ckpt.sample_rate, ckpt.params)
+        params = {k: v for k, v in ckpt.params.items() if not k.startswith("classifier.")}
+        ckpt = Checkpoint(ckpt.config, ckpt.structure, ckpt.sample_rate, params)
     p = tmp_path_factory.mktemp("mut") / "m.ckpt"
     save_checkpoint(p, ckpt)
     p.write_bytes(mutate_checkpoint(p.read_bytes(), *mutation))
@@ -185,3 +240,10 @@ def test_mutated_checkpoint_loads_or_raises_corrupt(tmp_path_factory, labels, mu
         return
     assert isinstance(back, Checkpoint)
     assert all(isinstance(v, np.ndarray) and v.dtype == np.float64 for v in back.params.values())
+    v = back.structure.num_joints
+    window = MotionTimeSeries(np.linspace(-1.0, 1.0, 6 * 8 * v).reshape(6, 8, v), np.ones(v, dtype=bool), 20.0)
+    model = Model(back)
+    with np.errstate(all="ignore"):  # a flipped bit may leave a parameter huge or NaN; shapes are the point
+        assert model.embed(window).shape == (back.config.embedding_dim,)
+        if model.has_classifier():
+            assert model.classifier_logits(window).shape == back.params["classifier.bias"].shape

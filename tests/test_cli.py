@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import src_env, torn_writes
+from conftest import UNSCORABLE, rewrite_checkpoint, src_env, torn_writes
 from imuclr import formats
 from imuclr.checkpoint import load_checkpoint
 from imuclr.cli import main
@@ -294,6 +294,17 @@ def test_eval_labels_repeating_a_text_is_located_data_error(workspace, capsys):
     assert main(args) == 2
     out, err = capsys.readouterr()
     assert f"{labels}: labels 'a' and 'c' share the text 'walk'" in err and "run eval" not in out
+
+
+@pytest.mark.parametrize("header_changes, old, new, message", UNSCORABLE)
+def test_eval_of_a_checkpoint_no_model_can_score_is_data_error(workspace, capsys, header_changes, old, new, message):
+    assert main(pretrain_args(workspace)) == 0
+    model = workspace["model"]
+    model.write_bytes(rewrite_checkpoint(model.read_bytes(), header_changes, old, new))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--manifest", str(workspace["manifest"])]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n" and "run eval" not in out
 
 
 @pytest.mark.parametrize("token", ["nan", "1e400"])

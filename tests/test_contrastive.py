@@ -279,6 +279,7 @@ def test_pretraining_warns_once_with_the_batches_cropped_below_the_window():
     assert [str(w.message) for w in caught] == [
         "pretraining cropped 2 of 4 batches to their shortest recording, below the training window (6)"
     ]
+    assert caught[0].filename == __file__  # issued in pretrain's caller, whose filters apply
 
 
 def test_non_finite_step_names_its_epoch_and_step(monkeypatch):

@@ -395,7 +395,7 @@ def test_eval_dataset_fs_mismatch(manifest_dir):
 def test_eval_dataset_device_count_mismatch(manifest_dir):
     d, _ = manifest_dir
     (d / "manifest.tsv").write_text("mapping map.txt\nsample\trec.ts\twalk\twrist\t40\t1.0\n")
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match=r"^recording has 2 device slots but manifest lists 1$"):
         load_eval_dataset(d / "manifest.tsv", chain_structure(4), model_fs=20.0)
 
 

@@ -253,8 +253,12 @@ def test_finetune_crops_each_batch_to_its_own_shortest_recording():
         return embed(batch)
 
     model.embed_batch_tensor = recording_embed
-    with pytest.warns(UserWarning, match=r"cropped 2 of 4 batches .* training window \(8\)"):
+    with pytest.warns(UserWarning) as caught:
         finetune(model, train, labels, FinetuneConfig(epochs=2, lr=1e-3, batch_size=4))
+    assert [str(w.message) for w in caught] == [
+        "fine-tuning cropped 2 of 4 batches to their shortest recording, below the training window (8)"
+    ]
+    assert caught[0].filename == __file__  # issued in finetune's caller, whose filters apply
     assert sorted(seen) == [5, 5, 20, 20]
     unknown_window = Model(replace(tiny_checkpoint(), train_window=None))
     with pytest.warns(UserWarning, match=r"cropped 2 of 4 batches .* training window \(None\)"):
@@ -387,6 +391,13 @@ def test_label_set_validation():
         LabelSet(names=("a", "a"))
     with pytest.raises(DimMismatch):
         LabelSet(names=("a", "b"), embeddings=np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("shape", [(2,), (), (2, 4, 1)])
+def test_label_set_refuses_embeddings_that_are_not_one_row_per_name(shape):
+    # a (2,) array has one entry per name, but zero_shot_classify would then fail on its missing dim
+    with pytest.raises(DimMismatch, match=r"^label embeddings are \(.*\), not \(D, dim\) with one row per name$"):
+        LabelSet(names=("a", "b"), embeddings=np.ones(shape))
 
 
 # ---------------------------------------------------------------------------
